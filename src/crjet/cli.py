@@ -56,23 +56,24 @@ def _default_degree(L: int, K: int) -> int:
 
 def _load_hypersurface(args, inputs: dict, role: str = "input") -> Hypersurface:
     """Either a JSON file path or a --family generator."""
+    if args.degree is not None and args.degree <= 0:
+        raise ValidationError(f"--degree must be positive, got {args.degree}")
     path = getattr(args, role, None)
     family = getattr(args, "family", None) if role == "input" else None
     if family is not None:
         if path is not None:
             raise FormatError("give either an input file or --family, not both")
         j = args.j
+        L, K = {"mc": (j, j), "nb": (1, j), "b0": (1, 1)}[family]
+        degree = args.degree if args.degree is not None else _default_degree(L, K)
         if family == "mc":
-            degree = args.degree or _default_degree(j, j)
             M = family_mc(Fraction(args.c), j, degree=degree)
         elif family == "nb":
-            degree = args.degree or _default_degree(1, j)
             b = ExactComplex(Fraction(args.b_re), Fraction(args.b_im))
             if b.is_zero():
                 raise ValidationError("family nb needs a nonzero coefficient b")
             M = family_nb(b, j, degree=degree)
         else:
-            degree = args.degree or _default_degree(1, 1)
             M = family_b0(degree=degree)
         payload = cio.dump_json(cio.hypersurface_dict(M)).encode("utf-8")
         inputs[role] = {"family": family, "sha256": _sha256_bytes(payload)}

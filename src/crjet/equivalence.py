@@ -287,7 +287,8 @@ def _z_slice(series_zc: TruncatedSeries, j: int) -> TruncatedSeries:
 class _OrderSolver:
     """The order-n step: affine dependence on x = (a_n^0, b_n^0, a_n^1, b_n^L)."""
 
-    def __init__(self, M, n, Rn, f0, b00, a01, a02, shat):
+    def __init__(self, M, n, Rn, f0, b00, a01, a02, shat, S0_n, S0_n1):
+        """``S0_n`` and ``S0_n1`` are S(z,chi,0)^n and S(z,chi,0)^(n+1)."""
         inv = M.invariants
         self.L, self.K = inv.L, inv.K
         self.n = n
@@ -300,8 +301,9 @@ class _OrderSolver:
         self.thetaL1 = M.theta_j(self.L + 1)
         self.thetaL_prime = self.thetaL.differentiate("z")
         self.f0_prime = f0.differentiate("z")
-        self.S0 = M.S0()
         self.shat = shat
+        self.neg_S0_n1 = -S0_n1
+        self.shat_S0_n = shat[(1, 0, 0)] * S0_n
         self.Rn_chi0 = _z_slice(Rn, 0)
         self.RnL = _z_slice(Rn, self.L)
 
@@ -338,9 +340,9 @@ class _OrderSolver:
 
         fbar_n = f_n.conjugate(rename={"z": "chi"}).embed(ZC)
         gbar_n = g_n.conjugate(rename={"z": "chi"}).embed(ZC)
-        resid = (-(self.S0 ** (n + 1)) * g_n.embed(ZC)
+        resid = (self.neg_S0_n1 * g_n.embed(ZC)
                  + self.shat[(0, 0, 0)] * gbar_n
-                 + self.shat[(1, 0, 0)] * (self.S0 ** n) * f_n.embed(ZC) * b00
+                 + self.shat_S0_n * f_n.embed(ZC) * b00
                  + self.shat[(0, 1, 0)] * fbar_n * b00
                  - self.Rn)
 
@@ -388,9 +390,13 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     f_parts = [f0]
     g_parts = [g0]
     shat = shat_jet_table(Mhat, f0, order)
-    if not (shat[(0, 0, 0)] - M.S0().truncate(shat[(0, 0, 0)].degree)).is_zero():
+    S0 = M.S0()
+    if not (shat[(0, 0, 0)] - S0.truncate(shat[(0, 0, 0)].degree)).is_zero():
         raise JetRealizationError("Shat(f0, conj f0, 0) != S(z,chi,0): jet not realizable")
     s_jets = [M.s_tau_jet(j) for j in range(order + 1)]
+    S0_pow = [None, S0]                    # S0_pow[j] = S(z,chi,0)^j
+    for _ in range(order):
+        S0_pow.append(S0_pow[-1] * S0)
 
     zero4 = tuple(ExactComplex(0) for _ in range(4))
     for n in range(1, order + 1):
@@ -398,7 +404,8 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
         gbar = [s.conjugate(rename={"z": "chi"}) for s in g_parts]
         Rn = universal_pn(n, PnData(f_parts, g_parts, fbar, gbar,
                                     s_jets[:n + 1], shat))
-        solver = _OrderSolver(M, n, Rn, f0, b00, a01, a02, shat)
+        solver = _OrderSolver(M, n, Rn, f0, b00, a01, a02, shat,
+                              S0_pow[n], S0_pow[n + 1])
 
         probes = [zero4]
         for j in range(4):

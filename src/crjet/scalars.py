@@ -2,7 +2,12 @@
 
 Two coefficient rings are used throughout the package:
 
-* ``ExactComplex`` -- a + bi with arbitrary-precision rational a, b.
+* ``ExactComplex`` -- a Gaussian rational stored as three integers
+  ``(a, b, d)`` meaning ``(a + b*i)/d``, always canonical: ``d > 0`` and
+  ``gcd(a, b, d) = 1``.  Each operation is plain integer arithmetic followed
+  by a single gcd reduction (none when the denominator is 1), instead of
+  normalising two ``Fraction`` components after every product and sum.
+  Canonical form makes equality a comparison of the three integers.
 * ``NPoly`` -- univariate polynomials in a real indeterminate ``n`` with
   ``ExactComplex`` coefficients (conjugation fixes n and conjugates the
   coefficients).
@@ -38,16 +43,35 @@ def rational_str(q: Fraction) -> str:
 
 
 class ExactComplex:
-    """Gaussian rational re + im*i, exact in both components."""
+    """Gaussian rational (a + b*i)/d, kept canonical: d > 0, gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    ``re`` and ``im`` are read-only ``Fraction`` views of the components.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _to_fraction(re))
-        object.__setattr__(self, "im", _to_fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _to_fraction(re), _to_fraction(im)
+            d = math.lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- construction helpers -------------------------------------------------
     @classmethod
@@ -60,48 +84,58 @@ class ExactComplex:
 
     # -- predicates ------------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     # -- ring operations -------------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, NPoly):
-            return NotImplemented
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        if type(other) is not ExactComplex:
+            if isinstance(other, NPoly):
+                return NotImplemented
+            other = ExactComplex.coerce(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _canonical(self._a + other._a, self._b + other._b, d1)
+        return _canonical(self._a * d2 + other._a * d1,
+                          self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, NPoly):
-            return NotImplemented
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        if type(other) is not ExactComplex:
+            if isinstance(other, NPoly):
+                return NotImplemented
+            other = ExactComplex.coerce(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _canonical(self._a - other._a, self._b - other._b, d1)
+        return _canonical(self._a * d2 - other._a * d1,
+                          self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return ExactComplex.coerce(other) - self
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, NPoly):
-            return NotImplemented
-        other = ExactComplex.coerce(other)
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not ExactComplex:
+            if isinstance(other, NPoly):
+                return NotImplemented
+            other = ExactComplex.coerce(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                          self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactComplex":
-        if self.is_zero():
+        a, b, d = self._a, self._b, self._d
+        if not a and not b:
             raise ScalarError(f"division by zero ExactComplex {self!r}")
-        n2 = self.re * self.re + self.im * self.im
-        return ExactComplex(self.re / n2, -self.im / n2)
+        return _canonical(a * d, -b * d, a * a + b * b)
 
     def __truediv__(self, other):
         return self * ExactComplex.coerce(other).inverse()
@@ -110,19 +144,22 @@ class ExactComplex:
         return ExactComplex.coerce(other) * self.inverse()
 
     def conj(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def norm_sq(self) -> Fraction:
         """|self|^2, always a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     # -- comparisons / hashing -------------------------------------------------
     def __eq__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not ExactComplex:
+            try:
+                other = ExactComplex.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -131,11 +168,37 @@ class ExactComplex:
         return f"ExactComplex({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
+        if self.is_real():
             return rational_str(self.re)
-        if self.re == 0:
+        if not self._a:
             return f"{rational_str(self.im)}*i"
         return f"({rational_str(self.re)} + {rational_str(self.im)}*i)"
+
+
+_set_a = ExactComplex._a.__set__
+_set_b = ExactComplex._b.__set__
+_set_d = ExactComplex._d.__set__
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> ExactComplex:
+    """(a + b*i)/d from components already in canonical form."""
+    z = _new(ExactComplex)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _canonical(a: int, b: int, d: int) -> ExactComplex:
+    """(a + b*i)/d for d > 0, reduced by one gcd."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _raw(a, b, d)
 
 
 EC_ZERO = ExactComplex(0)

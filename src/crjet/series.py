@@ -117,11 +117,6 @@ class TruncatedSeries:
             return self
         return TruncatedSeries(self.variables, degree, self.coeffs)
 
-    def with_degree(self, degree):
-        """Declare a (possibly higher) truncation degree.  Only meaningful for
-        exactly-known data such as polynomial generators; use with care."""
-        return TruncatedSeries(self.variables, degree, self.coeffs)
-
     def embed(self, variables):
         """Reinterpret over a superset (or reordering) of the variables."""
         variables = tuple(variables)
@@ -158,10 +153,6 @@ class TruncatedSeries:
     def map_coeffs(self, fn, degree=None):
         return TruncatedSeries(self.variables, self.degree if degree is None else degree,
                                {e: fn(c) for e, c in self.coeffs.items()})
-
-    def lift_n(self):
-        """Lift ExactComplex coefficients into the NPoly ring."""
-        return self.map_coeffs(NPoly.coerce)
 
     def eval_n(self, n0):
         """Evaluate NPoly coefficients at an integer n0."""

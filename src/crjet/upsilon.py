@@ -16,7 +16,7 @@ from __future__ import annotations
 from .linalg import RankTracker
 from .scalars import (EC_I, ExactComplex, NPoly, factorial, falling_binomial,
                       integer_roots, rising_binomial)
-from .series import TruncatedSeries, divide, inverse_unit
+from .series import SeriesError, TruncatedSeries, divide, inverse_unit
 
 ZC = ("z", "chi")
 
@@ -115,7 +115,7 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     try:
         ratio_z = emb(divide(thL, thL_prime))          # theta_L / theta_L'
         ratio_chi = emb(divide(thL_bar, thL_bar_prime))
-    except Exception as exc:
+    except SeriesError as exc:
         raise UpsilonError(f"Upsilon construction: non-series quotient ({exc})") from exc
 
     U1 = ratio_z * P * theta_z * K - ratio_chi * theta_chi * L
@@ -173,22 +173,6 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
         U4 = zero
 
     return UpsilonFamily(n_mode, [U1, U2, U3, U4], tilde3, L, K, T)
-
-
-def jet_vectors(U: UpsilonFamily, s_max: int, t_max: int):
-    """Matrix (s,t) -> 4-vector upsilon^n_{s,t}."""
-    deg = U.degree
-    if s_max + t_max > deg:
-        raise UpsilonError(
-            f"jet request (s,t) up to ({s_max},{t_max}) needs degree {s_max + t_max}, "
-            f"family certified only to {deg}")
-    out = {}
-    for s in range(s_max + 1):
-        for t in range(t_max + 1):
-            if s + t > deg:
-                continue
-            out[(s, t)] = [c.jet_coeff((s, t)) for c in U.components]
-    return out
 
 
 def gamma_threshold(L: int, K: int, T: int) -> int:
@@ -284,6 +268,8 @@ def compute_D(M, scan_bound: int | None = None) -> JetAnalysis:
     candidate is then settled by an exact rank scan at that fixed n.
     """
     inv = M.invariants
+    if inv.m != 1:
+        raise UpsilonError("exceptional set requires a 1-infinite-type hypersurface")
     L, K, T = inv.L, inv.K, inv.T
     gamma = gamma_threshold(L, K, T)
     if scan_bound is None:

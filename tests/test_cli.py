@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import crjet
 from crjet import ExactComplex, FormalMap, TruncatedSeries, extract_jet, family_mc
 from crjet import io as cio
 from crjet.cli import EXIT_INVALID, EXIT_IO, EXIT_MATH, EXIT_OK, main
@@ -61,6 +65,30 @@ class TestValidateAndInvariants:
         code, rep = run(capsys, "validate", str(tmp_path / "nope.json"))
         assert code == EXIT_IO
         assert "error" in rep
+
+
+class TestTypeTwoInput:
+    """A valid m = 2 input (Theta = z chi s^2) ends in one report, no traceback."""
+
+    @pytest.mark.parametrize("command, expected", [
+        ("validate", EXIT_OK), ("invariants", EXIT_OK), ("upsilon", EXIT_MATH),
+        ("dset", EXIT_MATH), ("jet-order", EXIT_MATH)])
+    def test_one_report_per_subcommand(self, tmp_path, command, expected):
+        path = write_json(tmp_path, "m2.json", {
+            "variables": ["z", "chi", "s"], "truncation_degree": 8,
+            "terms": [{"exponents": [1, 1, 2], "re": "1", "im": "0"}]})
+        src = os.path.dirname(os.path.dirname(crjet.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "crjet.cli", command, path],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == expected
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)      # exactly one JSON document
+        assert rep["command"] == command
+        if expected == EXIT_OK:
+            assert rep["result"]["invariants"]["m"] == 2
+        else:
+            assert "1-infinite-type" in rep["error"]
 
 
 class TestAnalysis:
@@ -181,6 +209,14 @@ class TestReports:
         code, rep = run(capsys, "invariants", "--family", "mc")
         assert code == EXIT_OK
         assert rep["result"]["invariants"]["certified_to_degree"] == 9
+
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_nonpositive_degree_is_rejected(self, capsys, mc_file, degree):
+        for source in (["--family", "mc"], [mc_file]):
+            code, rep = run(capsys, "invariants", *source, f"--degree={degree}")
+            assert code == EXIT_INVALID
+            assert rep["error"] == f"--degree must be positive, got {degree}"
+            assert "result" not in rep
 
     def test_bad_env_degree_is_io_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CRJET_DEFAULT_DEGREE", "many")

@@ -9,7 +9,8 @@ from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    f0_from_jet, family_b0, family_mc, family_nb,
                    finite_determination_check, forced_mu_sq, reconstruct,
                    validate, verify_map)
-from crjet.series import TruncatedSeries, compose
+from crjet.scalars import EC_I
+from crjet.series import TruncatedSeries, compose, implicit_solve
 
 EPS = ExactComplex(Fraction(3, 5), Fraction(4, 5))  # a rational point on |z| = 1
 
@@ -31,6 +32,22 @@ def pushed_forward(Mhat, f0_coeffs, degree):
                      "chi": TruncatedSeries(V, degree, fbd)})
     terms = {(a, b, 1): c for (a, b), c in theta.coeffs.items()}
     return validate(TruncatedSeries(("z", "chi", "s"), degree, terms))
+
+
+def pulled_back_by_shear(Mhat, a, degree):
+    """The source hypersurface of H = (z + a z w, w) onto Mhat.
+
+    H maps Im w = Theta(z, zbar, Re w) into Mhat exactly when
+    Im w = Thetahat(z(1 + a w), zbar(1 + abar wbar), Re w); with w = s + i t
+    this is solved for t = Theta(z, chi, s).  Thetahat is normal, so Theta is.
+    """
+    V = ("t", "z", "chi", "s")
+    t, z, chi, s = (TruncatedSeries.var(v, V, degree) for v in V)
+    a = ExactComplex.coerce(a)
+    rho = t - compose(Mhat.Theta.truncate(degree),
+                      {"z": z + z * (s + t * EC_I) * a,
+                       "chi": chi + chi * (s - t * EC_I) * a.conj(), "s": s})
+    return validate(implicit_solve(rho, "t"))
 
 
 class TestFormalMap:
@@ -198,6 +215,21 @@ class TestReconstruct:
         assert verify_map(M, Mhat, A).is_zero
         D = compute_D(M).D
         H = reconstruct(M, Mhat, extract_jet(A, D), 5, D=D)
+        assert H == A
+
+    def test_w_dependent_map_round_trip(self):
+        # f_1 = a z != 0: the order-1 scalars are nonzero and forced
+        a = ExactComplex(Fraction(1, 2), Fraction(-1, 3))
+        Mhat = family_mc(1, 1, 14)
+        M = pulled_back_by_shear(Mhat, a, 14)
+        A = FormalMap([TruncatedSeries(("z",), 14, {(1,): ExactComplex(1)}),
+                       TruncatedSeries(("z",), 14, {(1,): a})],
+                      [TruncatedSeries(("z",), 14, {(0,): ExactComplex(1)})])
+        assert verify_map(M, Mhat, A).is_zero
+        D = compute_D(M).D
+        assert D == [0]
+        H = reconstruct(M, Mhat, extract_jet(A, D), 3, D=D)
+        assert H.order == 3
         assert H == A
 
     def test_unrealizable_exceptional_pin_is_rejected(self):

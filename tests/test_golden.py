@@ -1,0 +1,33 @@
+"""CLI reports must stay byte-identical to the committed golden files.
+
+``tests/data/golden`` holds the inputs (``b0.json``, ``mc.json`` and their
+jet files, built at degree 14 from the map z -> (3/5 + 4/5 i) z, w -> 3w)
+and, for each case below, the exact stdout the CLI printed for it.  The
+commands run from inside that directory so the relative input paths
+embedded in the reports match.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from crjet.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+CASES = {}
+for fam in ("b0", "mc"):
+    CASES[f"validate_{fam}"] = ["validate", "--family", fam]
+    CASES[f"dset_{fam}"] = ["dset", "--family", fam]
+    CASES[f"jet_order_{fam}"] = ["jet-order", "--family", fam]
+    CASES[f"upsilon_n2_{fam}"] = ["upsilon", "--family", fam, "--n", "2"]
+    CASES[f"reconstruct_{fam}"] = ["reconstruct", f"{fam}.json", f"{fam}.json",
+                                   f"{fam}_jet.json", "--order", "2"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("CRJET_DEFAULT_DEGREE", raising=False)
+    assert main(CASES[name]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

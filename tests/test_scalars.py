@@ -10,6 +10,16 @@ from crjet.scalars import (EC_I, ExactComplex, NPoly, ScalarError,
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 complexes = st.builds(ExactComplex, fracs, fracs)
+rationals = st.one_of(st.integers(-50, 50), fracs)
+
+
+def assert_canonical(z):
+    """The stored (a, b, d) of z = (a + b*i)/d has d > 0 and gcd(a, b, d) = 1."""
+    assert isinstance(z, ExactComplex)
+    a, b, d = z._a, z._b, z._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
 
 
 class TestExactComplex:
@@ -44,6 +54,61 @@ class TestExactComplex:
     def test_is_real(self):
         assert ExactComplex(3).is_real()
         assert not ExactComplex(0, 1).is_real()
+
+
+class TestCanonicalForm:
+    @given(complexes, complexes)
+    def test_results_are_canonical(self, a, b):
+        for z in (a, b, a + b, a - b, a * b, -a, a.conj()):
+            assert_canonical(z)
+        if not a.is_zero():
+            assert_canonical(a.inverse())
+            assert_canonical(b / a)
+
+    @given(fracs, fracs)
+    def test_components_round_trip(self, re, im):
+        z = ExactComplex(re, im)
+        assert_canonical(z)
+        assert (z.re, z.im) == (re, im)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+
+    @given(complexes, complexes)
+    def test_equal_values_agree(self, a, b):
+        c = (a + b) - b                    # a, reached through arithmetic
+        assert c == a
+        assert (c.re, c.im) == (a.re, a.im)
+        assert hash(c) == hash(a) == hash((a.re, a.im))
+
+    @given(complexes, rationals)
+    def test_rational_operands_on_both_sides(self, a, q):
+        qc = ExactComplex(q)
+        assert a + q == q + a == a + qc
+        assert a - q == a - qc
+        assert q - a == qc - a
+        assert a * q == q * a == a * qc
+        for z in (a + q, q + a, a - q, q - a, a * q, q * a):
+            assert_canonical(z)
+        if q != 0:
+            assert a / q == a * qc.inverse()
+        if not a.is_zero():
+            assert q / a == qc * a.inverse()
+        assert qc == q and q == qc
+        assert (a == q) == (a.is_real() and a.re == q)
+
+    def test_str_and_repr(self):
+        z = ExactComplex(Fraction(3, 5), Fraction(-4, 5))
+        assert str(z) == "(3/5 + -4/5*i)"
+        assert repr(z) == "ExactComplex(Fraction(3, 5), Fraction(-4, 5))"
+        assert str(ExactComplex(Fraction(6, 4))) == "3/2"
+        assert str(ExactComplex(0, -2)) == "-2*i"
+        assert ExactComplex("1/2", "-3") == ExactComplex(Fraction(1, 2), -3)
+
+    def test_immutable(self):
+        z = ExactComplex(1, 2)
+        with pytest.raises(AttributeError):
+            z.re = Fraction(0)
+        with pytest.raises(AttributeError):
+            z._a = 0
 
 
 class TestNPoly:
