@@ -11,8 +11,7 @@ from .equivalence import (EquivalenceError, FormalMap, JetData,
                           extract_jet, f0_from_jet, finite_determination_check,
                           forced_mu_sq, reconstruct, verify_map)
 from .hypersurface import (Hypersurface, InvariantTuple, ValidationError,
-                           compute_invariants, family_b0, family_mc,
-                           family_nb, validate)
+                           family_b0, family_mc, family_nb, validate)
 from .scalars import ExactComplex, NPoly
 from .series import TruncatedSeries
 from .upsilon import (JetAnalysis, SYMBOLIC, UpsilonError, UpsilonFamily,
@@ -25,7 +24,7 @@ __all__ = [
     "InvariantTuple", "JetAnalysis", "JetData", "JetRealizationError",
     "NPoly", "ResidualReport", "SYMBOLIC", "TruncatedSeries", "UpsilonError",
     "UpsilonFamily", "ValidationError", "build_upsilon", "compose_maps",
-    "compute_D", "compute_invariants", "dim_Vn", "extract_jet", "f0_from_jet",
+    "compute_D", "dim_Vn", "extract_jet", "f0_from_jet",
     "family_b0", "family_mc", "family_nb", "finite_determination_check",
     "forced_mu_sq",
     "reconstruct", "validate", "verify_map", "xi_determinants",

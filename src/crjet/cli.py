@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import io as cio
-from .equivalence import (EquivalenceError, JetRealizationError, extract_jet,
+from .equivalence import (EquivalenceError, JetRealizationError,
                           finite_determination_check, reconstruct, verify_map)
 from .hypersurface import (Hypersurface, ValidationError, family_b0,
                            family_mc, family_nb)
@@ -118,11 +118,6 @@ def _cmd_upsilon(args, inputs):
 def _cmd_dset(args, inputs):
     M = _load_hypersurface(args, inputs)
     analysis = compute_D(M, scan_bound=args.scan_bound)
-    if len(analysis.D) > 2 * analysis.gamma:
-        raise MathInconsistency(
-            f"|D| = {len(analysis.D)} exceeds the bound 2*gamma = {2 * analysis.gamma}")
-    if 0 not in analysis.D:
-        raise MathInconsistency("0 is not in D, contradicting rank theory")
     return {"analysis": analysis.as_dict()}
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .faadibruno import PnData, universal_pn
-from .hypersurface import Hypersurface, tau_slice
+from .hypersurface import Hypersurface
 from .linalg import InconsistentSystem, solve_rational
 from .scalars import EC_I, ExactComplex, factorial, rational_nth_root
-from .series import (SeriesError, TruncatedSeries, compose, divide,
-                     implicit_solve, inverse_unit, kth_root_unit)
+from .series import (TruncatedSeries, compose, divide, implicit_solve,
+                     kth_root_unit)
 from .upsilon import compute_D
 
 ZC = ("z", "chi")
@@ -77,15 +77,8 @@ class FormalMap:
 
     def as_two_variable(self, degree: int):
         """(f(z,w), g(z,w)) as series in (z, w)."""
-        fd, gd = {}, {}
-        for n, s in enumerate(self.f_components):
-            for (k,), c in s.coeffs.items():
-                fd[(k, n)] = c * Fraction(1, factorial(n))
-        for n, s in enumerate(self.g_components):
-            for (k,), c in s.coeffs.items():
-                gd[(k, n)] = c * Fraction(1, factorial(n))
-        return (TruncatedSeries(("z", "w"), degree, fd),
-                TruncatedSeries(("z", "w"), degree, gd))
+        return (_from_components(self.f_components, "w", degree),
+                _from_components(self.g_components, "w", degree))
 
     def conjugate_components(self):
         fbar = [s.conjugate(rename={"z": "chi"}) for s in self.f_components]
@@ -101,6 +94,19 @@ class FormalMap:
 
     def __repr__(self):
         return f"FormalMap(order={self.order})"
+
+
+def _from_components(parts, var: str, degree: int) -> TruncatedSeries:
+    """sum_n parts[n] var^n / n!, with ``var`` appended as the last variable."""
+    return TruncatedSeries.from_slices(
+        var, [s * Fraction(1, factorial(n)) for n, s in enumerate(parts)], degree)
+
+
+def _components(series: TruncatedSeries, var: str) -> list[TruncatedSeries]:
+    """The parts n! * (var^n slice) of ``series``, up to its top var-exponent."""
+    idx = series.variables.index(var)
+    top = max((e[idx] for e in series.coeffs), default=0)
+    return [series.slice(var, n) * factorial(n) for n in range(top + 1)]
 
 
 class JetData:
@@ -167,15 +173,8 @@ def verify_map(M: Hypersurface, Mhat: Hypersurface, H: FormalMap,
     Q = M.Q.truncate(degree)
     fzw, gzw = H.as_two_variable(degree)
     fbar, gbar = H.conjugate_components()
-    fbd, gbd = {}, {}
-    for n, s in enumerate(fbar):
-        for (k,), c in s.coeffs.items():
-            fbd[(k, n)] = c * Fraction(1, factorial(n))
-    for n, s in enumerate(gbar):
-        for (k,), c in s.coeffs.items():
-            gbd[(k, n)] = c * Fraction(1, factorial(n))
-    fbar2 = TruncatedSeries(("chi", "t"), degree, fbd)
-    gbar2 = TruncatedSeries(("chi", "t"), degree, gbd)
+    fbar2 = _from_components(fbar, "t", degree)
+    gbar2 = _from_components(gbar, "t", degree)
 
     z = TruncatedSeries.var("z", V3, degree)
     chi = TruncatedSeries.var("chi", V3, degree)
@@ -268,20 +267,9 @@ def shat_jet_table(Mhat, f0, n_max):
             dzk = dz.differentiate("chi", k)
             for l in range(n_max + 1 - j - k):
                 d = dzk.differentiate("tau", l)
-                table[(j, k, l)] = compose(tau_slice(d, 0),
+                table[(j, k, l)] = compose(d.slice("tau", 0),
                                            {"z": f0zc, "chi": f0bar})
     return table
-
-
-def _z_slice(series_zc: TruncatedSeries, j: int) -> TruncatedSeries:
-    """j! times the chi^j coefficient, as a series in z."""
-    zi = series_zc.variables.index("z")
-    ci = series_zc.variables.index("chi")
-    out = {}
-    for exps, c in series_zc.coeffs.items():
-        if exps[ci] == j:
-            out[(exps[zi],)] = c * factorial(j)
-    return TruncatedSeries(("z",), max(series_zc.degree - j, 0), out)
 
 
 class _OrderSolver:
@@ -304,8 +292,8 @@ class _OrderSolver:
         self.shat = shat
         self.neg_S0_n1 = -S0_n1
         self.shat_S0_n = shat[(1, 0, 0)] * S0_n
-        self.Rn_chi0 = _z_slice(Rn, 0)
-        self.RnL = _z_slice(Rn, self.L)
+        self.Rn_chi0 = Rn.slice("chi", 0)
+        self.RnL = Rn.slice("chi", self.L) * factorial(self.L)
 
     def run(self, a_n0, b_n0, a_n1, b_nL):
         """Candidate (f_n, g_n) plus all order-n constraint values."""
@@ -485,22 +473,8 @@ def compose_maps(H: FormalMap, A: FormalMap, degree: int) -> FormalMap:
     """H after A, as a formal map (both in (f, w g) shape)."""
     fH, gH = H.as_two_variable(degree)
     fA, gA = A.as_two_variable(degree)
-    z = TruncatedSeries.var("z", ("z", "w"), degree)
     w = TruncatedSeries.var("w", ("z", "w"), degree)
     inner_w = w * gA
     first = compose(fH, {"z": fA, "w": inner_w})
     second = gA * compose(gH, {"z": fA, "w": inner_w})
-    # back to components: n-th tau-jet in w
-    def comps(series):
-        wi = series.variables.index("w")
-        zi = series.variables.index("z")
-        nmax = max((e[wi] for e in series.coeffs), default=0)
-        out = []
-        for nn in range(nmax + 1):
-            d = {}
-            for exps, c in series.coeffs.items():
-                if exps[wi] == nn:
-                    d[(exps[zi],)] = c * factorial(nn)
-            out.append(TruncatedSeries(("z",), max(series.degree - nn, 0), d))
-        return out
-    return FormalMap(comps(first), comps(second))
+    return FormalMap(_components(first, "w"), _components(second, "w"))

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import EC_I, ExactComplex, factorial
-from .series import (SeriesError, TruncatedSeries, compose, divide,
-                     implicit_solve, kth_root_unit)
+from .series import (TruncatedSeries, compose, divide, implicit_solve,
+                     kth_root_unit)
 
 THETA_VARS = ("z", "chi", "s")
 ZC = ("z", "chi")
@@ -49,50 +49,26 @@ class InvariantTuple:
 class Hypersurface:
     """Validated normal-form data plus everything derived from it."""
 
-    def __init__(self, Theta, Q, S, theta, theta_components, invariants, degree):
+    def __init__(self, Theta, Q, S, theta, invariants, degree):
         self.Theta = Theta
         self.Q = Q
         self.S = S
         self.theta = theta
-        self.theta_components = theta_components
         self.invariants = invariants
         self.truncation_degree = degree
 
     # convenient views -----------------------------------------------------------
     def theta_j(self, j: int) -> TruncatedSeries:
         """theta_j(z) with theta(z,chi) = sum theta_j(z) chi^j / j!."""
-        if j < len(self.theta_components):
-            return self.theta_components[j]
-        return TruncatedSeries.zero(("z",), max(self.theta.degree - j, 0))
+        return self.theta.slice("chi", j) * factorial(j)
 
     def S0(self) -> TruncatedSeries:
         """S(z,chi,0) as a series in (z,chi)."""
-        return tau_slice(self.S, 0)
+        return self.S.slice("tau", 0)
 
     def s_tau_jet(self, j: int) -> TruncatedSeries:
         """S_{tau^j}(z,chi,0) = j! * (tau^j slice of S)."""
-        return tau_slice(self.S, j) * factorial(j)
-
-
-def tau_slice(series: TruncatedSeries, j: int) -> TruncatedSeries:
-    """Coefficient of tau^j as a series in the remaining variables."""
-    idx = series.variables.index("tau")
-    rest = tuple(v for v in series.variables if v != "tau")
-    out = {}
-    for exps, c in series.coeffs.items():
-        if exps[idx] == j:
-            out[tuple(e for i, e in enumerate(exps) if i != idx)] = c
-    return TruncatedSeries(rest, max(series.degree - j, 0), out)
-
-
-def s_slice(Theta: TruncatedSeries, c: int) -> TruncatedSeries:
-    idx = Theta.variables.index("s")
-    rest = tuple(v for v in Theta.variables if v != "s")
-    out = {}
-    for exps, coeff in Theta.coeffs.items():
-        if exps[idx] == c:
-            out[tuple(e for i, e in enumerate(exps) if i != idx)] = coeff
-    return TruncatedSeries(rest, max(Theta.degree - c, 0), out)
+        return self.S.slice("tau", j) * factorial(j)
 
 
 def validate(Theta: TruncatedSeries, degree: int | None = None) -> Hypersurface:
@@ -139,28 +115,12 @@ def validate(Theta: TruncatedSeries, degree: int | None = None) -> Hypersurface:
     Q = implicit_solve(rho, "w").embed(("z", "chi", "tau"))
     S = divide(Q, TruncatedSeries.var("tau", ("z", "chi", "tau"), Q.degree))
 
-    theta = s_slice(Theta, 1)  # Theta_s(z,chi,0); for m = 1 this is theta
-    theta_components = _chi_components(theta)
+    theta = Theta.slice("s", 1)  # Theta_s(z,chi,0); for m = 1 this is theta
 
     invariants = _invariants(Theta, theta, m, D)
-    M = Hypersurface(Theta, Q, S, theta, theta_components, invariants, D)
+    M = Hypersurface(Theta, Q, S, theta, invariants, D)
     _cross_check(M)
     return M
-
-
-def _chi_components(theta: TruncatedSeries) -> list[TruncatedSeries]:
-    """theta_j(z) = j! * (chi^j slice of theta)."""
-    zidx = theta.variables.index("z")
-    cidx = theta.variables.index("chi")
-    maxj = max((e[cidx] for e in theta.coeffs), default=-1)
-    comps = []
-    for j in range(maxj + 1):
-        out = {}
-        for exps, c in theta.coeffs.items():
-            if exps[cidx] == j:
-                out[(exps[zidx],)] = c * factorial(j)
-        comps.append(TruncatedSeries(("z",), max(theta.degree - j, 0), out))
-    return comps
 
 
 def _invariants(Theta, theta, m, D) -> InvariantTuple:
@@ -194,29 +154,15 @@ def _cross_check(M: Hypersurface):
         # Q_tau(z,chi,0) = (1 + i theta)/(1 - i theta)
         # compare Q_tau(z,chi,0)*(1-i theta) with (1+i theta): avoids inversion
         one = TruncatedSeries.const(ZC, M.theta.degree, 1)
-        lhs = tau_slice(M.Q, 1) * (one - M.theta * EC_I)
+        lhs = M.Q.slice("tau", 1) * (one - M.theta * EC_I)
         if not (lhs - (one + M.theta * EC_I)).is_zero():
             raise ValidationError("S(z,chi,0) does not match (1+i theta)/(1-i theta)")
         # S_{chi^L}(z,0,0) = 2i theta_L(z)
         L = inv.L
         s0 = M.S0()
-        slice_L = _chi_slice(s0, L) * factorial(L)
+        slice_L = s0.slice("chi", L) * factorial(L)
         if not (slice_L - M.theta_j(L) * (EC_I * 2)).is_zero():
             raise ValidationError("S_(chi^L)(z,0,0) != 2i theta_L(z)")
-
-
-def _chi_slice(series: TruncatedSeries, j: int) -> TruncatedSeries:
-    cidx = series.variables.index("chi")
-    rest = tuple(v for v in series.variables if v != "chi")
-    out = {}
-    for exps, c in series.coeffs.items():
-        if exps[cidx] == j:
-            out[tuple(e for i, e in enumerate(exps) if i != cidx)] = c
-    return TruncatedSeries(rest, max(series.degree - j, 0), out)
-
-
-def compute_invariants(M: Hypersurface) -> InvariantTuple:
-    return M.invariants
 
 
 # ---------------------------------------------------------------------------

@@ -373,11 +373,14 @@ def integer_roots(p: NPoly) -> set[int]:
 
     Every root x of p satisfies |x| <= 1 + max_i |c_i| / |c_d| (Cauchy bound);
     we bound |c_i| above by |re| + |im| and |c_d| below by max(|re|, |im|),
-    which keeps the bound rational and safe.  The bound can be large when the
-    coefficients are, so candidates are screened first by the rational root
-    test (a nonzero root divides the trailing coefficient once denominators
-    are cleared) and by evaluation modulo a word-sized prime; the few
-    survivors are confirmed with exact arithmetic.
+    which keeps the bound rational and safe.  A real root of p is a root of
+    the integer polynomial c built from the real (or, when that vanishes, the
+    imaginary) parts of the coefficients with denominators cleared.  Over the
+    integers c is monotone between the sign changes of its forward difference
+    c(x+1) - c(x), found the same way one degree down, so one bisection per
+    monotone stretch finds the zeros of c up to the bound: O(deg^2 log bound)
+    exact evaluations in all, instead of a scan of the whole range.  Every
+    candidate is confirmed on p itself.
     """
     if p.is_zero():
         raise ScalarError("zero polynomial has all roots")
@@ -392,35 +395,77 @@ def integer_roots(p: NPoly) -> set[int]:
     if p(0).is_zero():
         roots.add(0)
 
-    # integer polynomials for the real and imaginary parts
     den = 1
-    for c in p.coefficients:
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
-    re_c = [int(c.re * den) for c in p.coefficients]
-    im_c = [int(c.im * den) for c in p.coefficients]
-    low = min(k for k in range(len(re_c)) if re_c[k] or im_c[k])
-    re_c, im_c = re_c[low:], im_c[low:]   # strip the n^low factor
-    trailing = math.gcd(re_c[0], im_c[0])
-
-    prime = (1 << 61) - 1
-    re_mod = [c % prime for c in reversed(re_c)]
-    im_mod = [c % prime for c in reversed(im_c)]
-    for n0 in range(1, bound + 1):
-        if trailing % n0:
-            continue
-        acc = 0
-        for c in re_mod:
-            acc = (acc * n0 + c) % prime
-        if acc:
-            continue
-        acc = 0
-        for c in im_mod:
-            acc = (acc * n0 + c) % prime
-        if acc:
-            continue
-        if p(n0).is_zero():
-            roots.add(n0)
+    for x in p.coefficients:
+        den = math.lcm(den, x.re.denominator, x.im.denominator)
+    c = [int(x.re * den) for x in p.coefficients]
+    if not any(c):
+        c = [int(x.im * den) for x in p.coefficients]
+    while not c[-1]:
+        c.pop()
+    roots.update(n0 for n0 in _int_zeros(c, 1, bound) if p(n0).is_zero())
     return roots
+
+
+def _ev(c, x: int) -> int:
+    acc = 0
+    for k in reversed(c):
+        acc = acc * x + k
+    return acc
+
+
+def _first(pred, a: int, b: int) -> int:
+    """Least x in [a, b] with pred(x), for pred false then true; b + 1 if none."""
+    hi = b + 1
+    while a < hi:
+        mid = (a + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            a = mid + 1
+    return a
+
+
+def _monotone_stretches(c, lo: int, hi: int):
+    """Consecutive [a, b] covering [lo, hi], c weakly monotone on the integers of each."""
+    if len(c) <= 2 or hi - lo <= 1:
+        return [(lo, hi)]
+    diff = [sum(c[k] * math.comb(k, j) for k in range(j + 1, len(c)))
+            for j in range(len(c) - 1)]        # c(x+1) - c(x)
+    ts = [lo] + _sign_changes(diff, lo, hi - 1) + [hi]
+    return list(zip(ts, ts[1:]))
+
+
+def _sign_changes(c, lo: int, hi: int) -> list[int]:
+    """The x in (lo, hi] with c(x) != 0 whose sign differs from the last
+    nonzero value of c on the integers of [lo, x)."""
+    out = []
+    last = 0
+    for a, b in _monotone_stretches(c, lo, hi):
+        sa, sb = _ev(c, a), _ev(c, b)
+        if sa:
+            last = 1 if sa > 0 else -1
+        if sb:
+            sign = 1 if sb > 0 else -1
+            if last == -sign:
+                out.append(_first(lambda x: _ev(c, x) * sign > 0, a, b))
+            last = sign
+    return out
+
+
+def _int_zeros(c, lo: int, hi: int) -> set[int]:
+    """The integers x in [lo, hi] with c(x) = 0, for a nonzero integer polynomial c."""
+    out = set()
+    for a, b in _monotone_stretches(c, lo, hi):
+        ca, cb = _ev(c, a), _ev(c, b)
+        if ca * cb > 0:
+            continue
+        up = 1 if ca <= cb else -1
+        x = _first(lambda x: _ev(c, x) * up >= 0, a, b)
+        while x <= b and _ev(c, x) == 0:
+            out.add(x)
+            x += 1
+    return out
 
 
 def rational_nth_root(q: Fraction, k: int) -> Fraction | None:

@@ -135,6 +135,34 @@ class TruncatedSeries:
             out[tuple(new)] = c
         return TruncatedSeries(variables, self.degree, out)
 
+    def slice(self, var, j):
+        """The coefficient of ``var^j`` as a series in the remaining variables.
+
+        Certified to degree max(D - j, 0): a term var^j * m is stored only
+        when deg m <= D - j.
+        """
+        idx = self.variables.index(var)
+        return TruncatedSeries(self.variables[:idx] + self.variables[idx + 1:],
+                               max(self.degree - j, 0),
+                               {e[:idx] + e[idx + 1:]: c
+                                for e, c in self.coeffs.items() if e[idx] == j})
+
+    @classmethod
+    def from_slices(cls, var, parts, degree):
+        """sum_j parts[j] * var^j, with ``var`` appended as the last variable.
+
+        The parts share one variable tuple; the result is truncated at the
+        given ``degree``, whatever the degrees of the parts.
+        """
+        rest = parts[0].variables
+        out = {}
+        for j, part in enumerate(parts):
+            if part.variables != rest:
+                raise SeriesError(f"slice {j} is over {part.variables}, not {rest}")
+            for e, c in part.coeffs.items():
+                out[e + (j,)] = c
+        return cls(rest + (var,), degree, out)
+
     def rename(self, mapping):
         return TruncatedSeries(tuple(mapping.get(v, v) for v in self.variables),
                                self.degree, self.coeffs)

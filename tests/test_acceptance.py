@@ -15,7 +15,7 @@ from crjet import (ExactComplex, FormalMap, TruncatedSeries, build_upsilon,
                    verify_map, xi_determinants)
 from crjet.equivalence import shat_jet_table
 from crjet.faadibruno import PnData, chain_derivative, universal_pn
-from crjet.hypersurface import THETA_VARS, tau_slice
+from crjet.hypersurface import THETA_VARS
 from crjet.scalars import EC_I, factorial
 from crjet.series import compose
 from crjet.upsilon import SYMBOLIC
@@ -69,7 +69,7 @@ def test_criterion_02_m_cross_check():
         assert m_from_graph(M) == M.invariants.m
         if M.invariants.m == 1:
             # Q_tau(z,chi,0) (1 - i theta) = 1 + i theta, coefficient-exact
-            qt = tau_slice(M.Q.differentiate("tau"), 0)
+            qt = M.Q.differentiate("tau").slice("tau", 0)
             theta = M.theta.truncate(qt.degree)
             one = TruncatedSeries.const(theta.variables, qt.degree, 1)
             assert (qt * (one - theta * EC_I) - (one + theta * EC_I)).is_zero()

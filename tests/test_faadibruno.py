@@ -14,7 +14,7 @@ import pytest
 
 from crjet.equivalence import shat_jet_table
 from crjet.faadibruno import PnData, chain_derivative, universal_pn
-from crjet.hypersurface import THETA_VARS, tau_slice, validate
+from crjet.hypersurface import THETA_VARS, validate
 from crjet.scalars import EC_I, ExactComplex, factorial
 from crjet.series import TruncatedSeries, compose
 
@@ -110,7 +110,7 @@ def assemble_order_n(M, Mhat, f, g, n):
     shat_full = compose(Mhat.S.truncate(deg),
                         {"z": f_at, "chi": fbar_at, "tau": tau * gbar_at})
     T = S * g_at - gbar_at * shat_full
-    lhs = tau_slice(T, n) * factorial(n)
+    lhs = T.slice("tau", n) * factorial(n)
 
     shat = shat_jet_table(Mhat, f[0], n)
     s_jets = [M.s_tau_jet(j) for j in range(n + 1)]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from crjet.hypersurface import (THETA_VARS, ValidationError, family_b0,
-                                family_mc, family_nb, tau_slice, validate)
+                                family_mc, family_nb, validate)
 from crjet.scalars import EC_I, ExactComplex, factorial
 from crjet.series import TruncatedSeries
 
@@ -126,9 +126,9 @@ class TestGraphSeries:
 
     def test_tau_slice(self):
         s = TruncatedSeries(("z", "tau"), 6, {(1, 2): ExactComplex(5)})
-        sl = tau_slice(s, 2)
+        sl = s.slice("tau", 2)
         assert sl.coeff((1,)) == ExactComplex(5)
-        assert tau_slice(s, 1).is_zero()
+        assert s.slice("tau", 1).is_zero()
 
 
 class TestInvariantEdgeCases:

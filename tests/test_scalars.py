@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,6 +166,42 @@ class TestIntegerRoots:
         for r in roots:
             p = p * NPoly([-r, 1])
         assert integer_roots(p) == {r for r in roots if r >= 0}
+
+    def test_huge_root_without_scanning_the_bound(self):
+        # Cauchy bound ~1e15: a scan of 1..bound would never finish
+        p = NPoly([-7 * 10 ** 15, 10 ** 15 + 7, -1]) * ExactComplex(2, 3)
+        start = time.perf_counter()
+        assert integer_roots(p) == {7, 10 ** 15}
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("roots", [(9, 10, 57), (9, 10, 11), (3, 4, 5, 6, 40)])
+    def test_consecutive_roots(self, roots):
+        # a run of consecutive roots can sit inside one monotone stretch
+        p = NPoly([1])
+        for r in roots:
+            p = p * NPoly([-r, 1])
+        assert integer_roots(p) == set(roots)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        n = sympy.Symbol("n")
+        rng = random.Random(4)
+        for _ in range(60):
+            p = NPoly([ExactComplex(rng.randint(1, 5), rng.randint(-5, 5))])
+            for _ in range(rng.randint(0, 3)):
+                r = rng.choice([rng.randint(0, 20), rng.randint(0, 10 ** 9)])
+                p = p * NPoly([-r, 1])
+            p = p * NPoly([ExactComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                           for _ in range(rng.randint(1, 4))])
+            if p.is_zero():
+                continue
+            re = sympy.Poly(sum(sympy.Rational(c.re.numerator, c.re.denominator) * n ** k
+                                for k, c in enumerate(p.coefficients)), n, domain="QQ")
+            im = sympy.Poly(sum(sympy.Rational(c.im.numerator, c.im.denominator) * n ** k
+                                for k, c in enumerate(p.coefficients)), n, domain="QQ")
+            want = {int(r) for r in re.gcd(im).ground_roots() if r.is_integer and r >= 0}
+            assert integer_roots(p) == want
 
 
 class TestRationalNthRoot:

@@ -70,6 +70,40 @@ class TestDifferentiationAndJets:
         assert b.coeff((1,)) == EC_I * (-1)
 
 
+class TestSlicing:
+    @given(st.integers(0, 10 ** 6), st.sampled_from(("x", "y", "t")))
+    def test_slices_rebuild_the_series(self, seed, var):
+        s = random_series(random.Random(seed), ("x", "y", "t"), DEG, 8)
+        parts = [s.slice(var, j) for j in range(s.degree + 1)]
+        rebuilt = TruncatedSeries.from_slices(var, parts, s.degree)
+        assert rebuilt.degree == s.degree
+        assert rebuilt.embed(s.variables).coeffs == s.coeffs
+
+    @given(small_series, st.integers(0, DEG + 2))
+    def test_slice_degree_and_variables(self, a, j):
+        for var, rest in (("x", ("y",)), ("y", ("x",))):
+            sl = a.slice(var, j)
+            assert sl.variables == rest
+            assert sl.degree == max(a.degree - j, 0)
+
+    def test_slice_picks_one_exponent(self):
+        a = srs({(2, 1): ExactComplex(3), (2, 0): ExactComplex(5), (1, 1): EC_I})
+        assert a.slice("x", 2).coeffs == {(1,): ExactComplex(3), (0,): ExactComplex(5)}
+        assert a.slice("y", 1).coeffs == {(2,): ExactComplex(3), (1,): EC_I}
+
+    def test_from_slices_puts_the_variable_last(self):
+        p0 = srs({(1, 0): ExactComplex(2)})
+        p1 = srs({(0, 2): ExactComplex(7)})
+        out = TruncatedSeries.from_slices("t", [p0, p1], 3)
+        assert out.variables == ("x", "y", "t")
+        assert out.degree == 3
+        assert out.coeffs == {(1, 0, 0): ExactComplex(2), (0, 2, 1): ExactComplex(7)}
+
+    def test_from_slices_rejects_mixed_variables(self):
+        with pytest.raises(SeriesError):
+            TruncatedSeries.from_slices("t", [srs({}), srs({}, variables=("y", "x"))], 3)
+
+
 class TestComposition:
     def test_associativity_on_example(self):
         rng = random.Random(7)
