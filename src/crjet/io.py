@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .equivalence import FormalMap, JetData
-from .hypersurface import THETA_VARS, Hypersurface, ValidationError, validate
+from .hypersurface import THETA_VARS, Hypersurface, validate
 from .scalars import ExactComplex, NPoly
 from .series import TruncatedSeries
 

@@ -9,9 +9,12 @@ the recorded truncation degree so downstream certificates stay honest.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 
-from .scalars import EC_ZERO, ExactComplex, NPoly
+from .scalars import (EC_ZERO, ExactComplex, NPoly, factorial, from_numerators,
+                      numerator_rows)
 
 
 class SeriesError(ArithmeticError):
@@ -115,7 +118,7 @@ class TruncatedSeries:
         """Forget orders above ``degree``; never extends the certified range."""
         if degree >= self.degree:
             return self
-        return TruncatedSeries(self.variables, degree, self.coeffs)
+        return _series(self.variables, degree, _upto(self.coeffs, degree))
 
     def embed(self, variables):
         """Reinterpret over a superset (or reordering) of the variables."""
@@ -133,7 +136,7 @@ class TruncatedSeries:
             for p, e in zip(pos, exps):
                 new[p] = e
             out[tuple(new)] = c
-        return TruncatedSeries(variables, self.degree, out)
+        return _series(variables, self.degree, out)
 
     def slice(self, var, j):
         """The coefficient of ``var^j`` as a series in the remaining variables.
@@ -142,10 +145,10 @@ class TruncatedSeries:
         when deg m <= D - j.
         """
         idx = self.variables.index(var)
-        return TruncatedSeries(self.variables[:idx] + self.variables[idx + 1:],
-                               max(self.degree - j, 0),
-                               {e[:idx] + e[idx + 1:]: c
-                                for e, c in self.coeffs.items() if e[idx] == j})
+        return _series(self.variables[:idx] + self.variables[idx + 1:],
+                       max(self.degree - j, 0),
+                       {e[:idx] + e[idx + 1:]: c
+                        for e, c in self.coeffs.items() if e[idx] == j})
 
     @classmethod
     def from_slices(cls, var, parts, degree):
@@ -164,8 +167,8 @@ class TruncatedSeries:
         return cls(rest + (var,), degree, out)
 
     def rename(self, mapping):
-        return TruncatedSeries(tuple(mapping.get(v, v) for v in self.variables),
-                               self.degree, self.coeffs)
+        return _series(tuple(mapping.get(v, v) for v in self.variables),
+                       self.degree, self.coeffs)
 
     def drop_vars(self, names):
         """Remove variables that no stored term uses."""
@@ -179,8 +182,14 @@ class TruncatedSeries:
                                {tuple(e[i] for i in keep): c for e, c in self.coeffs.items()})
 
     def map_coeffs(self, fn, degree=None):
-        return TruncatedSeries(self.variables, self.degree if degree is None else degree,
-                               {e: fn(c) for e, c in self.coeffs.items()})
+        """Apply ``fn`` (returning ``ExactComplex`` or ``NPoly``) to every
+        coefficient, optionally at a new truncation degree."""
+        coeffs = self.coeffs
+        if degree is None:
+            degree = self.degree
+        elif degree < self.degree:
+            coeffs = _upto(coeffs, degree)
+        return _series(self.variables, degree, {e: fn(c) for e, c in coeffs.items()})
 
     def eval_n(self, n0):
         """Evaluate NPoly coefficients at an integer n0."""
@@ -217,7 +226,9 @@ class TruncatedSeries:
         for e, c in b.coeffs.items():
             cur = out.get(e)
             out[e] = c if cur is None else cur + c
-        return TruncatedSeries(a.variables, degree, out)
+        if degree < max(a.degree, b.degree):
+            out = _upto(out, degree)
+        return _series(a.variables, degree, out)
 
     __radd__ = __add__
 
@@ -236,18 +247,29 @@ class TruncatedSeries:
         if _is_scalar(other):
             c0 = _coerce_coeff(other)
             return self.map_coeffs(lambda c: c * c0)
+        # one integer convolution of the operands' numerator_rows; the right
+        # rows are sorted by total degree, so each inner loop stops at the
+        # truncation instead of testing every pair
         a, b, degree = self._aligned(other)
-        out = {}
-        for e1, c1 in a.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in b.coeffs.items():
-                if d1 + sum(e2) > degree:
-                    continue
-                key = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
-        return TruncatedSeries(a.variables, degree, out)
+        d1, rows1 = numerator_rows(a.coeffs)
+        d2, rows2 = numerator_rows(b.coeffs)
+        acc = {}
+        get = acc.get
+        for e1, s1, a1, b1 in rows1:
+            lim = degree - s1
+            for e2, s2, a2, b2 in rows2:
+                if s2 > lim:
+                    break
+                key = tuple(map(add, e1, e2))
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+                cur = get(key)
+                if cur is None:
+                    acc[key] = [re, im]
+                else:
+                    cur[0] += re
+                    cur[1] += im
+        return _series(a.variables, degree, from_numerators(acc, d1 * d2))
 
     __rmul__ = __mul__
 
@@ -275,18 +297,13 @@ class TruncatedSeries:
                     continue
                 key = exps[:idx] + (e - 1,) + exps[idx + 1:]
                 nxt[key] = c * e
-            out = TruncatedSeries(self.variables, max(out.degree - 1, 0), nxt)
+            out = _series(self.variables, max(out.degree - 1, 0), nxt)
         return out
 
     def jet_coeff(self, exps):
         """Derivative-at-zero convention: prod(e_i!) times the coefficient."""
         exps = tuple(exps)
-        c = self.coeff(exps)
-        fac = 1
-        for e in exps:
-            for j in range(2, e + 1):
-                fac *= j
-        return c * fac
+        return self.coeff(exps) * math.prod(map(factorial, exps))
 
     # -- substitution ------------------------------------------------------------
     def subs_one(self, name, repl):
@@ -339,6 +356,27 @@ class TruncatedSeries:
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         tail = " + ..." if len(items) > 8 else ""
         return f"<series {' + '.join(parts)}{tail} deg<={self.degree}>"
+
+
+_set_variables = TruncatedSeries.variables.__set__
+_set_degree = TruncatedSeries.degree.__set__
+_set_coeffs = TruncatedSeries.coeffs.__set__
+
+
+def _series(variables, degree, coeffs) -> TruncatedSeries:
+    """A series from parts the caller vouches for: exponent tuples matching
+    ``variables`` and within ``degree``, coefficients already ``ExactComplex``
+    or ``NPoly``.  Only zero coefficients are dropped."""
+    s = object.__new__(TruncatedSeries)
+    _set_variables(s, variables)
+    _set_degree(s, degree)
+    _set_coeffs(s, {e: c for e, c in coeffs.items() if not c.is_zero()})
+    return s
+
+
+def _upto(coeffs, degree):
+    """The terms of total degree at most ``degree``."""
+    return {e: c for e, c in coeffs.items() if sum(e) <= degree}
 
 
 def compose(h: TruncatedSeries, args) -> TruncatedSeries:

@@ -14,8 +14,8 @@ set D, which is finite; the jet order k is read off from D.
 from __future__ import annotations
 
 from .linalg import RankTracker
-from .scalars import (EC_I, ExactComplex, NPoly, factorial, falling_binomial,
-                      integer_roots, rising_binomial)
+from .scalars import (EC_I, ExactComplex, NPoly, falling_binomial, integer_roots,
+                      rising_binomial)
 from .series import SeriesError, TruncatedSeries, divide, inverse_unit
 
 ZC = ("z", "chi")

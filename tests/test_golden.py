@@ -21,6 +21,7 @@ for fam in ("b0", "mc"):
     CASES[f"dset_{fam}"] = ["dset", "--family", fam]
     CASES[f"jet_order_{fam}"] = ["jet-order", "--family", fam]
     CASES[f"upsilon_n2_{fam}"] = ["upsilon", "--family", fam, "--n", "2"]
+    CASES[f"upsilon_symbolic_{fam}"] = ["upsilon", "--family", fam]
     CASES[f"reconstruct_{fam}"] = ["reconstruct", f"{fam}.json", f"{fam}.json",
                                    f"{fam}_jet.json", "--order", "2"]
 

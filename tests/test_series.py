@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crjet.scalars import EC_I, ExactComplex
+from crjet.scalars import EC_I, ExactComplex, NPoly
 from crjet.series import (SeriesError, TruncatedSeries, compose, divide,
                           implicit_solve, inverse_unit, kth_root_unit)
 
@@ -47,6 +47,68 @@ class TestArithmetic:
         assert t.degree == 3
         assert t.coeff((5, 0)).is_zero()
         assert t.coeff((1, 1)) == ExactComplex(2)
+
+    def test_sum_and_map_drop_terms_above_the_result_degree(self):
+        a = srs({(5, 0): ExactComplex(1), (1, 1): ExactComplex(2)})
+        b = srs({(0, 1): EC_I}, degree=3)
+        for s in (a + b, b + a, a.map_coeffs(lambda c: c * 3, degree=3)):
+            assert s.degree == 3
+            assert all(sum(e) <= 3 for e in s.coeffs)
+        assert (a + b).coeffs == {(1, 1): ExactComplex(2), (0, 1): EC_I}
+
+
+def schoolbook(a, b):
+    """The product a * b as variables, degree and coefficients, one scalar
+    product c1 * c2 per pair of terms, summed per exponent tuple."""
+    variables = a.variables + tuple(v for v in b.variables if v not in a.variables)
+    degree = min(a.degree, b.degree)
+    out = {}
+    for e1, c1 in a.embed(variables).coeffs.items():
+        for e2, c2 in b.embed(variables).coeffs.items():
+            if sum(e1) + sum(e2) > degree:
+                continue
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = c1 * c2 if key not in out else out[key] + c1 * c2
+    return variables, degree, {e: c for e, c in out.items() if not c.is_zero()}
+
+
+exact = st.builds(lambda a, b, d: ExactComplex(Fraction(a, d), Fraction(b, d)),
+                  st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12))
+npolys = st.lists(exact, min_size=1, max_size=3).map(NPoly)
+COEFFS = {"exact": exact, "npoly": npolys, "mixed": st.one_of(exact, npolys)}
+
+
+@st.composite
+def series_of(draw, coeffs):
+    variables = draw(st.sampled_from((("x", "y"), ("y", "x"), ("x",), ("y", "t"))))
+    degree = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.integers(0, degree)] * len(variables))
+    return TruncatedSeries(variables, degree, draw(st.dictionaries(exps, coeffs, max_size=8)))
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("left, right", [("exact", "exact"), ("exact", "npoly"),
+                                             ("npoly", "exact"), ("npoly", "npoly"),
+                                             ("mixed", "mixed")])
+    @given(data=st.data())
+    def test_matches_schoolbook_products(self, left, right, data):
+        a = data.draw(series_of(COEFFS[left]))
+        b = data.draw(series_of(COEFFS[right]))
+        variables, degree, coeffs = schoolbook(a, b)
+        p = a * b
+        assert (p.variables, p.degree) == (variables, degree)
+        assert p.coeffs == coeffs
+        assert {e: type(c) for e, c in p.coeffs.items()} == \
+            {e: type(c) for e, c in coeffs.items()}
+
+    @pytest.mark.parametrize("unit", [EC_I, NPoly([0, 1])])
+    def test_cancelled_terms_are_dropped(self, unit):
+        # (u x + y)(u x - y) = u^2 x^2 - y^2: the x y terms cancel
+        a = srs({(1, 0): unit, (0, 1): ExactComplex(1)})
+        b = srs({(1, 0): unit, (0, 1): ExactComplex(-1)})
+        p = a * b
+        assert (1, 1) not in p.coeffs
+        assert p.coeffs == {(2, 0): unit * unit, (0, 2): ExactComplex(-1)}
 
 
 class TestDifferentiationAndJets:
