@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import os
 import sys
-from fractions import Fraction
 
 from . import io as cio
 from .equivalence import (EquivalenceError, JetRealizationError,
@@ -67,9 +66,9 @@ def _load_hypersurface(args, inputs: dict, role: str = "input") -> Hypersurface:
         L, K = {"mc": (j, j), "nb": (1, j), "b0": (1, 1)}[family]
         degree = args.degree if args.degree is not None else _default_degree(L, K)
         if family == "mc":
-            M = family_mc(Fraction(args.c), j, degree=degree)
+            M = family_mc(cio.parse_frac(args.c), j, degree=degree)
         elif family == "nb":
-            b = ExactComplex(Fraction(args.b_re), Fraction(args.b_im))
+            b = ExactComplex(cio.parse_frac(args.b_re), cio.parse_frac(args.b_im))
             if b.is_zero():
                 raise ValidationError("family nb needs a nonzero coefficient b")
             M = family_nb(b, j, degree=degree)

@@ -8,6 +8,10 @@ with Theta a real truncated series in (z, chi, s).  From it we derive the
 graph form w = Q(z, chi, tau), its 1-infinite-type factor S = Q/tau, the
 slice theta = Theta_s(z,chi,0) with chi-components theta_j(z), and the
 invariant tuple (m, r, L, K, T).
+
+Q is the fixed point of Q <- tau + 2i Theta(z, chi, (Q + tau)/2), iterated
+with staged precision: normality makes each pass gain two degrees, so pass
+k only needs to work to degree min(D, 2 + 2k).
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import EC_I, ExactComplex, factorial
-from .series import (TruncatedSeries, compose, divide, implicit_solve,
-                     kth_root_unit)
+from .series import TruncatedSeries, divide, kth_root_unit
 
 THETA_VARS = ("z", "chi", "s")
 ZC = ("z", "chi")
+GRAPH_VARS = ("z", "chi", "tau")
 
 
 class ValidationError(ValueError):
@@ -72,7 +76,11 @@ class Hypersurface:
 
 
 def validate(Theta: TruncatedSeries, degree: int | None = None) -> Hypersurface:
-    """Check normality/reality, derive Q and S, compute invariants."""
+    """Check normality/reality, derive Q and S, compute invariants.
+
+    Q comes from the staged fixed point of ``_graph_function`` (one
+    substitution for s per pass, two degrees gained per pass), S = Q/tau.
+    """
     if tuple(Theta.variables) != THETA_VARS:
         Theta = Theta.embed(THETA_VARS)
     if degree is not None:
@@ -103,17 +111,8 @@ def validate(Theta: TruncatedSeries, degree: int | None = None) -> Hypersurface:
     if m == 0:
         raise ValidationError("finite type: out of scope (Theta(z,chi,0) != 0)")
 
-    # Q from (w - tau)/2i - Theta(z, chi, (w + tau)/2) = 0
-    WV = ("w", "z", "chi", "tau")
-    w = TruncatedSeries.var("w", WV, D)
-    z = TruncatedSeries.var("z", WV, D)
-    chi = TruncatedSeries.var("chi", WV, D)
-    tau = TruncatedSeries.var("tau", WV, D)
-    half = Fraction(1, 2)
-    rho = (w - tau) * (EC_I.inverse() * half) - compose(
-        Theta, {"z": z, "chi": chi, "s": (w + tau) * half})
-    Q = implicit_solve(rho, "w").embed(("z", "chi", "tau"))
-    S = divide(Q, TruncatedSeries.var("tau", ("z", "chi", "tau"), Q.degree))
+    Q = _graph_function(Theta)
+    S = divide(Q, TruncatedSeries.var("tau", GRAPH_VARS, Q.degree))
 
     theta = Theta.slice("s", 1)  # Theta_s(z,chi,0); for m = 1 this is theta
 
@@ -121,6 +120,34 @@ def validate(Theta: TruncatedSeries, degree: int | None = None) -> Hypersurface:
     M = Hypersurface(Theta, Q, S, theta, invariants, D)
     _cross_check(M)
     return M
+
+
+def _graph_function(Theta: TruncatedSeries) -> TruncatedSeries:
+    """Q(z, chi, tau), the solution w of (w - tau)/2i = Theta(z, chi, (w + tau)/2).
+
+    Q is the fixed point of Q <- tau + 2i Theta(z, chi, (Q + tau)/2), and
+    each pass gains two degrees: normality gives every term z^a chi^b s^c
+    of Theta a >= 1 and b >= 1, so an error of order >= p - 1 in s moves
+    Theta(z, chi, s) only in orders >= (p - 1) + 2 = p + 1.  Hence a Q exact
+    through degree p - 2 maps to one exact through degree p.  Q = tau is
+    exact through degree 2 (Theta has order >= 3), and pass k runs at
+    precision p = min(D, 2 + 2k), with Theta and Q truncated or lifted to
+    p, so only the last pass works at the full degree D (the cheap half of
+    Brent-Kung precision doubling).
+    """
+    D = Theta.degree
+    Q = TruncatedSeries.var("tau", GRAPH_VARS, 2)
+    half = Fraction(1, 2)
+    two_i = EC_I * 2
+    p = 2
+    while p < D:
+        p = min(D, p + 2)
+        # truncate never raises a degree: lift Q to p through the constructor
+        tau = TruncatedSeries.var("tau", GRAPH_VARS, p)
+        Q = TruncatedSeries(GRAPH_VARS, p, Q.coeffs)
+        image = Theta.truncate(p).subs_one("s", (Q + tau) * half)
+        Q = tau + image.drop_vars(("s",)) * two_i
+    return Q
 
 
 def _invariants(Theta, theta, m, D) -> InvariantTuple:

@@ -406,30 +406,11 @@ def from_numerators(acc, d: int) -> dict:
     return out
 
 
-def falling_binomial(k: int) -> NPoly:
-    """binom(n, k) = n(n-1)...(n-k+1)/k! as a polynomial in n."""
-    p = NPoly.const(1)
-    for j in range(k):
-        p = p * (NPoly.n() - NPoly.const(j))
-    return p * NPoly.const(Fraction(1, _factorial(k)))
-
-
-def rising_binomial(k: int) -> NPoly:
-    """binom(n+k-1, k) = (n+k-1)...(n)/k! as a polynomial in n."""
-    p = NPoly.const(1)
-    for j in range(k):
-        p = p * (NPoly.n() + NPoly.const(j))
-    return p * NPoly.const(Fraction(1, _factorial(k)))
-
-
 def factorial(k: int) -> int:
     out = 1
     for j in range(2, k + 1):
         out *= j
     return out
-
-
-_factorial = factorial
 
 
 def integer_roots(p: NPoly) -> set[int]:

@@ -9,13 +9,20 @@ polynomial in n (NPoly).  The span V^n of the jet vectors
 
 has dimension < gamma := 2 + d1K + d1L*d1T exactly for n in the exceptional
 set D, which is finite; the jet order k is read off from D.
+
+The symbolic family is built from P^n = ((1 + i theta)/(1 - i theta))^n by
+the recurrence of its coefficient polynomials in n; the leading minors of
+the xi matrix come from one shared-minor expansion, and each candidate n is
+settled by a rank scan that evaluates only the jets it reads.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import combinations
+
 from .linalg import RankTracker
-from .scalars import (EC_I, ExactComplex, NPoly, falling_binomial, integer_roots,
-                      rising_binomial)
+from .scalars import EC_I, EC_ZERO, ExactComplex, NPoly, integer_roots
 from .series import SeriesError, TruncatedSeries, divide, inverse_unit
 
 ZC = ("z", "chi")
@@ -57,30 +64,33 @@ class UpsilonFamily:
 def pn_series(theta: TruncatedSeries, n_mode) -> TruncatedSeries:
     """((1 + i theta)/(1 - i theta))^n as a series in (z, chi).
 
-    For symbolic n this is the product of the binomial expansions of
-    (1 + i theta)^n and (1 - i theta)^(-n); theta has positive order, so only
-    finitely many binomial terms survive the truncation.
+    For symbolic n, write x = i theta and P = sum_k g_k(n) x^k.  From
+    (1 - x^2) P' = 2n P (Bateman's recurrence for the Mittag-Leffler
+    polynomials) g_0 = 1, g_1 = 2n and k g_k = 2n g_(k-1) + (k-2) g_(k-2),
+    so P is one power chain of x with each power scaled by the polynomial
+    g_k.  theta has positive order, so only finitely many powers survive
+    the truncation; every coefficient of P is an ``NPoly``.
     """
-    it = theta * EC_I
+    x = theta * EC_I
     one = TruncatedSeries.const(theta.variables, theta.degree, 1)
     if n_mode != SYMBOLIC:
         n = int(n_mode)
         if n < 0:
             raise UpsilonError("n must be a nonnegative integer")
-        base = (one + it) * inverse_unit(one - it)
+        base = (one + x) * inverse_unit(one - x)
         return base ** n
     ord_theta = theta.order()
     if ord_theta is None:
         raise UpsilonError("theta vanishes identically")
-    kmax = theta.degree // ord_theta
-    rising = one.map_coeffs(lambda c: c * NPoly.const(1))
-    falling = rising
+    two_n = NPoly([0, 2])
+    g_prev, g = NPoly(), NPoly.const(1)      # g_(-1) = 0 starts the recurrence
+    P = TruncatedSeries.const(theta.variables, theta.degree, g)
     power = one
-    for k in range(1, kmax + 1):
-        power = power * it
-        falling = falling + power * falling_binomial(k)
-        rising = rising + power * rising_binomial(k)
-    return falling * rising
+    for k in range(1, theta.degree // ord_theta + 1):
+        g_prev, g = g, (two_n * g + g_prev * (k - 2)) * Fraction(1, k)
+        power = power * x
+        P = P + power * g
+    return P
 
 
 def build_upsilon(M, n_mode) -> UpsilonFamily:
@@ -179,19 +189,28 @@ def gamma_threshold(L: int, K: int, T: int) -> int:
     return 2 + _delta1(K) + _delta1(L) * _delta1(T)
 
 
-def dim_Vn(U: UpsilonFamily, scan_bound: int):
-    """(rank, pivot (s,t) list) of the jet vectors with s, t <= scan_bound."""
-    if U.n_mode == SYMBOLIC:
-        raise UpsilonError("dim_Vn requires a fixed-n family")
+def dim_Vn(U: UpsilonFamily, scan_bound: int, n0: int | None = None):
+    """(rank, pivot (s,t) list) of the jet vectors with s, t <= scan_bound.
+
+    A symbolic family is scanned at n = ``n0``, which it requires: only the
+    coefficient at each scanned (s, t) is evaluated, never the whole family.
+    A row is the coefficient vector without the s! t! of the jet convention;
+    scaling a row by a nonzero constant changes neither the rank nor which
+    rows add rank, so the pivot labels are those of the jet vectors.
+    """
+    if (U.n_mode == SYMBOLIC) != (n0 is not None):
+        raise UpsilonError("dim_Vn scans a fixed-n family, or a symbolic one at n0")
     tracker = RankTracker(4)
     deg = U.degree
-    for total in range(0, 2 * scan_bound + 1):
+    coeffs = [c.coeffs for c in U.components]
+    for total in range(0, min(2 * scan_bound, deg) + 1):
         for s in range(max(0, total - scan_bound), min(total, scan_bound) + 1):
-            t = total - s
-            if s + t > deg:
-                continue
-            vec = [c.jet_coeff((s, t)) for c in U.components]
-            tracker.add_row(vec, label=(s, t))
+            key = (s, total - s)
+            row = []
+            for cs in coeffs:
+                c = cs.get(key, EC_ZERO)
+                row.append(c if type(c) is ExactComplex else c(n0))
+            tracker.add_row(row, label=key)
         if tracker.rank == 4:
             break
     return tracker.rank, list(tracker.labels)
@@ -210,26 +229,27 @@ def xi_rows(U: UpsilonFamily):
     return rows
 
 
-def _det(rows) -> NPoly:
-    size = len(rows)
-    if size == 1:
-        return NPoly.coerce(rows[0][0])
-    acc = NPoly.const(0)
-    sign = 1
-    for j in range(size):
-        minor = [[r[c] for c in range(size) if c != j] for r in rows[1:]]
-        term = NPoly.coerce(rows[0][j]) * _det(minor)
-        acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    return acc
-
-
 def xi_determinants(U: UpsilonFamily):
-    """det of the upper-left j x j submatrix of xi(n), j = 2, 3, 4, as NPoly."""
+    """det of the upper-left j x j submatrix of xi(n), j = 2, 3, 4, as NPoly.
+
+    One Laplace expansion along the rows shares every minor: the minor on
+    rows 0..r and a column set S of size r + 1 expands along row r, with
+    sign (-1)^(r+q) at the q-th column of S, into minors on rows 0..r-1.
+    The 15 minors over the column subsets of {0, 1, 2, 3} give det_2,
+    det_3 and det_4 together.
+    """
     if U.n_mode != SYMBOLIC:
         raise UpsilonError("xi_determinants requires a symbolic family")
-    rows = xi_rows(U)
-    return {j: _det([r[:j] for r in rows[:j]]) for j in (2, 3, 4)}
+    rows = [[NPoly.coerce(c) for c in r] for r in xi_rows(U)]
+    minor = {(c,): rows[0][c] for c in range(4)}
+    for r in range(1, 4):
+        for cols in combinations(range(4), r + 1):
+            acc = NPoly()
+            for q, c in enumerate(cols):
+                term = rows[r][c] * minor[cols[:q] + cols[q + 1:]]
+                acc = acc - term if (r + q) % 2 else acc + term
+            minor[cols] = acc
+    return {j: minor[tuple(range(j))] for j in (2, 3, 4)}
 
 
 class JetAnalysis:
@@ -287,8 +307,7 @@ def compute_D(M, scan_bound: int | None = None) -> JetAnalysis:
 
     D, vn_dims, certificates = [], {}, {}
     for n0 in sorted(candidates):
-        Un = U.eval_n(n0)
-        rank, pivots = dim_Vn(Un, scan_bound)
+        rank, pivots = dim_Vn(U, scan_bound, n0)
         vn_dims[n0] = rank
         if rank < gamma:
             D.append(n0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from crjet.hypersurface import THETA_VARS, Hypersurface, validate
-from crjet.scalars import ExactComplex
+from crjet.scalars import ExactComplex, NPoly, factorial
 from crjet.series import TruncatedSeries
 
 
@@ -63,6 +63,30 @@ def random_hypersurface(rng: random.Random, degree=10, nterms=5,
         fixed[(1, 1, 1)] = ExactComplex(1)
     Theta = TruncatedSeries(THETA_VARS, degree, fixed)
     return validate(Theta)
+
+
+def assert_same_series(a: TruncatedSeries, b: TruncatedSeries):
+    """Same variables, degree, keys, values and coefficient types."""
+    assert (a.variables, a.degree) == (b.variables, b.degree)
+    assert a.coeffs == b.coeffs
+    assert {e: type(c) for e, c in a.coeffs.items()} == \
+        {e: type(c) for e, c in b.coeffs.items()}
+
+
+def falling_binomial(k: int) -> NPoly:
+    """binom(n, k) = n(n-1)...(n-k+1)/k! as a polynomial in n."""
+    p = NPoly.const(1)
+    for j in range(k):
+        p = p * (NPoly.n() - NPoly.const(j))
+    return p * NPoly.const(Fraction(1, factorial(k)))
+
+
+def rising_binomial(k: int) -> NPoly:
+    """binom(n+k-1, k) = (n+k-1)...(n)/k! as a polynomial in n."""
+    p = NPoly.const(1)
+    for j in range(k):
+        p = p * (NPoly.n() + NPoly.const(j))
+    return p * NPoly.const(Fraction(1, factorial(k)))
 
 
 @pytest.fixture

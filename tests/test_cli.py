@@ -91,6 +91,26 @@ class TestTypeTwoInput:
             assert "1-infinite-type" in rep["error"]
 
 
+class TestFamilyOptions:
+    """A malformed family coefficient ends in one FormatError report, exit 1."""
+
+    @pytest.mark.parametrize("value", ["abc", "1/0", ""])
+    @pytest.mark.parametrize("family, option", [
+        ("mc", "--c"), ("nb", "--b-re"), ("nb", "--b-im")])
+    def test_bad_coefficient_is_one_report(self, family, option, value):
+        src = os.path.dirname(os.path.dirname(crjet.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "crjet.cli", "invariants",
+                               "--family", family, option, value],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_IO
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)      # exactly one JSON document
+        assert rep["command"] == "invariants"
+        assert "bad rational" in rep["error"]
+        assert "result" not in rep
+
+
 class TestAnalysis:
     def test_b0_dset(self, capsys):
         code, rep = run(capsys, "dset", "--family", "b0", "--degree", "16")

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crjet.hypersurface import (THETA_VARS, ValidationError, family_b0,
                                 family_mc, family_nb, validate)
 from crjet.scalars import EC_I, ExactComplex, factorial
-from crjet.series import TruncatedSeries
+from crjet.series import TruncatedSeries, compose, implicit_solve
 
-from conftest import random_hypersurface
+from conftest import assert_same_series, random_hypersurface
 
 ZC = ("z", "chi")
 
@@ -86,7 +87,6 @@ class TestGraphSeries:
     def test_q_solves_defining_equation(self):
         # (Q - tau)/2i = Theta(z, chi, (Q + tau)/2) exactly
         M = random_hypersurface(random.Random(5), degree=9)
-        from crjet.series import compose
         V3 = ("z", "chi", "tau")
         z = TruncatedSeries.var("z", V3, M.Q.degree)
         chi = TruncatedSeries.var("chi", V3, M.Q.degree)
@@ -129,6 +129,54 @@ class TestGraphSeries:
         sl = s.slice("tau", 2)
         assert sl.coeff((1,)) == ExactComplex(5)
         assert s.slice("tau", 1).is_zero()
+
+
+def q_by_implicit_solve(Theta):
+    """Q as the root w of rho(w, z, chi, tau) = (w - tau)/2i - Theta(z, chi, (w + tau)/2)."""
+    WV = ("w", "z", "chi", "tau")
+    w, z, chi, tau = (TruncatedSeries.var(v, WV, Theta.degree) for v in WV)
+    half = Fraction(1, 2)
+    rho = (w - tau) * (EC_I.inverse() * half) - compose(
+        Theta, {"z": z, "chi": chi, "s": (w + tau) * half})
+    return implicit_solve(rho, "w").embed(("z", "chi", "tau"))
+
+
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def normal_real_thetas(draw):
+    """A normal, real Theta of degree 3..14 and type m = 1 or 2, whose
+    lowest s-order term is z chi s^m."""
+    D = draw(st.integers(3, 14))
+    m = draw(st.sampled_from((1, 2))) if D > 3 else 1
+    coeffs = {(1, 1, m): ExactComplex(draw(fracs.filter(bool)))}
+    exps = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(m, 5))
+    for a, b, c in draw(st.lists(exps, max_size=5)):
+        if a + b + c > D or (a, b, c) in coeffs:
+            continue
+        v = ExactComplex(draw(fracs), draw(fracs) if a != b else 0)
+        coeffs[(a, b, c)] = v
+        coeffs[(b, a, c)] = v.conj()
+    return TruncatedSeries(THETA_VARS, D, coeffs)
+
+
+class TestGraphFunction:
+    """validate's staged fixed point gives the Q of rho + implicit_solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(normal_real_thetas())
+    @example(theta_input({(1, 1, 1): ExactComplex(1)}, degree=3))
+    @example(theta_input({(1, 1, 1): ExactComplex(2), (1, 2, 1): EC_I,
+                          (2, 1, 1): -EC_I}, degree=4))
+    @example(theta_input({(1, 1, 1): ExactComplex(1), (2, 3, 2): ExactComplex(1, 1),
+                          (3, 2, 2): ExactComplex(1, -1)}, degree=13))
+    @example(theta_input({(1, 1, 2): ExactComplex(-3), (2, 2, 3): ExactComplex(1)},
+                         degree=14))
+    def test_matches_implicit_solve(self, Theta):
+        Q = validate(Theta).Q
+        assert Q.degree == Theta.degree
+        assert_same_series(Q, q_by_implicit_solve(Theta))
 
 
 class TestInvariantEdgeCases:

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from crjet.scalars import (EC_I, ExactComplex, NPoly, ScalarError,
-                           falling_binomial, factorial, integer_roots,
-                           rational_nth_root, rising_binomial)
+from crjet.scalars import (EC_I, ExactComplex, NPoly, ScalarError, factorial,
+                           integer_roots, rational_nth_root)
+
+from conftest import falling_binomial, rising_binomial
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 complexes = st.builds(ExactComplex, fracs, fracs)

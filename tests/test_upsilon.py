@@ -5,10 +5,13 @@ import pytest
 
 from crjet.hypersurface import family_b0, family_mc, family_nb
 from crjet.scalars import EC_I, ExactComplex, NPoly, factorial
-from crjet.upsilon import (SYMBOLIC, build_upsilon, compute_D, dim_Vn,
-                           gamma_threshold, xi_determinants)
+from crjet.series import TruncatedSeries
+from crjet.upsilon import (SYMBOLIC, UpsilonError, build_upsilon, compute_D,
+                           dim_Vn, gamma_threshold, pn_series,
+                           xi_determinants, xi_rows)
 
-from conftest import random_hypersurface
+from conftest import (assert_same_series, falling_binomial, random_hypersurface,
+                      rising_binomial)
 
 
 def leading(p: NPoly):
@@ -52,6 +55,68 @@ class TestSymbolicNumericConsistency:
                 assert (a - b.truncate(a.degree)).is_zero()
 
 
+def pn_by_binomials(theta):
+    """((1 + i theta)/(1 - i theta))^n as the product of the binomial series
+    of (1 + i theta)^n and (1 - i theta)^(-n), coefficients NPoly in n."""
+    it = theta * EC_I
+    one = TruncatedSeries.const(theta.variables, theta.degree, 1)
+    rising = one.map_coeffs(lambda c: c * NPoly.const(1))
+    falling = rising
+    power = one
+    for k in range(1, theta.degree // theta.order() + 1):
+        power = power * it
+        falling = falling + power * falling_binomial(k)
+        rising = rising + power * rising_binomial(k)
+    return falling * rising
+
+
+class TestSymbolicPn:
+    def test_recurrence_matches_binomial_convolution(self):
+        # theta = -i z makes x = i theta = z, so P = sum_k g_k(n) z^k
+        deg = 12
+        theta = TruncatedSeries(("z",), deg, {(1,): -EC_I})
+        P = pn_series(theta, SYMBOLIC)
+        for k in range(deg + 1):
+            via = NPoly()
+            for j in range(k + 1):
+                via = via + falling_binomial(j) * rising_binomial(k - j)
+            assert isinstance(P.coeff((k,)), NPoly)
+            assert P.coeff((k,)) == via, k
+
+    @pytest.mark.parametrize("make", [
+        lambda: family_b0(14),
+        lambda: family_mc(Fraction(2, 3), 1, 12),
+        lambda: family_mc(1, 2, 19),
+        lambda: family_nb(ExactComplex(1, 2), 2, 15),
+    ])
+    def test_matches_binomial_product(self, make):
+        theta = make().theta
+        assert_same_series(pn_series(theta, SYMBOLIC), pn_by_binomials(theta))
+
+
+class TestRankScan:
+    """Scanning the symbolic family at n0 is the scan of U.eval_n(n0)."""
+
+    def test_matches_fixed_n_family(self):
+        rng = random.Random(47)
+        inputs = [family_b0(14), family_mc(1, 1, 14), family_mc(3, 2, 19),
+                  family_nb(ExactComplex(1, 2), 2, 15)]
+        inputs += [random_hypersurface(rng, degree=14, max_e=2) for _ in range(6)]
+        for M in inputs:
+            inv = M.invariants
+            bound = 3 * inv.K + 3 * inv.L + 2
+            U = build_upsilon(M, SYMBOLIC)
+            for n0 in range(7):
+                assert dim_Vn(U, bound, n0) == dim_Vn(U.eval_n(n0), bound), n0
+
+    def test_n0_goes_with_a_symbolic_family(self):
+        M = family_b0(12)
+        with pytest.raises(UpsilonError):
+            dim_Vn(build_upsilon(M, SYMBOLIC), 8)
+        with pytest.raises(UpsilonError):
+            dim_Vn(build_upsilon(M, 2), 8, 2)
+
+
 class TestXiDeterminants:
     def test_b0_exact_polynomials(self):
         U = build_upsilon(family_b0(14), SYMBOLIC)
@@ -59,6 +124,32 @@ class TestXiDeterminants:
         assert dets[2] == NPoly([0, 0, 768, 0, -192])
         assert dets[3] == NPoly([0, 0, 18432, 0, -23040, 0, 4608])
         assert dets[4] == NPoly([0, 0, -442368, 0, 995328, 0, -663552, 0, 110592])
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        n = sympy.Symbol("n")
+
+        def expr(c):
+            c = NPoly.coerce(c)
+            return sum((sympy.Rational(x.re.numerator, x.re.denominator)
+                        + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)) * n ** k
+                       for k, x in enumerate(c.coefficients))
+
+        rng = random.Random(53)
+        inputs = [family_b0(14), family_mc(1, 2, 19),
+                  family_nb(ExactComplex(1, 2), 2, 15)]
+        while len(inputs) < 13:
+            M = random_hypersurface(rng, degree=14, max_e=2)
+            U = build_upsilon(M, SYMBOLIC)
+            if 3 * (U.K + U.L) <= U.degree:
+                inputs.append(M)
+        for M in inputs:
+            U = build_upsilon(M, SYMBOLIC)
+            xi = sympy.Matrix([[expr(c) for c in row] for row in xi_rows(U)])
+            dets = xi_determinants(U)
+            for j in (2, 3, 4):
+                want = sympy.expand(xi[:j, :j].det(method="berkowitz"))
+                assert sympy.expand(expr(dets[j]) - want) == 0, j
 
     def test_degree_bounds(self):
         for M in (family_b0(14), family_mc(1, 1, 12),
