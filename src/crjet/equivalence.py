@@ -10,6 +10,11 @@ determines (f_n, g_n) order by order from the k-jet of H: at each n the
 identity is affine in the four scalars (a_n^0, b_n^0, a_n^1, b_n^L), so the
 order-n equation is solved exactly over the rationals; for n in the
 exceptional set D the scalars are free and must be supplied as jet data.
+
+Each order takes one run of the order-n step at zero scalars and four
+complex-linear directions, one per scalar; together they give the real
+system, which a fraction-free elimination solves.  A final run at the
+solution is the proof: its residual and side conditions must vanish.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from fractions import Fraction
 from .faadibruno import PnData, universal_pn
 from .hypersurface import Hypersurface
 from .linalg import InconsistentSystem, solve_rational
-from .scalars import EC_I, ExactComplex, factorial, rational_nth_root
+from .scalars import (EC_I, EC_ONE, EC_ZERO, ExactComplex, factorial,
+                      rational_nth_root, split_parts)
 from .series import (TruncatedSeries, compose, divide, implicit_solve,
                      kth_root_unit)
 from .upsilon import compute_D
@@ -273,7 +279,16 @@ def shat_jet_table(Mhat, f0, n_max):
 
 
 class _OrderSolver:
-    """The order-n step: affine dependence on x = (a_n^0, b_n^0, a_n^1, b_n^L)."""
+    """The order-n step, affine in x = (a_n^0, b_n^0, a_n^1, b_n^L).
+
+    ``run`` evaluates the candidate (f_n, g_n) and every order-n constraint
+    at one x.  Without ``Rn`` the candidate, its peeled low part and the
+    terms -S0^(n+1) g_n + Shat_z S0^n f_n b00 of the residual are
+    complex-linear in x; only the terms Shat gbar_n + Shat_chi fbar_n b00 are
+    antilinear.  ``direction`` computes these parts once per slot of x, at
+    the unit 1, so that the constraints at x = u e_j are those at x = 0
+    moved by the linear part times u and the antilinear part times conj(u).
+    """
 
     def __init__(self, M, n, Rn, f0, b00, a01, a02, shat, S0_n, S0_n1):
         """``S0_n`` and ``S0_n1`` are S(z,chi,0)^n and S(z,chi,0)^(n+1)."""
@@ -295,18 +310,18 @@ class _OrderSolver:
         self.Rn_chi0 = Rn.slice("chi", 0)
         self.RnL = Rn.slice("chi", self.L) * factorial(self.L)
 
-    def run(self, a_n0, b_n0, a_n1, b_nL):
-        """Candidate (f_n, g_n) plus all order-n constraint values."""
+    def _candidate(self, Rn_chi0, RnL, a_n0, b_n0, a_n1, b_nL):
+        """(f_n, g_n, low) from the given chi^0 and chi^L slices of Rn."""
         L, K, n = self.L, self.K, self.n
         b00, a01, a02 = self.b00, self.a01, self.a02
         two_i = EC_I * 2
-        one_z = TruncatedSeries.const(("z",), self.RnL.degree, 1)
+        one_z = TruncatedSeries.const(("z",), RnL.degree, 1)
 
-        g_n = self.Rn_chi0 + one_z * b_n0 + self.theta1 * (two_i * b00 * a01.inverse() * a_n0)
+        g_n = Rn_chi0 + one_z * b_n0 + self.theta1 * (two_i * b00 * a01.inverse() * a_n0)
 
         d1L = 1 if L == 1 else 0
         h1 = (a_n1 * a01 - a_n0 * a02) * (a01 * a01).inverse()
-        E = (self.RnL
+        E = (RnL
              + self.thetaL * g_n * (two_i * (n + 1))
              - one_z * b_nL
              - self.thetaL * (two_i * b_n0)
@@ -324,38 +339,83 @@ class _OrderSolver:
             if not c.is_zero():
                 peeled = peeled - TruncatedSeries(("z",), rhs_f.degree, {(j,): c})
         F = divide(peeled, self.thetaL_prime)      # f_n / f_0'
-        f_n = self.f0_prime * F
+        return self.f0_prime * F, g_n, low
 
+    def _linear(self, f_n, g_n):
+        return self.neg_S0_n1 * g_n.embed(ZC) + self.shat_S0_n * f_n.embed(ZC) * self.b00
+
+    def _antilinear(self, f_n, g_n):
         fbar_n = f_n.conjugate(rename={"z": "chi"}).embed(ZC)
         gbar_n = g_n.conjugate(rename={"z": "chi"}).embed(ZC)
-        resid = (self.neg_S0_n1 * g_n.embed(ZC)
-                 + self.shat[(0, 0, 0)] * gbar_n
-                 + self.shat_S0_n * f_n.embed(ZC) * b00
-                 + self.shat[(0, 1, 0)] * fbar_n * b00
-                 - self.Rn)
+        return self.shat[(0, 0, 0)] * gbar_n + self.shat[(0, 1, 0)] * fbar_n * self.b00
 
-        # self-consistency of the probed scalars with the candidate's jets
-        consistency = [
-            f_n.coeff((0,)) - a_n0.conj(),
-            f_n.jet_coeff((1,)) - a_n1.conj(),
-            g_n.coeff((0,)) - b_n0.conj(),
-            g_n.jet_coeff((L,)) - b_nL.conj(),
-        ]
+    def jets(self, f_n, g_n):
+        """f_n(0), f_n'(0), g_n(0) and g_n^(L)(0), in this order."""
+        return [f_n.coeff((0,)), f_n.jet_coeff((1,)), g_n.coeff((0,)),
+                g_n.jet_coeff((self.L,))]
+
+    def run(self, a_n0, b_n0, a_n1, b_nL):
+        """Candidate (f_n, g_n) plus all order-n constraint values."""
+        f_n, g_n, low = self._candidate(self.Rn_chi0, self.RnL, a_n0, b_n0, a_n1, b_nL)
+        resid = self._linear(f_n, g_n) + self._antilinear(f_n, g_n) - self.Rn
+        # self-consistency of the scalars with the candidate's jets
+        consistency = [c - v.conj() for c, v in
+                       zip(self.jets(f_n, g_n), (a_n0, a_n1, b_n0, b_nL))]
         return f_n, g_n, resid, low, consistency
 
+    def direction(self, j):
+        """(f, g, low, P, Q) for x = e_j without Rn: the x-linear part of the
+        candidate and of ``low``, and the linear and antilinear residual parts."""
+        x = [EC_ZERO] * 4
+        x[j] = EC_ONE
+        zero_chi0 = TruncatedSeries.zero(("z",), self.Rn_chi0.degree)
+        zero_L = TruncatedSeries.zero(("z",), self.RnL.degree)
+        f, g, low = self._candidate(zero_chi0, zero_L, *x)
+        return f, g, low, self._linear(f, g), self._antilinear(f, g)
 
-def _constraint_vector(resid, low, consistency, keys):
-    vals = []
-    for key in keys:
-        vals.append(resid.coeff(key))
-    vals.extend(low)
-    vals.extend(consistency)
-    out = []
-    for v in vals:
-        v = ExactComplex.coerce(v)
-        out.append(v.re)
-        out.append(v.im)
-    return out
+
+# the consistency entry that compares with conj(x_j): x is ordered
+# (a^0, b^0, a^1, b^L), the consistency list (a^0, a^1, b^0, b^L)
+_CONSISTENCY_SLOT = (0, 2, 1, 3)
+
+
+def _order_system(solver, base, pin):
+    """The real system (rows, rhs) for x at one order.
+
+    ``base`` is ``solver.run`` at x = 0.  Column 2j + p belongs to the unit
+    u = i^p in slot j, and holds the change u*P_j + conj(u)*Q_j of every
+    residual coefficient, u times the ``low`` entries, and u times the jets
+    minus conj(u) at the slot's own consistency entry.  Each complex
+    constraint gives a real and an imaginary row, cleared to integers by one
+    lcm; ``pin`` (the jet's values, for orders in D) adds x = pin.
+    """
+    _, _, resid0, low0, cons0 = base
+    cols = []
+    for j in range(4):
+        f, g, low, P, Q = solver.direction(j)
+        jets = solver.jets(f, g)
+        for u, resid in ((EC_ONE, P + Q), (EC_I, (P - Q) * EC_I)):
+            cons = [u * c for c in jets]
+            cons[_CONSISTENCY_SLOT[j]] -= u.conj()
+            # the residual also carries -Rn: it is certified no further
+            cols.append((resid.truncate(resid0.degree), [u * c for c in low], cons))
+    keys = sorted(set(resid0.coeffs).union(*(col[0].coeffs for col in cols)))
+    complex_rows = [[col[0].coeff(k) for col in cols] + [resid0.coeff(k)] for k in keys]
+    complex_rows += [[col[1][i] for col in cols] + [c] for i, c in enumerate(low0)]
+    complex_rows += [[col[2][i] for col in cols] + [c] for i, c in enumerate(cons0)]
+    rows, rhs = [], []
+    for values in complex_rows:
+        for part in split_parts(values):
+            rows.append(part[:-1])
+            rhs.append(-part[-1])
+    if pin is not None:
+        for j, val in enumerate(pin):
+            for p, target in enumerate((val.re, val.im)):
+                row = [0] * 8
+                row[2 * j + p] = 1
+                rows.append(row)
+                rhs.append(target)
+    return rows, rhs
 
 
 def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
@@ -365,7 +425,10 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     For n not in D the order-n scalars are forced: the mapping identity at
     order n, together with divisibility and jet self-consistency, gives an
     exact linear system with a unique solution.  For n in D the jet supplies
-    them and the same system checks realizability.
+    them and the same system checks realizability.  Each order takes one
+    run of the solver at x = 0 and four complex-linear directions, one per
+    slot of x; a fraction-free solve gives x, and a final run at x proves
+    it: its residual, low part and consistency entries must all vanish.
     """
     if D is None:
         D = compute_D(M).D
@@ -386,7 +449,7 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     for _ in range(order):
         S0_pow.append(S0_pow[-1] * S0)
 
-    zero4 = tuple(ExactComplex(0) for _ in range(4))
+    zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
         fbar = [s.conjugate(rename={"z": "chi"}) for s in f_parts]
         gbar = [s.conjugate(rename={"z": "chi"}) for s in g_parts]
@@ -394,35 +457,9 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
                                     s_jets[:n + 1], shat))
         solver = _OrderSolver(M, n, Rn, f0, b00, a01, a02, shat,
                               S0_pow[n], S0_pow[n + 1])
-
-        probes = [zero4]
-        for j in range(4):
-            for unit in (ExactComplex(1), EC_I):
-                x = list(zero4)
-                x[j] = unit
-                probes.append(tuple(x))
-        outs = [solver.run(*x) for x in probes]
-
-        keys = set()
-        for _, _, resid, _, _ in outs:
-            keys.update(resid.coeffs)
-        keys = sorted(keys)
-        base = _constraint_vector(outs[0][2], outs[0][3], outs[0][4], keys)
-        cols = [_constraint_vector(o[2], o[3], o[4], keys) for o in outs[1:]]
-        rows = []
-        rhs = []
-        for r in range(len(base)):
-            rows.append([cols[c][r] - base[r] for c in range(8)])
-            rhs.append(-base[r])
-        if n in D:
-            pin = jet.lambdas.get(n, zero4)
-            for j, val in enumerate(pin):
-                val = ExactComplex.coerce(val)
-                for part, target in ((0, val.re), (1, val.im)):
-                    row = [Fraction(0)] * 8
-                    row[2 * j + part] = Fraction(1)
-                    rows.append(row)
-                    rhs.append(target)
+        base = solver.run(*zero4)
+        pin = jet.lambdas.get(n, zero4) if n in D else None
+        rows, rhs = _order_system(solver, base, pin)
         try:
             sol, free = solve_rational(rows, rhs)
         except InconsistentSystem as exc:
@@ -435,7 +472,7 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
             raise EquivalenceError(
                 f"order-{n} scalars not forced although {n} is not in D: the "
                 f"order-{n} identity is only certified to degree "
-                f"{outs[0][2].degree}, which can starve the rank; rebuild the "
+                f"{base[2].degree}, which can starve the rank; rebuild the "
                 "hypersurfaces with a larger truncation degree "
                 f"(free directions {free})")
         x = tuple(ExactComplex(sol[2 * j], sol[2 * j + 1]) for j in range(4))

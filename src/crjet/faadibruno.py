@@ -176,9 +176,16 @@ def universal_pn(n: int, data: PnData) -> TruncatedSeries:
     data.check(n)
     n_fact = _factorial(n)
     S = data.s_jets
-
-    def s_factor(q):  # tau-derivative of tau*S at order q, divided by q!
-        return S[q - 1] * Fraction(1, _factorial(q - 1))
+    V = S[0].variables
+    # the factor series of the sums below, indexed by q and built once:
+    # the tau-derivative of tau*S at order q, divided by q!; fbar_q / q!;
+    # and the tau-derivative of tau*gbar at order q, divided by q!
+    s_factor = [None] + [S[q - 1] * Fraction(1, _factorial(q - 1))
+                         for q in range(1, n + 1)]
+    fbar_factor = [None] + [data.fbar[q].embed(V) * Fraction(1, _factorial(q))
+                            for q in range(1, n)]
+    gbar_factor = [None] + [data.gbar[q - 1].embed(V) * Fraction(1, _factorial(q - 1))
+                            for q in range(1, n + 1)]
 
     # ---- first sum: tau-expansion of S * g(z, tau S) -------------------------
     acc = None
@@ -188,10 +195,10 @@ def universal_pn(n: int, data: PnData) -> TruncatedSeries:
             size = index_size(alpha)
             if size >= n:
                 continue  # would touch the unknown g_n
-            term = data.g[size].embed(S[0].variables) * S[k]
+            term = data.g[size].embed(V) * S[k]
             for q, a in enumerate(alpha, start=1):
                 for _ in range(a):
-                    term = term * s_factor(q)
+                    term = term * s_factor[q]
             term = term * Fraction(n_fact, _factorial(k) * index_factorial(alpha))
             acc = term if acc is None else acc + term
 
@@ -206,12 +213,12 @@ def universal_pn(n: int, data: PnData) -> TruncatedSeries:
                 size = index_size(xi)
                 if size >= n:
                     continue  # unknown f_n
-                piece = data.f[size].embed(S[0].variables) * Fraction(1, index_factorial(xi))
+                piece = data.f[size].embed(V) * Fraction(1, index_factorial(xi))
                 for r, x in enumerate(xi, start=1):
                     for _ in range(x):
-                        piece = piece * s_factor(r)
+                        piece = piece * s_factor[r]
                 total = piece if total is None else total + piece
-            got = total if total is not None else TruncatedSeries.zero(S[0].variables, S[0].degree)
+            got = total if total is not None else TruncatedSeries.zero(V, S[0].degree)
             a_cache[q] = got
         return got
 
@@ -226,18 +233,16 @@ def universal_pn(n: int, data: PnData) -> TruncatedSeries:
                         continue  # unknown fbar_n
                     for gamma in weighted_indices(wc):
                         jkl = (index_size(alpha), index_size(beta), index_size(gamma))
-                        term = data.gbar[k].embed(S[0].variables) * data.shat_jets[jkl]
+                        term = data.gbar[k].embed(V) * data.shat_jets[jkl]
                         for q, a in enumerate(alpha, start=1):
                             for _ in range(a):
                                 term = term * A(q)
                         for q, b in enumerate(beta, start=1):
                             for _ in range(b):
-                                term = term * (data.fbar[q].embed(S[0].variables)
-                                               * Fraction(1, _factorial(q)))
+                                term = term * fbar_factor[q]
                         for q, c in enumerate(gamma, start=1):
                             for _ in range(c):
-                                term = term * (data.gbar[q - 1].embed(S[0].variables)
-                                               * Fraction(1, _factorial(q - 1)))
+                                term = term * gbar_factor[q]
                         denom = (_factorial(k) * index_factorial(alpha)
                                  * index_factorial(beta) * index_factorial(gamma))
                         term = term * Fraction(n_fact, denom)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import ExactComplex
@@ -44,42 +45,62 @@ class RankTracker:
         return False
 
 
-def solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve A x = b exactly over Q.
+def solve_rational(rows, rhs):
+    """Solve A x = b exactly over Q by fraction-free elimination.
+
+    Entries are ints or Fractions.  Each row of [A | b] is cleared to
+    integers by the lcm of its denominators; Bareiss elimination
+    (Math. Comp. 22, 1968) with first-nonzero row pivoting then keeps every
+    entry an integer minor, with one exact division per update, and a single
+    back-substitution in Fraction gives the solution.
 
     Returns (solution, free_columns) with free variables pinned to 0, or
-    raises InconsistentSystem when no solution exists.
+    raises InconsistentSystem when no solution exists.  The pivot columns are
+    those where the column rank grows, a property of A alone, so the result
+    is the one Gauss-Jordan elimination gives.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    A = [list(r) + [b] for r, b in zip(rows, rhs)]
+    A = []
+    for r, b in zip(rows, rhs):
+        row = list(r)
+        row.append(b)
+        if not any(row[:n]):
+            if b:
+                raise InconsistentSystem("linear system has no solution")
+            continue                     # a zero row constrains nothing
+        d = math.lcm(*(e.denominator for e in row))
+        A.append([e.numerator * (d // e.denominator) for e in row])
+    m = len(A)
     pivots = []
-    row = 0
+    prev = 1
+    rank = 0
     for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if A[r][col] != 0:
-                sel = r
-                break
+        sel = next((r for r in range(rank, m) if A[r][col]), None)
         if sel is None:
             continue
-        A[row], A[sel] = A[sel], A[row]
-        inv = Fraction(1) / A[row][col]
-        A[row] = [a * inv for a in A[row]]
-        for r in range(m):
-            if r != row and A[r][col] != 0:
-                c = A[r][col]
-                A[r] = [a - c * b for a, b in zip(A[r], A[row])]
+        A[rank], A[sel] = A[sel], A[rank]
+        top = A[rank]
+        p = top[col]
+        for r in range(rank + 1, m):
+            cur = A[r]
+            c = cur[col]
+            A[r] = [(p * a - c * t) // prev for a, t in zip(cur, top)]
+        prev = p
         pivots.append(col)
-        row += 1
-        if row == m:
+        rank += 1
+        if rank == m:
             break
-    for r in range(row, m):
-        if A[r][n] != 0:
-            raise InconsistentSystem("linear system has no solution")
+    if any(A[r][n] for r in range(rank, m)):
+        raise InconsistentSystem("linear system has no solution")
     x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = A[r][n]
+    for r in range(rank - 1, -1, -1):
+        cur = A[r]
+        acc = Fraction(cur[n])
+        for c in pivots[r + 1:]:
+            if cur[c]:
+                acc -= cur[c] * x[c]
+        x[pivots[r]] = acc / cur[pivots[r]]
     free = [c for c in range(n) if c not in pivots]
     return x, free
 

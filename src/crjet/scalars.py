@@ -406,6 +406,21 @@ def from_numerators(acc, d: int) -> dict:
     return out
 
 
+def split_parts(values):
+    """The real and the imaginary parts of ``ExactComplex`` values as two
+    integer lists over one shared denominator, the lcm of theirs.
+
+    Each list is a positive multiple of the parts; no ``Fraction`` is built.
+    """
+    d = math.lcm(*(v._d for v in values))
+    re, im = [], []
+    for v in values:
+        m = d // v._d
+        re.append(v._a * m)
+        im.append(v._b * m)
+    return re, im
+
+
 def factorial(k: int) -> int:
     out = 1
     for j in range(2, k + 1):

@@ -1,14 +1,18 @@
 """Equivalence verification, jet extraction, and reconstruction from jets."""
 
+import math
 from fractions import Fraction
 
 import pytest
+
+import crjet.equivalence as equivalence
 
 from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    JetRealizationError, compose_maps, compute_D, extract_jet,
                    f0_from_jet, family_b0, family_mc, family_nb,
                    finite_determination_check, forced_mu_sq, reconstruct,
                    validate, verify_map)
+from crjet.linalg import solve_rational
 from crjet.scalars import EC_I
 from crjet.series import TruncatedSeries, compose, implicit_solve
 
@@ -246,6 +250,129 @@ class TestReconstruct:
         A = linear_map(1, 1, 12)
         with pytest.raises(EquivalenceError, match="truncation degree"):
             reconstruct(M, M, extract_jet(A, [0]), 6, D=[0])
+
+
+    def test_inconsistent_pin_message(self):
+        # the exact text a CLI report carries for this input
+        B = family_b0(20)
+        jet = JetData(1, 1, lambdas={
+            1: (ExactComplex(0, Fraction(-1, 2)), 0, 0, 1), 2: (0, 0, 0, 0)})
+        with pytest.raises(JetRealizationError) as info:
+            reconstruct(B, B, jet, 2, D=[0, 1, 2])
+        assert str(info.value) == "jet not realizable: order-2 system inconsistent"
+
+    def test_starved_truncation_message(self):
+        M = family_mc(1, 1, 12)
+        A = linear_map(1, 1, 12)
+        with pytest.raises(EquivalenceError) as info:
+            reconstruct(M, M, extract_jet(A, [0]), 6, D=[0])
+        assert str(info.value) == (
+            "order-4 scalars not forced although 4 is not in D: the order-4 "
+            "identity is only certified to degree 5, which can starve the rank; "
+            "rebuild the hypersurfaces with a larger truncation degree "
+            "(free directions [4])")
+
+
+def _constraint_vector(resid, low, consistency, keys):
+    vals = []
+    for key in keys:
+        vals.append(resid.coeff(key))
+    vals.extend(low)
+    vals.extend(consistency)
+    out = []
+    for v in vals:
+        v = ExactComplex.coerce(v)
+        out.append(v.re)
+        out.append(v.im)
+    return out
+
+
+def probe_system(solver, pin):
+    """The order-n system by nine runs of the solver: x = 0 and each of the
+    eight real unit directions, differenced against x = 0."""
+    zero4 = tuple(ExactComplex(0) for _ in range(4))
+    probes = [zero4]
+    for j in range(4):
+        for unit in (ExactComplex(1), EC_I):
+            x = list(zero4)
+            x[j] = unit
+            probes.append(tuple(x))
+    outs = [solver.run(*x) for x in probes]
+
+    keys = set()
+    for _, _, resid, _, _ in outs:
+        keys.update(resid.coeffs)
+    keys = sorted(keys)
+    base = _constraint_vector(outs[0][2], outs[0][3], outs[0][4], keys)
+    cols = [_constraint_vector(o[2], o[3], o[4], keys) for o in outs[1:]]
+    rows = []
+    rhs = []
+    for r in range(len(base)):
+        rows.append([cols[c][r] - base[r] for c in range(8)])
+        rhs.append(-base[r])
+    if pin is not None:
+        for j, val in enumerate(pin):
+            val = ExactComplex.coerce(val)
+            for part, target in ((0, val.re), (1, val.im)):
+                row = [Fraction(0)] * 8
+                row[2 * j + part] = Fraction(1)
+                rows.append(row)
+                rhs.append(target)
+    return rows, rhs
+
+
+def primitive(row):
+    """A rational row as integers without common factor, its sign kept."""
+    d = math.lcm(*(Fraction(e).denominator for e in row))
+    ints = [int(Fraction(e) * d) for e in row]
+    g = math.gcd(*ints)
+    return [e // g for e in ints] if g else ints
+
+
+class TestOrderSystem:
+    """Each order's system equals the one nine probe runs assemble, row for
+    row up to a positive factor, with the same solution and free columns."""
+
+    def check_orders(self, monkeypatch, M, Mhat, A, D, order=3):
+        seen = []
+        order_system = equivalence._order_system
+
+        def checked(solver, base, pin):
+            rows, rhs = order_system(solver, base, pin)
+            want_rows, want_rhs = probe_system(solver, pin)
+            assert all(type(e) is int for r in rows[:len(rows) - 8 * (pin is not None)]
+                       for e in r)
+            assert ([primitive(r + [b]) for r, b in zip(rows, rhs)]
+                    == [primitive(r + [b]) for r, b in zip(want_rows, want_rhs)])
+            assert solve_rational(rows, rhs) == solve_rational(want_rows, want_rhs)
+            seen.append(solver.n)
+            return rows, rhs
+
+        monkeypatch.setattr(equivalence, "_order_system", checked)
+        H = reconstruct(M, Mhat, extract_jet(A, D), order, D=D)
+        assert H == A
+        assert seen == list(range(1, order + 1))
+
+    def test_b0(self, monkeypatch):
+        B = family_b0(20)
+        self.check_orders(monkeypatch, B, B, linear_map(EPS, 3, 20), [0, 1, 2])
+
+    def test_mc(self, monkeypatch):
+        M = family_mc(1, 1, 18)
+        self.check_orders(monkeypatch, M, M, linear_map(EPS, 2, 18), [0])
+
+    def test_nb(self, monkeypatch):
+        N = family_nb(ExactComplex(1, 1), 2, 18)
+        self.check_orders(monkeypatch, N, N, linear_map(1, 2, 18), compute_D(N).D)
+
+    def test_shear(self, monkeypatch):
+        a = ExactComplex(Fraction(1, 2), Fraction(-1, 3))
+        Mhat = family_mc(1, 1, 14)
+        M = pulled_back_by_shear(Mhat, a, 14)
+        A = FormalMap([TruncatedSeries(("z",), 14, {(1,): ExactComplex(1)}),
+                       TruncatedSeries(("z",), 14, {(1,): a})],
+                      [TruncatedSeries(("z",), 14, {(0,): ExactComplex(1)})])
+        self.check_orders(monkeypatch, M, Mhat, A, [0])
 
 
 class TestFiniteDetermination:
