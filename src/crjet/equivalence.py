@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .faadibruno import PnData, universal_pn
+from .faadibruno import universal_pn
 from .hypersurface import Hypersurface
 from .linalg import InconsistentSystem, solve_rational
 from .scalars import (EC_I, EC_ONE, EC_ZERO, ExactComplex, factorial,
@@ -440,6 +440,8 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
 
     f_parts = [f0]
     g_parts = [g0]
+    fbar_parts = [f0.conjugate(rename={"z": "chi"})]
+    gbar_parts = [g0.conjugate(rename={"z": "chi"})]
     shat = shat_jet_table(Mhat, f0, order)
     S0 = M.S0()
     if not (shat[(0, 0, 0)] - S0.truncate(shat[(0, 0, 0)].degree)).is_zero():
@@ -451,10 +453,7 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
 
     zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
-        fbar = [s.conjugate(rename={"z": "chi"}) for s in f_parts]
-        gbar = [s.conjugate(rename={"z": "chi"}) for s in g_parts]
-        Rn = universal_pn(n, PnData(f_parts, g_parts, fbar, gbar,
-                                    s_jets[:n + 1], shat))
+        Rn = universal_pn(n, f_parts, g_parts, fbar_parts, gbar_parts, s_jets, shat)
         solver = _OrderSolver(M, n, Rn, f0, b00, a01, a02, shat,
                               S0_pow[n], S0_pow[n + 1])
         base = solver.run(*zero4)
@@ -483,6 +482,8 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
                 f"jet not realizable: order-{n} identity fails after solving")
         f_parts.append(f_n)
         g_parts.append(g_n)
+        fbar_parts.append(f_n.conjugate(rename={"z": "chi"}))
+        gbar_parts.append(g_n.conjugate(rename={"z": "chi"}))
     return FormalMap(f_parts, g_parts)
 
 

@@ -1,253 +1,112 @@
-"""Higher-order chain rule combinatorics.
+"""The order-n source term of the mapping identity.
 
-Two engines live here:
+A formal map H = (f(z,w), w g(z,w)), with f = sum_m f_m(z) w^m/m! and g
+likewise, sends M to Mhat exactly when
 
-* ``chain_derivative`` -- the v-th derivative of h(f_1(z), ..., f_l(z)) as an
-  explicit partition sum (no intermediate composition).
-* ``universal_pn`` -- the degree-n "knowns" series P_n of the mapping-equation
-  recursion: the n-th tau-derivative at 0 of
+    S(z,chi,tau) g(z, tau S) = gbar(chi,tau) Shat(f(z, tau S), fbar(chi,tau), tau gbar).
 
-      S(z,chi,tau) g(z, tau S)  -  gbar(chi,tau) Shat(f(z, tau S), fbar(chi,tau), tau gbar)
+Reconstruction solves this identity one tau-order at a time.  At order n its
+n-th tau-derivative at tau = 0 is affine in the order-n components, and
+``universal_pn`` computes the part already known from the orders below,
 
-  computed from map components of order < n only.  The order-n components
-  (which the recursion solves for) are exactly the terms the sum omits.
+    P_n = n! [tau^n] (S g(z, tau S) - gbar Shat(f(z, tau S), fbar, tau gbar)),
 
-Conventions for a multi-index a = (a_1, ..., a_v):
-weighted degree [a] = sum q*a_q, size |a| = sum a_q, a! = prod a_q!.
+from the components f_m, g_m with m < n only.  The terms it leaves out are
+exactly those that hold f_n, g_n or their conjugates.
+
+The expansion is tau-graded: every factor is a list, indexed by the power
+of tau from 0 to n, of series in (z, chi), and None marks a power at which
+the factor has no term.  With
+
+    tau S    = sum_{1<=q<=n} S_{tau^(q-1)} tau^q / (q-1)!,
+    F        = f(z, tau S) - f_0       = sum_{1<=m<n} f_m (tau S)^m / m!,
+    Fbar     = fbar(chi, tau) - fbar_0 = sum_{1<=q<n} fbar_q tau^q / q!,
+    tau Gbar = sum_{1<=q<=n} gbar_(q-1) tau^q / (q-1)!,
+
+Shat is the Taylor series around (f_0(z), fbar_0(chi), 0),
+
+    Shat(f, fbar, tau gbar) = sum_{j+k+l<=n} Shat_jkl F^j Fbar^k (tau Gbar)^l / (j! k! l!),
+
+where Shat_jkl is the table of ``equivalence.shat_jet_table``.  F, Fbar and
+tau Gbar have no tau^0 term, so j + k + l <= n is all that reaches tau^n,
+and nested power chains build only those products.
+
+Why lists and not tau as a third series variable: total-degree truncation
+certifies the tau^l slice of a series in (z, chi, tau) only to D - l, so P_n
+would be certified to fewer degrees than its inputs carry.  A list keeps
+each slice at the degree of the factors it was built from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .scalars import factorial as _factorial
-from .series import SeriesError, TruncatedSeries, compose
+from .scalars import factorial
 
 
-@lru_cache(maxsize=None)
-def weighted_indices(w: int) -> tuple[tuple[int, ...], ...]:
-    """All multi-indices a (length w, entries a_q for q = 1..w) with [a] = w."""
-    if w == 0:
-        return ((),)
-    out = []
-
-    def build(q, remaining, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix) + (0,) * (w - len(prefix)))
-            return
-        if q > w:
-            return
-        for a in range(remaining // q + 1):
-            build(q + 1, remaining - q * a, prefix + [a])
-
-    build(1, w, [])
-    return tuple(out)
+def _acc(out, a, c, shift=0):
+    """out += tau^shift * a * c, for tau-graded lists out and a and a series
+    c in (z, chi); powers beyond the end of ``out`` are dropped."""
+    for t in range(len(out) - shift):
+        x = a[t]
+        if x is not None:
+            x = x * c
+            cur = out[t + shift]
+            out[t + shift] = x if cur is None else cur + x
 
 
-def index_size(alpha) -> int:
-    return sum(alpha)
-
-
-def index_factorial(alpha) -> int:
-    out = 1
-    for a in alpha:
-        out *= _factorial(a)
+def _mul(a, b, n):
+    """The Cauchy product of two tau-graded lists, modulo tau^(n+1)."""
+    out = [None] * (n + 1)
+    for i, x in enumerate(a):
+        if x is not None:
+            _acc(out, b, x, i)
     return out
 
 
-def compositions(total: int, parts: int):
-    """All ways to split ``total`` into ``parts`` ordered nonnegative summands."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _powers(a, x, n, count):
+    """a, a x, a x^2, ..., a x^count modulo tau^(n+1), each built when it is
+    asked for; a = None stands for the factor 1."""
+    yield a
+    for _ in range(count):
+        a = x if a is None else _mul(a, x, n)
+        yield a
 
 
-def chain_derivative(h: TruncatedSeries, fs, v: int) -> TruncatedSeries:
-    """d^v/dz^v of h(f_1(z), ..., f_l(z)) by the explicit partition sum."""
-    if v < 1:
-        raise SeriesError("derivative order must be >= 1")
-    for f in fs:
-        if not f.constant_term().is_zero():
-            raise SeriesError("chain_derivative arguments must vanish at 0")
-    ell = len(h.variables)
-    if len(fs) != ell:
-        raise SeriesError(f"need {ell} inner series, got {len(fs)}")
-    zvars = fs[0].variables
-    args = {var: f for var, f in zip(h.variables, fs)}
+def universal_pn(n, f, g, fbar, gbar, s_jets, shat):
+    """The series P_n(z,chi) of known (order < n) contributions at order n.
 
-    hderiv_cache: dict[tuple[int, ...], TruncatedSeries] = {}
-
-    def h_partial_at_f(orders):
-        got = hderiv_cache.get(orders)
-        if got is None:
-            hd = h
-            for var, d in zip(h.variables, orders):
-                if d:
-                    hd = hd.differentiate(var, d)
-            got = compose(hd, args)
-            hderiv_cache[orders] = got
-        return got
-
-    fderiv_cache: dict[tuple[int, int], TruncatedSeries] = {}
-
-    def f_deriv(p, q):
-        got = fderiv_cache.get((p, q))
-        if got is None:
-            got = fs[p].differentiate(zvars[0], q)
-            fderiv_cache[(p, q)] = got
-        return got
-
-    acc = None
-    v_fact = _factorial(v)
-    for split in compositions(v, ell):
-        for alphas in _product_weighted(split):
-            denom = 1
-            orders = []
-            prod = None
-            for p, alpha in enumerate(alphas):
-                denom *= index_factorial(alpha)
-                orders.append(index_size(alpha))
-                for q, a in enumerate(alpha, start=1):
-                    if a == 0:
-                        continue
-                    factor = f_deriv(p, q) * Fraction(1, _factorial(q))
-                    piece = factor ** a
-                    prod = piece if prod is None else prod * piece
-            term = h_partial_at_f(tuple(orders))
-            if prod is not None:
-                term = term * prod
-            term = term * Fraction(v_fact, denom)
-            acc = term if acc is None else acc + term
-    return acc
-
-
-def _product_weighted(split):
-    """Cartesian product of weighted_indices(w) over the entries of split."""
-    if not split:
-        yield ()
-        return
-    head, tail = split[0], split[1:]
-    for alpha in weighted_indices(head):
-        for rest in _product_weighted(tail):
-            yield (alpha,) + rest
-
-
-class PnData:
-    """Lower-order inputs for universal_pn.
-
-    f, g: map components f_j(z), g_j(z) for 0 <= j < n (series in z);
-    fbar, gbar: their conjugates as series in chi;
-    s_jets[j]: S_{tau^j}(z,chi,0) for 0 <= j <= n;
-    shat_jets[(j,k,l)]: the (j,k,l) partial of Shat in (zhat,chihat,tauhat),
-    evaluated at (f_0(z), fbar_0(chi), 0), for all j+k+l <= n.
+    f, g: map components f_m, g_m (m < n) as series in z; fbar, gbar: their
+    conjugates as series in chi; s_jets[k] = S_{tau^k}(z,chi,0) for k <= n;
+    shat[(j,k,l)]: the (j,k,l) partial of Shat in (zhat,chihat,tauhat) at
+    (f_0(z), fbar_0(chi), 0), for j + k + l <= n.
     """
+    V = s_jets[0].variables
+    S = [s_jets[k] * Fraction(1, factorial(k)) for k in range(n + 1)]
+    tau_s = [None] + S[:n]
+    G = [g[0].embed(V)] + [None] * n
+    F = [None] * (n + 1)
+    for m, power in enumerate(_powers(None, tau_s, n, n - 1)):   # (tau S)^m
+        if m:
+            c = Fraction(1, factorial(m))
+            _acc(G, power, g[m].embed(V) * c)
+            _acc(F, power, f[m].embed(V) * c)
+    Gbar = [gbar[k].embed(V) * Fraction(1, factorial(k)) for k in range(n)] + [None]
+    tau_gbar = [None] + Gbar[:n]
+    Fbar = ([None] + [fbar[q].embed(V) * Fraction(1, factorial(q)) for q in range(1, n)]
+            + [None])
 
-    def __init__(self, f, g, fbar, gbar, s_jets, shat_jets):
-        self.f = list(f)
-        self.g = list(g)
-        self.fbar = list(fbar)
-        self.gbar = list(gbar)
-        self.s_jets = list(s_jets)
-        self.shat_jets = dict(shat_jets)
+    # the tau-expansion of Shat(f, fbar, tau gbar) minus its constant term,
+    # which meets only the unknown gbar_n
+    hat = [None] * (n + 1)
+    for j, X in enumerate(_powers(None, F, n, n)):
+        for k, Y in enumerate(_powers(X, Fbar, n, n - j)):
+            for l, Z in enumerate(_powers(Y, tau_gbar, n, n - j - k)):
+                if Z is not None:
+                    denom = factorial(j) * factorial(k) * factorial(l)
+                    _acc(hat, Z, shat[(j, k, l)] * Fraction(1, denom))
 
-    def check(self, n: int):
-        gaps = []
-        if len(self.f) < n or len(self.g) < n:
-            gaps.append(f"map components f_j, g_j for j < {n}")
-        if len(self.fbar) < n or len(self.gbar) < n:
-            gaps.append(f"conjugate components for j < {n}")
-        if len(self.s_jets) < n + 1:
-            gaps.append(f"S jets S_(tau^j) for j <= {n}")
-        for j in range(n + 1):
-            for k in range(n + 1 - j):
-                for l in range(n + 1 - j - k):
-                    if (j, k, l) not in self.shat_jets:
-                        gaps.append(f"Shat jet {(j, k, l)}")
-        if gaps:
-            raise SeriesError("universal_pn missing inputs: " + "; ".join(gaps))
-
-
-def universal_pn(n: int, data: PnData) -> TruncatedSeries:
-    """The series P_n(z,chi) of known (order < n) contributions at order n."""
-    data.check(n)
-    n_fact = _factorial(n)
-    S = data.s_jets
-    V = S[0].variables
-    # the factor series of the sums below, indexed by q and built once:
-    # the tau-derivative of tau*S at order q, divided by q!; fbar_q / q!;
-    # and the tau-derivative of tau*gbar at order q, divided by q!
-    s_factor = [None] + [S[q - 1] * Fraction(1, _factorial(q - 1))
-                         for q in range(1, n + 1)]
-    fbar_factor = [None] + [data.fbar[q].embed(V) * Fraction(1, _factorial(q))
-                            for q in range(1, n)]
-    gbar_factor = [None] + [data.gbar[q - 1].embed(V) * Fraction(1, _factorial(q - 1))
-                            for q in range(1, n + 1)]
-
-    # ---- first sum: tau-expansion of S * g(z, tau S) -------------------------
-    acc = None
-    for w in range(n + 1):
-        k = n - w
-        for alpha in weighted_indices(w):
-            size = index_size(alpha)
-            if size >= n:
-                continue  # would touch the unknown g_n
-            term = data.g[size].embed(V) * S[k]
-            for q, a in enumerate(alpha, start=1):
-                for _ in range(a):
-                    term = term * s_factor[q]
-            term = term * Fraction(n_fact, _factorial(k) * index_factorial(alpha))
-            acc = term if acc is None else acc + term
-
-    # ---- inner sums A_q: tau-derivatives of f(z, tau S) ----------------------
-    a_cache: dict[int, TruncatedSeries] = {}
-
-    def A(q):
-        got = a_cache.get(q)
-        if got is None:
-            total = None
-            for xi in weighted_indices(q):
-                size = index_size(xi)
-                if size >= n:
-                    continue  # unknown f_n
-                piece = data.f[size].embed(V) * Fraction(1, index_factorial(xi))
-                for r, x in enumerate(xi, start=1):
-                    for _ in range(x):
-                        piece = piece * s_factor[r]
-                total = piece if total is None else total + piece
-            got = total if total is not None else TruncatedSeries.zero(V, S[0].degree)
-            a_cache[q] = got
-        return got
-
-    # ---- second sum: tau-expansion of gbar * Shat(f, fbar, tau gbar) ---------
-    hat = None
-    for k in range(n):  # k = n excluded: unknown gbar_n
-        rem = n - k
-        for wa, wb, wc in compositions(rem, 3):
-            for alpha in weighted_indices(wa):
-                for beta in weighted_indices(wb):
-                    if len(beta) == n and beta[n - 1] > 0:
-                        continue  # unknown fbar_n
-                    for gamma in weighted_indices(wc):
-                        jkl = (index_size(alpha), index_size(beta), index_size(gamma))
-                        term = data.gbar[k].embed(V) * data.shat_jets[jkl]
-                        for q, a in enumerate(alpha, start=1):
-                            for _ in range(a):
-                                term = term * A(q)
-                        for q, b in enumerate(beta, start=1):
-                            for _ in range(b):
-                                term = term * fbar_factor[q]
-                        for q, c in enumerate(gamma, start=1):
-                            for _ in range(c):
-                                term = term * gbar_factor[q]
-                        denom = (_factorial(k) * index_factorial(alpha)
-                                 * index_factorial(beta) * index_factorial(gamma))
-                        term = term * Fraction(n_fact, denom)
-                        hat = term if hat is None else hat + term
-
-    if hat is None:
-        return acc
-    return acc - hat if acc is not None else -hat
+    # [tau^n] of S G and of Gbar hat; Gbar stops below the unknown gbar_n
+    left = [S[k] * G[n - k] for k in range(n + 1) if G[n - k] is not None]
+    right = [Gbar[k] * hat[n - k] for k in range(n) if hat[n - k] is not None]
+    return (sum(left[1:], left[0]) - sum(right[1:], right[0])) * factorial(n)

@@ -78,16 +78,8 @@ class TruncatedSeries:
         return not self.coeffs
 
     def coeff(self, exps):
-        exps = tuple(exps)
-        c = self.coeffs.get(exps)
-        if c is not None:
-            return c
-        # keep the ring of the series if possible
-        for v in self.coeffs.values():
-            if isinstance(v, NPoly):
-                return NPoly()
-            break
-        return EC_ZERO
+        """The stored coefficient, or ``EC_ZERO`` for any missing term."""
+        return self.coeffs.get(tuple(exps), EC_ZERO)
 
     def constant_term(self):
         return self.coeff((0,) * len(self.variables))

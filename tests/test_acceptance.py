@@ -14,13 +14,13 @@ from crjet import (ExactComplex, FormalMap, TruncatedSeries, build_upsilon,
                    finite_determination_check, reconstruct, validate,
                    verify_map, xi_determinants)
 from crjet.equivalence import shat_jet_table
-from crjet.faadibruno import PnData, chain_derivative, universal_pn
 from crjet.hypersurface import THETA_VARS
 from crjet.scalars import EC_I, factorial
 from crjet.series import compose
 from crjet.upsilon import SYMBOLIC
 
 from conftest import rand_complex, random_hypersurface, random_series
+from faadibruno_oracle import PnData, chain_derivative, universal_pn
 
 EPS_UNIT = ExactComplex(Fraction(3, 5), Fraction(4, 5))   # rational, |eps| = 1
 

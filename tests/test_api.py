@@ -1,4 +1,6 @@
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import crjet
@@ -31,3 +33,23 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every function and method the benchmark tracer names exists, so a
+    rename in crjet cannot silently zero a per-layer metric."""
+    path = SRC.parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for short, names in tracer.SPANS.items():
+        mod = importlib.import_module(f"crjet.{short}")
+        missing += [f"{short}.{name}" for name in names
+                    if not inspect.isfunction(getattr(mod, name, None))]
+    for short, cls_name, methods, _, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"crjet.{short}"), cls_name, None)
+        missing += [f"{short}.{cls_name}.{meth}" for meth in methods
+                    if cls is None or meth not in vars(cls)]
+    assert set(tracer.SPANS) == set(tracer.MODULES)
+    assert missing == []

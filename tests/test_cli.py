@@ -26,6 +26,14 @@ def write_json(tmp_path, name, obj):
     return str(p)
 
 
+def run_fresh(*argv):
+    """crjet in a fresh interpreter, importing the package under test."""
+    src = os.path.dirname(os.path.dirname(crjet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "crjet.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def linear_map_file(tmp_path, name, eps, r, degree):
     f0 = TruncatedSeries(("z",), degree, {(1,): ExactComplex.coerce(eps)})
     g0 = TruncatedSeries(("z",), degree, {(0,): ExactComplex.coerce(r)})
@@ -67,20 +75,38 @@ class TestValidateAndInvariants:
         assert "error" in rep
 
 
-class TestTypeTwoInput:
-    """A valid m = 2 input (Theta = z chi s^2) ends in one report, no traceback."""
+M2_TERMS = [{"exponents": [1, 1, 2], "re": "1", "im": "0"}]
+OUT_OF_SCOPE = (("flat", []),
+                ("finite type", [{"exponents": [1, 1, 0], "re": "1", "im": "0"}]))
+# the map and jet files of these subcommands; the input is refused before
+# they are read, so they name files that do not exist
+UNREAD_FILES = {"verify": 1, "reconstruct": 1, "determination": 2}
 
-    @pytest.mark.parametrize("command, expected", [
-        ("validate", EXIT_OK), ("invariants", EXIT_OK), ("upsilon", EXIT_MATH),
-        ("dset", EXIT_MATH), ("jet-order", EXIT_MATH)])
-    def test_one_report_per_subcommand(self, tmp_path, command, expected):
-        path = write_json(tmp_path, "m2.json", {
-            "variables": ["z", "chi", "s"], "truncation_degree": 8,
-            "terms": [{"exponents": [1, 1, 2], "re": "1", "im": "0"}]})
-        src = os.path.dirname(os.path.dirname(crjet.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "crjet.cli", command, path],
-                              capture_output=True, text=True, env=env)
+
+class TestTypeTwoInput:
+    """Input out of scope ends in one report, with no traceback: a valid m = 2
+    input (Theta = z chi s^2), a flat Theta and a finite-type Theta."""
+
+    @pytest.mark.parametrize("terms, command, expected, error", [
+        pytest.param(M2_TERMS, command, expected, "1-infinite-type",
+                     id=f"{command}-{expected}")
+        for command, expected in (
+            ("validate", EXIT_OK), ("invariants", EXIT_OK), ("upsilon", EXIT_MATH),
+            ("dset", EXIT_MATH), ("jet-order", EXIT_MATH))] + [
+        pytest.param(terms, command, EXIT_INVALID, f"{reason}: out of scope",
+                     id=f"{reason.replace(' ', '-')}-{command}-{EXIT_INVALID}")
+        for reason, terms in OUT_OF_SCOPE
+        for command in ("validate", "invariants", "upsilon", "dset", "jet-order",
+                        "verify", "reconstruct", "determination")])
+    def test_one_report_per_subcommand(self, tmp_path, terms, command, expected,
+                                       error):
+        path = write_json(tmp_path, "theta.json", {
+            "variables": ["z", "chi", "s"], "truncation_degree": 8, "terms": terms})
+        files = [path]
+        if command in UNREAD_FILES:
+            files += [path] + [str(tmp_path / f"unread{i}.json")
+                               for i in range(UNREAD_FILES[command])]
+        proc = run_fresh(command, *files)
         assert proc.returncode == expected
         assert "Traceback" not in proc.stderr
         rep = json.loads(proc.stdout)      # exactly one JSON document
@@ -88,7 +114,7 @@ class TestTypeTwoInput:
         if expected == EXIT_OK:
             assert rep["result"]["invariants"]["m"] == 2
         else:
-            assert "1-infinite-type" in rep["error"]
+            assert error in rep["error"]
 
 
 class TestFamilyOptions:
@@ -98,11 +124,7 @@ class TestFamilyOptions:
     @pytest.mark.parametrize("family, option", [
         ("mc", "--c"), ("nb", "--b-re"), ("nb", "--b-im")])
     def test_bad_coefficient_is_one_report(self, family, option, value):
-        src = os.path.dirname(os.path.dirname(crjet.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "crjet.cli", "invariants",
-                               "--family", family, option, value],
-                              capture_output=True, text=True, env=env)
+        proc = run_fresh("invariants", "--family", family, option, value)
         assert proc.returncode == EXIT_IO
         assert "Traceback" not in proc.stderr
         rep = json.loads(proc.stdout)      # exactly one JSON document

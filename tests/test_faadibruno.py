@@ -1,10 +1,19 @@
-"""Oracles for the higher-order chain rule and the order-n source term.
+"""The order-n source term, checked against a brute force and an oracle.
 
-universal_pn collects everything of order n in the mapping identity that is
-already known from orders < n.  Its correctness is checked against a brute
-force: expand T = S g(z, tau S) - gbar Shat(f(z, tau S), fbar, tau gbar) in
-tau directly and compare the tau^n slice with the assembled identity, for
-arbitrary (not map-like) components on tau-dependent hypersurfaces.
+``crjet.faadibruno.universal_pn`` collects everything of order n in the
+mapping identity that is already known from orders < n.  It is checked
+three ways:
+
+* against a brute force that expands T = S g(z, tau S) - gbar Shat(f(z, tau
+  S), fbar, tau gbar) in tau directly and compares the tau^n slice with the
+  assembled identity, for arbitrary (not map-like) components on
+  tau-dependent hypersurfaces;
+* against the closed form for components (f_0, constant g_0, 0, ...);
+* against the partition-sum oracle in ``faadibruno_oracle``, which must give
+  the same coefficients, truncation degree and coefficient types, on random
+  components and on those of an automorphism of ``family_b0``.
+
+The oracle's chain-rule partition sum is itself checked against ``compose``.
 """
 
 import random
@@ -13,12 +22,14 @@ from fractions import Fraction
 import pytest
 
 from crjet.equivalence import shat_jet_table
-from crjet.faadibruno import PnData, chain_derivative, universal_pn
-from crjet.hypersurface import THETA_VARS, validate
+from crjet.faadibruno import universal_pn
+from crjet.hypersurface import THETA_VARS, family_b0, validate
 from crjet.scalars import EC_I, ExactComplex, factorial
 from crjet.series import TruncatedSeries, compose
 
 from conftest import rand_complex, random_series
+from faadibruno_oracle import PnData, chain_derivative
+from faadibruno_oracle import universal_pn as partition_pn
 
 ZC = ("z", "chi")
 
@@ -114,7 +125,7 @@ def assemble_order_n(M, Mhat, f, g, n):
 
     shat = shat_jet_table(Mhat, f[0], n)
     s_jets = [M.s_tau_jet(j) for j in range(n + 1)]
-    Pn = universal_pn(n, PnData(f[:n], g[:n], fbar[:n], gbar[:n], s_jets, shat))
+    Pn = universal_pn(n, f[:n], g[:n], fbar[:n], gbar[:n], s_jets, shat)
     S0 = M.S0()
     gbar0 = gbar[0].embed(ZC)
     rhs = ((S0 ** (n + 1)) * g[n].embed(ZC)
@@ -126,7 +137,7 @@ def assemble_order_n(M, Mhat, f, g, n):
 
 
 class TestUniversalPn:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_brute_force_identity(self, n):
         M, Mhat = tau_dependent_pair()
         rng = random.Random(1000 + n)
@@ -156,11 +167,53 @@ class TestUniversalPn:
         gbar = [s.conjugate(rename={"z": "chi"}) for s in g]
         shat = shat_jet_table(Mhat, f0, n)
         s_jets = [M.s_tau_jet(j) for j in range(n + 1)]
-        Pn = universal_pn(n, PnData(f[:n], g[:n], fbar[:n], gbar[:n],
-                                    s_jets, shat))
+        Pn = universal_pn(n, f[:n], g[:n], fbar[:n], gbar[:n], s_jets, shat)
         gbar0 = g0c.conj()
         gpow = ExactComplex(1)
         for _ in range(n + 1):
             gpow = gpow * gbar0
         closed = s_jets[n] * g0c - shat[(0, 0, n)] * gpow
         assert (Pn - closed.truncate(Pn.degree)).is_zero()
+
+
+def pn_both_ways(M, Mhat, f, g, n):
+    """P_n from the library and from the partition-sum oracle."""
+    fbar = [s.conjugate(rename={"z": "chi"}) for s in f[:n]]
+    gbar = [s.conjugate(rename={"z": "chi"}) for s in g[:n]]
+    shat = shat_jet_table(Mhat, f[0], n)
+    s_jets = [M.s_tau_jet(j) for j in range(n + 1)]
+    return (universal_pn(n, f[:n], g[:n], fbar, gbar, s_jets, shat),
+            partition_pn(n, PnData(f[:n], g[:n], fbar, gbar, s_jets, shat)))
+
+
+def assert_identical(a, b):
+    assert a.variables == b.variables
+    assert a.degree == b.degree
+    assert a.coeffs == b.coeffs
+    assert ({e: type(c) for e, c in a.coeffs.items()}
+            == {e: type(c) for e, c in b.coeffs.items()})
+
+
+class TestPartitionSumOracle:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_components(self, n):
+        M, Mhat = tau_dependent_pair(14)
+        f, g = random_components(random.Random(2000 + n), n, M.Q.degree)
+        # as in a map, f_0 has a linear term and g_0 a constant one; without
+        # them most of the tau-dependence lies above the certified degree
+        f[0] = f[0] + TruncatedSeries.var("z", ("z",), M.Q.degree)
+        g[0] = g[0] + 1
+        assert not f[0].coeff((1,)).is_zero() and not g[0].coeff((0,)).is_zero()
+        assert_identical(*pn_both_ways(M, Mhat, f, g, n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_b0_automorphism(self, n):
+        # (i z, -w) maps family_b0 to itself and its components above order
+        # 0 vanish, so every P_n vanishes too, to its certified degree
+        B = family_b0(14)
+        zero = TruncatedSeries(("z",), 14, {})
+        f = [TruncatedSeries(("z",), 14, {(1,): EC_I})] + [zero] * n
+        g = [TruncatedSeries.const(("z",), 14, -1)] + [zero] * n
+        new, old = pn_both_ways(B, B, f, g, n)
+        assert new.is_zero()
+        assert_identical(new, old)

@@ -239,3 +239,13 @@ class TestEvalN:
         at3 = a.eval_n(3)
         assert at3.coeff((1, 0)) == ExactComplex(3)
         assert at3.coeff((0, 1)) == ExactComplex(19)
+
+    @pytest.mark.parametrize("npoly_first", [True, False])
+    def test_missing_coefficient_of_mixed_series_is_exact_zero(self, npoly_first):
+        # the zero's type must not follow the dict order of the stored terms
+        terms = [((1, 0), NPoly([0, 1])), ((0, 1), ExactComplex(2))]
+        if not npoly_first:
+            terms.reverse()
+        s = srs(dict(terms))
+        assert type(s.coeff((2, 2))) is ExactComplex
+        assert s.coeff((2, 2)).is_zero()
