@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 
 from . import io as cio
@@ -41,15 +40,6 @@ def _sha256_bytes(data: bytes) -> str:
 
 
 def _default_degree(L: int, K: int) -> int:
-    env = os.environ.get("CRJET_DEFAULT_DEGREE")
-    if env is not None:
-        try:
-            d = int(env)
-        except ValueError:
-            raise FormatError(f"CRJET_DEFAULT_DEGREE={env!r} is not an integer") from None
-        if d < 1:
-            raise FormatError("CRJET_DEFAULT_DEGREE must be positive")
-        return d
     return 4 * L + 4 * K + 3
 
 
@@ -126,7 +116,13 @@ def _cmd_jet_order(args, inputs):
     return {"k": analysis.k, "D": analysis.D}
 
 
+def _check_order(args):
+    if args.order is not None and args.order < 0:
+        raise ValidationError(f"--order must be nonnegative, got {args.order}")
+
+
 def _cmd_verify(args, inputs):
+    _check_order(args)
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     H = cio.parse_formal_map(_load_json_input(args.map, inputs, "map"))
@@ -144,6 +140,7 @@ def _cmd_verify(args, inputs):
 
 
 def _cmd_reconstruct(args, inputs):
+    _check_order(args)
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     jet = cio.parse_jet_data(_load_json_input(args.jet, inputs, "jet"))
@@ -197,8 +194,7 @@ def _add_hypersurface_opts(p, roles=("input",)):
         for role in roles:
             p.add_argument(role, help=f"{role} hypersurface JSON file")
     p.add_argument("--degree", type=int, default=None,
-                   help="truncation degree (default 4L+4K+3 for families, "
-                        "or CRJET_DEFAULT_DEGREE)")
+                   help="truncation degree (default 4L+4K+3 for families)")
 
 
 def build_parser() -> argparse.ArgumentParser:

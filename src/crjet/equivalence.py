@@ -179,16 +179,11 @@ def verify_map(M: Hypersurface, Mhat: Hypersurface, H: FormalMap,
     Q = M.Q.truncate(degree)
     fzw, gzw = H.as_two_variable(degree)
     fbar, gbar = H.conjugate_components()
-    fbar2 = _from_components(fbar, "t", degree)
-    gbar2 = _from_components(gbar, "t", degree)
-
-    z = TruncatedSeries.var("z", V3, degree)
-    chi = TruncatedSeries.var("chi", V3, degree)
+    fb_at = _from_components(fbar, "tau", degree).embed(V3)
+    gb_at = _from_components(gbar, "tau", degree).embed(V3)
+    g_at = compose(gzw, {"w": Q})
+    f_at = compose(fzw, {"w": Q})
     tau = TruncatedSeries.var("tau", V3, degree)
-    g_at = compose(gzw, {"z": z, "w": Q})
-    f_at = compose(fzw, {"z": z, "w": Q})
-    fb_at = compose(fbar2, {"chi": chi, "t": tau})
-    gb_at = compose(gbar2, {"chi": chi, "t": tau})
     Qhat_at = compose(Mhat.Q.truncate(degree),
                       {"z": f_at, "chi": fb_at, "tau": tau * gb_at})
     return ResidualReport(Q * g_at - Qhat_at)
@@ -241,9 +236,8 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeri
     deg = min(u.degree, uhat.degree) + 1
     VI = ("zh", "X", "Y")
     zh = TruncatedSeries.var("zh", VI, deg)
-    X = TruncatedSeries.var("X", VI, deg)
     Y = TruncatedSeries.var("Y", VI, deg)
-    iota = zh * compose(uhat, {"zh": zh}) - Y * compose(u, {"z": X}) * mu_sq
+    iota = zh * uhat.embed(VI) - Y * u.rename({"z": "X"}).embed(VI) * mu_sq
     U = implicit_solve(iota, "zh")        # U(X, Y)
     zser = TruncatedSeries.var("z", ("z",), U.degree)
     f0 = compose(U, {"X": zser, "Y": zser * a01.inverse()})
@@ -430,6 +424,8 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     slot of x; a fraction-free solve gives x, and a final run at x proves
     it: its residual, low part and consistency entries must all vanish.
     """
+    if order < 0:
+        raise EquivalenceError(f"reconstruction order must be nonnegative, got {order}")
     if D is None:
         D = compute_D(M).D
     f0, _ = f0_from_jet(M, Mhat, jet.a01)

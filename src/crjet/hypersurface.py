@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import EC_I, ExactComplex, factorial
-from .series import TruncatedSeries, divide, kth_root_unit
+from .series import TruncatedSeries, compose, divide, kth_root_unit
 
 THETA_VARS = ("z", "chi", "s")
 ZC = ("z", "chi")
@@ -79,7 +79,8 @@ def validate(Theta: TruncatedSeries, degree: int | None = None) -> Hypersurface:
     """Check normality/reality, derive Q and S, compute invariants.
 
     Q comes from the staged fixed point of ``_graph_function`` (one
-    substitution for s per pass, two degrees gained per pass), S = Q/tau.
+    ``compose`` of Theta at s = (Q + tau)/2 per pass, two degrees gained per
+    pass), S = Q/tau.
     """
     if tuple(Theta.variables) != THETA_VARS:
         Theta = Theta.embed(THETA_VARS)
@@ -133,7 +134,9 @@ def _graph_function(Theta: TruncatedSeries) -> TruncatedSeries:
     exact through degree 2 (Theta has order >= 3), and pass k runs at
     precision p = min(D, 2 + 2k), with Theta and Q truncated or lifted to
     p, so only the last pass works at the full degree D (the cheap half of
-    Brent-Kung precision doubling).
+    Brent-Kung precision doubling).  ``compose`` keeps z and chi and puts
+    the variables of its argument in place of s, so each pass gives Q over
+    (z, chi, tau).
     """
     D = Theta.degree
     Q = TruncatedSeries.var("tau", GRAPH_VARS, 2)
@@ -145,8 +148,7 @@ def _graph_function(Theta: TruncatedSeries) -> TruncatedSeries:
         # truncate never raises a degree: lift Q to p through the constructor
         tau = TruncatedSeries.var("tau", GRAPH_VARS, p)
         Q = TruncatedSeries(GRAPH_VARS, p, Q.coeffs)
-        image = Theta.truncate(p).subs_one("s", (Q + tau) * half)
-        Q = tau + image.drop_vars(("s",)) * two_i
+        Q = tau + compose(Theta.truncate(p), {"s": (Q + tau) * half}) * two_i
     return Q
 
 

@@ -72,29 +72,39 @@ def series_dict(s: TruncatedSeries) -> dict:
             "terms": terms}
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_series(obj, expect_variables=None) -> TruncatedSeries:
     if not isinstance(obj, dict):
         raise FormatError("series must be a JSON object")
     try:
         variables = tuple(obj["variables"])
-        degree = int(obj["truncation_degree"])
+        degree = obj["truncation_degree"]
         raw_terms = obj["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"series object malformed: {exc}") from None
     if expect_variables is not None and variables != tuple(expect_variables):
         raise FormatError(
             f"expected variables {list(expect_variables)}, got {list(variables)}")
-    if degree < 0:
-        raise FormatError("truncation_degree must be nonnegative")
+    if not _is_int(degree) or degree < 0:
+        raise FormatError(f"truncation_degree must be a nonnegative integer, got {degree!r}")
+    if not isinstance(raw_terms, list):
+        raise FormatError("terms must be a list")
     coeffs = {}
     for i, term in enumerate(raw_terms):
         if not isinstance(term, dict) or "exponents" not in term:
             raise FormatError(f"term #{i}: missing exponents")
-        exps = tuple(term["exponents"])
-        if len(exps) != len(variables) or any(
-                not isinstance(e, int) or e < 0 for e in exps):
-            raise FormatError(f"term #{i}: bad exponents {list(exps)}")
+        exps = term["exponents"]
+        if not isinstance(exps, list) or len(exps) != len(variables) or any(
+                not _is_int(e) or e < 0 for e in exps):
+            raise FormatError(f"term #{i}: bad exponents {exps!r}")
+        exps = tuple(exps)
         if "n_coeffs" in term:
+            if not isinstance(term["n_coeffs"], list):
+                raise FormatError(f"term #{i}: n_coeffs must be a list")
             c = NPoly([parse_complex(x) for x in term["n_coeffs"]])
         else:
             c = ExactComplex(parse_frac(term.get("re", 0)),
@@ -128,7 +138,8 @@ def formal_map_dict(H: FormalMap) -> dict:
 
 
 def parse_formal_map(obj) -> FormalMap:
-    if not isinstance(obj, dict) or "f" not in obj or "g" not in obj:
+    if (not isinstance(obj, dict) or not isinstance(obj.get("f"), list)
+            or not isinstance(obj.get("g"), list)):
         raise FormatError("formal map must be an object with f and g lists")
     f = [parse_series(s, expect_variables=("z",)) for s in obj["f"]]
     g = [parse_series(s, expect_variables=("z",)) for s in obj["g"]]
@@ -149,8 +160,13 @@ def jet_data_dict(jet: JetData) -> dict:
 def parse_jet_data(obj) -> JetData:
     if not isinstance(obj, dict) or "a01" not in obj or "b00" not in obj:
         raise FormatError("jet data must be an object with a01 and b00")
+    raw = obj.get("lambdas")
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise FormatError("lambdas must be an object from order to 4 complex values")
     lambdas = {}
-    for key, tup in (obj.get("lambdas") or {}).items():
+    for key, tup in raw.items():
         try:
             n = int(key)
         except ValueError:

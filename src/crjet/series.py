@@ -162,17 +162,6 @@ class TruncatedSeries:
         return _series(tuple(mapping.get(v, v) for v in self.variables),
                        self.degree, self.coeffs)
 
-    def drop_vars(self, names):
-        """Remove variables that no stored term uses."""
-        idxs = [self.variables.index(n) for n in names]
-        for exps in self.coeffs:
-            for i in idxs:
-                if exps[i] != 0:
-                    raise SeriesError(f"cannot drop live variable {self.variables[i]!r}")
-        keep = [i for i in range(len(self.variables)) if i not in idxs]
-        return TruncatedSeries(tuple(self.variables[i] for i in keep), self.degree,
-                               {tuple(e[i] for i in keep): c for e, c in self.coeffs.items()})
-
     def map_coeffs(self, fn, degree=None):
         """Apply ``fn`` (returning ``ExactComplex`` or ``NPoly``) to every
         coefficient, optionally at a new truncation degree."""
@@ -297,35 +286,6 @@ class TruncatedSeries:
         exps = tuple(exps)
         return self.coeff(exps) * math.prod(map(factorial, exps))
 
-    # -- substitution ------------------------------------------------------------
-    def subs_one(self, name, repl):
-        """Substitute one variable by a series with zero constant term."""
-        if not repl.constant_term().is_zero():
-            raise SeriesError(f"substitution for {name!r} has nonzero constant term")
-        idx = self.variables.index(name)
-        # group by the exponent of the substituted variable
-        slices = {}
-        for exps, c in self.coeffs.items():
-            e = exps[idx]
-            key = exps[:idx] + (0,) + exps[idx + 1:]
-            slices.setdefault(e, {})[key] = c
-        union = list(self.variables)
-        for v in repl.variables:
-            if v not in union:
-                union.append(v)
-        union = tuple(union)
-        degree = min(self.degree, repl.degree)
-        acc = TruncatedSeries.zero(union, degree)
-        power = TruncatedSeries.const(union, degree, 1)
-        repl = repl.embed(union).truncate(degree)
-        last = 0
-        for e in sorted(slices):
-            for _ in range(e - last):
-                power = power * repl
-            last = e
-            acc = acc + TruncatedSeries(self.variables, self.degree, slices[e]).embed(union) * power
-        return acc
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -372,47 +332,64 @@ def _upto(coeffs, degree):
 
 
 def compose(h: TruncatedSeries, args) -> TruncatedSeries:
-    """Substitute a series (zero constant term) for every variable of h.
+    """Substitute series with zero constant term for some variables of h.
 
-    ``args`` maps variable names of h to replacement series; the replacements
-    are embedded over the union of their variable tuples.
+    ``args`` maps any subset of h's variables to replacement series; the
+    other variables pass through unchanged.  The result is over h's
+    variables in order, each substituted variable replaced by the variables
+    of its argument not already present, and is certified to the least of
+    the degrees of h and the arguments.
     """
-    if set(args) != set(h.variables):
-        raise SeriesError(f"compose needs one argument per variable {h.variables}")
+    unknown = set(args) - set(h.variables)
+    if unknown:
+        raise SeriesError(f"compose: {sorted(unknown)} not among the variables {h.variables}")
     union = []
     degree = h.degree
     for v in h.variables:
+        if v not in args:
+            if v not in union:
+                union.append(v)
+            continue
         a = args[v]
         if not a.constant_term().is_zero():
             raise SeriesError(f"compose argument for {v!r} has nonzero constant term")
         degree = min(degree, a.degree)
-        for u in a.variables:
-            if u not in union:
-                union.append(u)
+        union += [u for u in a.variables if u not in union]
     union = tuple(union)
-    embedded = {v: args[v].embed(union).truncate(degree) for v in h.variables}
-    one = TruncatedSeries.const(union, degree, 1)
-    powers = {v: [one] for v in h.variables}
+    subbed = [i for i, v in enumerate(h.variables) if v in args]
+    kept = [(i, union.index(v)) for i, v in enumerate(h.variables) if v not in args]
+    powers = {i: [None, args[h.variables[i]].embed(union).truncate(degree)]
+              for i in subbed}
 
-    def power(v, e):
-        tab = powers[v]
+    def power(i, e):
+        tab = powers[i]
         while len(tab) <= e:
-            tab.append(tab[-1] * embedded[v])
+            tab.append(tab[-1] * tab[1])
         return tab[e]
 
-    acc = TruncatedSeries.zero(union, degree)
-    for exps, c in sorted(h.coeffs.items(), key=lambda kv: sum(kv[0])):
+    # group the terms of h by their substituted exponents; each group is a
+    # polynomial in the kept variables, a constant when every one is given
+    groups = {}
+    for exps, c in h.coeffs.items():
         if sum(exps) > degree:
             continue
+        rest = [0] * len(union)
+        for i, p in kept:
+            rest[p] = exps[i]
+        groups.setdefault(tuple(exps[i] for i in subbed), {})[tuple(rest)] = c
+    const = (0,) * len(union)
+    acc = TruncatedSeries.zero(union, degree)
+    for key, part in groups.items():
         term = None
-        for v, e in zip(h.variables, exps):
-            if e == 0:
-                continue
-            term = power(v, e) if term is None else term * power(v, e)
+        for i, e in zip(subbed, key):
+            if e:
+                term = power(i, e) if term is None else term * power(i, e)
         if term is None:
-            acc = acc + TruncatedSeries.const(union, degree, c)
+            acc = acc + _series(union, degree, part)
+        elif len(part) == 1 and const in part:
+            acc = acc + term * part[const]
         else:
-            acc = acc + term * c
+            acc = acc + _series(union, degree, part) * term
     return acc
 
 
@@ -468,9 +445,10 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 def implicit_solve(rho: TruncatedSeries, wvar: str) -> TruncatedSeries:
     """Solve rho(w, x) = 0 for w = w(x) with w(0) = 0.
 
-    Requires rho(0) = 0 and the pure-w-linear coefficient to be a unit; the
-    solution is found by the contraction w -> w - rho(w, x)/c, which gains one
-    correct order per pass.
+    Requires rho(0) = 0 and the pure-w-linear coefficient c to be a unit;
+    the solution is found by the contraction w -> w - rho(w, x)/c, which
+    gains one correct order per pass.  Each pass is one ``compose`` of rho
+    at w, so the solution is over the other variables of rho, in order.
     """
     if not rho.constant_term().is_zero():
         raise SeriesError("implicit function theorem hypothesis fails: rho(0) != 0")
@@ -480,13 +458,12 @@ def implicit_solve(rho: TruncatedSeries, wvar: str) -> TruncatedSeries:
     if c.is_zero():
         raise SeriesError("implicit function theorem hypothesis fails: d rho/dw (0) is not a unit")
     cinv = c.inverse()
-    rest = tuple(v for v in rho.variables if v != wvar)
-    w = TruncatedSeries.zero(rest, rho.degree)
+    w = TruncatedSeries.zero([v for v in rho.variables if v != wvar], rho.degree)
     for _ in range(rho.degree):
-        residual = rho.subs_one(wvar, w.embed(rho.variables)).drop_vars((wvar,))
+        residual = compose(rho, {wvar: w})
         if residual.is_zero():
             break
-        w = w - residual.embed(rest) * cinv
+        w = w - residual * cinv
     return w
 
 

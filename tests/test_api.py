@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import crjet
@@ -33,6 +34,40 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def _referenced_names(tree):
+    """Names read, attributes accessed and names imported anywhere in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_unreferenced_definitions():
+    """Every function, class and method in ``src/crjet`` (dunders excepted)
+    is referenced by name outside its own body, in ``src/``, ``tests/`` or
+    ``bench/``: code whose callers have all moved away is deleted with them."""
+    root = SRC.parents[1]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "tests", "bench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    everywhere = Counter(name for tree in trees.values()
+                         for name in _referenced_names(tree))
+    unreferenced = []
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                inside = Counter(_referenced_names(node))[node.name]
+                if everywhere[node.name] <= inside:
+                    unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreferenced == []
 
 
 def test_benchmark_tracer_names_resolve():

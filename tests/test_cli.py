@@ -133,6 +133,64 @@ class TestFamilyOptions:
         assert "result" not in rep
 
 
+# (id, subcommand, top-level fields replaced in the "theta", "map" or "jet"
+# file, extra argv, exit code, error fragment)
+MALFORMED = [
+    ("reconstruct-negative-order", "reconstruct", {}, ["--order", "-2"],
+     EXIT_INVALID, "--order must be nonnegative, got -2"),
+    ("verify-negative-order", "verify", {}, ["--order", "-1"],
+     EXIT_INVALID, "--order must be nonnegative, got -1"),
+    ("terms-not-a-list", "validate", {"theta": {"terms": 5}}, [],
+     EXIT_IO, "terms must be a list"),
+    ("exponents-not-a-list", "validate",
+     {"theta": {"terms": [{"exponents": 5, "re": "1"}]}}, [],
+     EXIT_IO, "bad exponents"),
+    ("bool-exponent", "validate",
+     {"theta": {"terms": [{"exponents": [True, 1, 1], "re": "1"}]}}, [],
+     EXIT_IO, "bad exponents"),
+    ("n-coeffs-not-a-list", "validate",
+     {"theta": {"terms": [{"exponents": [1, 1, 1], "n_coeffs": 5}]}}, [],
+     EXIT_IO, "n_coeffs must be a list"),
+    ("fractional-truncation-degree", "validate",
+     {"theta": {"truncation_degree": 5.7}}, [],
+     EXIT_IO, "truncation_degree must be a nonnegative integer"),
+    ("map-f-not-a-list", "verify", {"map": {"f": 5}}, [],
+     EXIT_IO, "f and g lists"),
+    ("map-g-not-a-list", "verify", {"map": {"g": {"0": 1}}}, [],
+     EXIT_IO, "f and g lists"),
+    ("lambdas-not-an-object", "reconstruct", {"jet": {"lambdas": [1, 2]}}, [],
+     EXIT_IO, "lambdas must be an object"),
+]
+MALFORMED_FILES = {"validate": ("theta",), "verify": ("theta", "theta", "map"),
+                   "reconstruct": ("theta", "theta", "jet")}
+
+
+class TestMalformedInput:
+    """A malformed file or option value ends in one report, with no traceback."""
+
+    @pytest.mark.parametrize("command, fields, extra, expected, error", [
+        pytest.param(*case[1:], id=case[0]) for case in MALFORMED])
+    def test_one_report(self, tmp_path, command, fields, extra, expected, error):
+        f0 = TruncatedSeries(("z",), 14, {(1,): ExactComplex(1)})
+        g0 = TruncatedSeries(("z",), 14, {(0,): ExactComplex(1)})
+        H = FormalMap([f0], [g0])
+        objs = {"theta": cio.hypersurface_dict(family_mc(1, 1, 14)),
+                "map": cio.formal_map_dict(H),
+                "jet": cio.jet_data_dict(extract_jet(H, [0]))}
+        paths = {}
+        for role, obj in objs.items():
+            paths[role] = write_json(tmp_path, f"{role}.json",
+                                     {**obj, **fields.get(role, {})})
+        proc = run_fresh(command, *(paths[r] for r in MALFORMED_FILES[command]),
+                         *extra)
+        assert proc.returncode == expected
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)      # exactly one JSON document
+        assert rep["command"] == command
+        assert error in rep["error"]
+        assert "result" not in rep
+
+
 class TestAnalysis:
     def test_b0_dset(self, capsys):
         code, rep = run(capsys, "dset", "--family", "b0", "--degree", "16")
@@ -246,12 +304,6 @@ class TestReports:
             json.loads(out)
         assert "invariants" in out
 
-    def test_default_degree_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CRJET_DEFAULT_DEGREE", "9")
-        code, rep = run(capsys, "invariants", "--family", "mc")
-        assert code == EXIT_OK
-        assert rep["result"]["invariants"]["certified_to_degree"] == 9
-
     @pytest.mark.parametrize("degree", ["0", "-3"])
     def test_nonpositive_degree_is_rejected(self, capsys, mc_file, degree):
         for source in (["--family", "mc"], [mc_file]):
@@ -259,8 +311,3 @@ class TestReports:
             assert code == EXIT_INVALID
             assert rep["error"] == f"--degree must be positive, got {degree}"
             assert "result" not in rep
-
-    def test_bad_env_degree_is_io_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CRJET_DEFAULT_DEGREE", "many")
-        code, rep = run(capsys, "invariants", "--family", "mc")
-        assert code == EXIT_IO

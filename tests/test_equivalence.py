@@ -251,6 +251,11 @@ class TestReconstruct:
         with pytest.raises(EquivalenceError, match="truncation degree"):
             reconstruct(M, M, extract_jet(A, [0]), 6, D=[0])
 
+    def test_negative_order_is_rejected(self):
+        M = family_mc(1, 1, 12)
+        A = linear_map(1, 1, 12)
+        with pytest.raises(EquivalenceError, match="got -2"):
+            reconstruct(M, M, extract_jet(A, [0]), -2, D=[0])
 
     def test_inconsistent_pin_message(self):
         # the exact text a CLI report carries for this input

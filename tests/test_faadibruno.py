@@ -82,12 +82,17 @@ def tau_dependent_pair(degree=12):
 
 
 def random_components(rng, n, degree):
-    """Arbitrary f_j, g_j (j <= n) with f_0(0) = 0."""
+    """Arbitrary f_j, g_j (j <= n) with f_0(0) = 0, except that, as in a map,
+    f_0 has a linear term and g_0 a constant one: without them most of the
+    tau-dependence of the identity lies above the certified degree."""
     f = [random_series(rng, ("z",), degree, 3, min_order=1, allow_zero=False)]
     g = [random_series(rng, ("z",), degree, 3)]
     for _ in range(n):
         f.append(random_series(rng, ("z",), degree, 3))
         g.append(random_series(rng, ("z",), degree, 3))
+    f[0] = f[0] + TruncatedSeries.var("z", ("z",), degree)
+    g[0] = g[0] + 1
+    assert not f[0].coeff((1,)).is_zero() and not g[0].coeff((0,)).is_zero()
     return f, g
 
 
@@ -199,11 +204,6 @@ class TestPartitionSumOracle:
     def test_random_components(self, n):
         M, Mhat = tau_dependent_pair(14)
         f, g = random_components(random.Random(2000 + n), n, M.Q.degree)
-        # as in a map, f_0 has a linear term and g_0 a constant one; without
-        # them most of the tau-dependence lies above the certified degree
-        f[0] = f[0] + TruncatedSeries.var("z", ("z",), M.Q.degree)
-        g[0] = g[0] + 1
-        assert not f[0].coeff((1,)).is_zero() and not g[0].coeff((0,)).is_zero()
         assert_identical(*pn_both_ways(M, Mhat, f, g, n))
 
     @pytest.mark.parametrize("n", range(1, 9))

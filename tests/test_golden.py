@@ -29,6 +29,5 @@ for fam in ("b0", "mc"):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.delenv("CRJET_DEFAULT_DEGREE", raising=False)
     assert main(CASES[name]) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -8,7 +8,7 @@ from crjet.scalars import EC_I, ExactComplex, NPoly
 from crjet.series import (SeriesError, TruncatedSeries, compose, divide,
                           implicit_solve, inverse_unit, kth_root_unit)
 
-from conftest import rand_complex, random_series
+from conftest import assert_same_series, rand_complex, random_series
 
 DEG = 8
 XY = ("x", "y")
@@ -181,6 +181,37 @@ class TestComposition:
         bad = TruncatedSeries.const(("x",), 4, 1)
         with pytest.raises(SeriesError):
             compose(h, {"u": bad})
+
+    def test_rejects_an_argument_for_a_missing_variable(self):
+        h = random_series(random.Random(2), ("u", "v"), 4, 3)
+        x = TruncatedSeries.var("x", ("x",), 4)
+        with pytest.raises(SeriesError, match="not among the variables"):
+            compose(h, {"u": x, "q": x})
+
+    def test_substituted_variable_gives_way_to_the_new_ones(self):
+        h = srs({(1, 1, 1): ExactComplex(2)}, variables=("u", "v", "w"))
+        arg = srs({(1, 0): ExactComplex(1), (0, 1): ExactComplex(3)},
+                  variables=("x", "u"))
+        out = compose(h, {"v": arg})
+        assert out.variables == ("u", "x", "w")
+        assert out.coeffs == {(1, 1, 1): ExactComplex(2), (2, 0, 1): ExactComplex(6)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_kept_variables_act_as_identity_arguments(self, seed):
+        rng = random.Random(seed)
+        hvars = ("u", "v", "w")[:rng.randint(2, 3)]
+        h = random_series(rng, hvars, rng.randint(3, 6), 5)
+        subbed = [v for v in hvars if rng.random() < 0.5] or [rng.choice(hvars)]
+        kept = [v for v in hvars if v not in subbed]
+        pool = ["x", "y"] + kept
+        args = {v: random_series(rng, rng.sample(pool, rng.randint(1, 2)),
+                                 rng.randint(2, 7), 3, min_order=1)
+                for v in subbed}
+        full = dict(args)
+        for v in kept:
+            full[v] = TruncatedSeries.var(v, (v,), h.degree)
+        assert_same_series(compose(h, args), compose(h, full))
 
 
 class TestUnits:
