@@ -69,11 +69,8 @@ def _load_hypersurface(args, inputs: dict, role: str = "input") -> Hypersurface:
         return M
     if path is None:
         raise FormatError(f"missing {role} hypersurface (file path or --family)")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    inputs[role] = {"path": path, "sha256": _sha256_bytes(raw)}
-    obj = cio.load_json(path)
-    return cio.parse_hypersurface(obj, degree=args.degree)
+    return cio.parse_hypersurface(_load_json_input(path, inputs, role),
+                                  degree=args.degree)
 
 
 def _load_json_input(path: str, inputs: dict, role: str):
@@ -96,6 +93,7 @@ def _cmd_invariants(args, inputs):
 
 
 def _cmd_upsilon(args, inputs):
+    _check_nonnegative(args.n, "n")
     M = _load_hypersurface(args, inputs)
     mode = SYMBOLIC if args.n is None else args.n
     U = build_upsilon(M, mode)
@@ -116,13 +114,13 @@ def _cmd_jet_order(args, inputs):
     return {"k": analysis.k, "D": analysis.D}
 
 
-def _check_order(args):
-    if args.order is not None and args.order < 0:
-        raise ValidationError(f"--order must be nonnegative, got {args.order}")
+def _check_nonnegative(value, option):
+    if value is not None and value < 0:
+        raise ValidationError(f"--{option} must be nonnegative, got {value}")
 
 
 def _cmd_verify(args, inputs):
-    _check_order(args)
+    _check_nonnegative(args.order, "order")
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     H = cio.parse_formal_map(_load_json_input(args.map, inputs, "map"))
@@ -140,7 +138,7 @@ def _cmd_verify(args, inputs):
 
 
 def _cmd_reconstruct(args, inputs):
-    _check_order(args)
+    _check_nonnegative(args.order, "order")
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     jet = cio.parse_jet_data(_load_json_input(args.jet, inputs, "jet"))

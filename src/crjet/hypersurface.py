@@ -53,13 +53,12 @@ class InvariantTuple:
 class Hypersurface:
     """Validated normal-form data plus everything derived from it."""
 
-    def __init__(self, Theta, Q, S, theta, invariants, degree):
+    def __init__(self, Theta, Q, S, theta, invariants):
         self.Theta = Theta
         self.Q = Q
         self.S = S
         self.theta = theta
         self.invariants = invariants
-        self.truncation_degree = degree
 
     # convenient views -----------------------------------------------------------
     def theta_j(self, j: int) -> TruncatedSeries:
@@ -118,7 +117,7 @@ def validate(Theta: TruncatedSeries, degree: int | None = None) -> Hypersurface:
     theta = Theta.slice("s", 1)  # Theta_s(z,chi,0); for m = 1 this is theta
 
     invariants = _invariants(Theta, theta, m, D)
-    M = Hypersurface(Theta, Q, S, theta, invariants, D)
+    M = Hypersurface(Theta, Q, S, theta, invariants)
     _cross_check(M)
     return M
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .equivalence import FormalMap, JetData
 from .hypersurface import THETA_VARS, Hypersurface, validate
-from .scalars import ExactComplex, NPoly
+from .scalars import ExactComplex, NPoly, rational_str
 from .series import TruncatedSeries
 
 
@@ -22,11 +22,6 @@ class FormatError(ValueError):
 
 
 # -- rationals ---------------------------------------------------------------
-
-def frac_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
 
 def parse_frac(s) -> Fraction:
     if isinstance(s, bool):
@@ -42,7 +37,7 @@ def parse_frac(s) -> Fraction:
 
 
 def complex_dict(c: ExactComplex) -> dict:
-    return {"re": frac_str(c.re), "im": frac_str(c.im)}
+    return {"re": rational_str(c.re), "im": rational_str(c.im)}
 
 
 def parse_complex(obj) -> ExactComplex:
@@ -138,9 +133,9 @@ def formal_map_dict(H: FormalMap) -> dict:
 
 
 def parse_formal_map(obj) -> FormalMap:
-    if (not isinstance(obj, dict) or not isinstance(obj.get("f"), list)
-            or not isinstance(obj.get("g"), list)):
-        raise FormatError("formal map must be an object with f and g lists")
+    if not isinstance(obj, dict) or not all(
+            isinstance(obj.get(k), list) and obj[k] for k in ("f", "g")):
+        raise FormatError("formal map must be an object with nonempty f and g lists")
     f = [parse_series(s, expect_variables=("z",)) for s in obj["f"]]
     g = [parse_series(s, expect_variables=("z",)) for s in obj["g"]]
     return FormalMap(f, g)
@@ -152,7 +147,7 @@ def jet_data_dict(jet: JetData) -> dict:
     return {"a01": complex_dict(jet.a01),
             "b00": complex_dict(jet.b00),
             "delta": complex_dict(jet.delta),
-            "mu_sq": frac_str(jet.mu_sq),
+            "mu_sq": rational_str(jet.mu_sq),
             "lambdas": {str(n): [complex_dict(c) for c in tup]
                         for n, tup in sorted(jet.lambdas.items())}}
 
@@ -185,7 +180,7 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:      # JSONDecodeError, UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -15,8 +15,7 @@ class RankTracker:
     new rank is kept together with its label (used for pivot certificates).
     """
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.rows = []      # echelon rows: (pivot_col, row)
         self.labels = []
 

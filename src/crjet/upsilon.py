@@ -13,7 +13,9 @@ set D, which is finite; the jet order k is read off from D.
 The symbolic family is built from P^n = ((1 + i theta)/(1 - i theta))^n by
 the recurrence of its coefficient polynomials in n; the leading minors of
 the xi matrix come from one shared-minor expansion, and each candidate n is
-settled by a rank scan that evaluates only the jets it reads.
+settled by a rank scan that evaluates only the jets it reads.  theta is
+real, so every chi-side factor of Upsilon is the mirror of a z-side one (z
+and chi swapped, coefficients conjugated), and only the z side is divided.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ def _delta1(x) -> int:
 
 
 class UpsilonFamily:
-    __slots__ = ("n_mode", "components", "tilde3", "L", "K", "T")
+    __slots__ = ("n_mode", "components", "L", "K", "T")
 
-    def __init__(self, n_mode, components, tilde3, L, K, T):
+    def __init__(self, n_mode, components, L, K, T):
         self.n_mode = n_mode
         self.components = components
-        self.tilde3 = tilde3
         self.L = L
         self.K = K
         self.T = T
@@ -58,7 +59,7 @@ class UpsilonFamily:
         if self.n_mode != SYMBOLIC:
             raise UpsilonError("eval_n requires a symbolic family")
         return UpsilonFamily(n0, [c.eval_n(n0) for c in self.components],
-                             self.tilde3.eval_n(n0), self.L, self.K, self.T)
+                             self.L, self.K, self.T)
 
 
 def pn_series(theta: TruncatedSeries, n_mode) -> TruncatedSeries:
@@ -93,8 +94,22 @@ def pn_series(theta: TruncatedSeries, n_mode) -> TruncatedSeries:
     return P
 
 
+def _mirror(s: TruncatedSeries) -> TruncatedSeries:
+    """The chi-side twin of a series in (z, chi): swap z and chi, conjugate
+    every coefficient (``NPoly.conj`` keeps the real n fixed)."""
+    return s.conjugate(rename={"z": "chi", "chi": "z"}).embed(ZC)
+
+
 def build_upsilon(M, n_mode) -> UpsilonFamily:
-    """Construct (Upsilon^n_1, ..., Upsilon^n_4) and the tilde variant of #3."""
+    """Construct (Upsilon^n_1, ..., Upsilon^n_4).
+
+    theta is real, so each chi-side factor is the ``_mirror`` of a z-side one
+    built by the same operations in the same order, which keeps every value
+    and coefficient type.  Only z-side numerators are divided by theta_L':
+    theta_L, theta_(L+1), theta_1^2 and, for K = 1, theta_z.  K = 1 forces
+    L = T = 1, so theta_1 = theta_L and Upsilon_4's quotients are these or
+    their mirrors.
+    """
     inv = M.invariants
     if inv.m != 1:
         raise UpsilonError("Upsilon family requires a 1-infinite-type hypersurface")
@@ -116,73 +131,61 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
 
     thL = M.theta_j(L)                       # series in z, order exactly K
     thL_prime = thL.differentiate("z")
-    thL_bar = thL.conjugate(rename={"z": "chi"})
-    thL_bar_prime = thL_bar.differentiate("chi")
-
-    def emb(s):
-        return s.embed(ZC)
-
-    try:
-        ratio_z = emb(divide(thL, thL_prime))          # theta_L / theta_L'
-        ratio_chi = emb(divide(thL_bar, thL_bar_prime))
-    except SeriesError as exc:
-        raise UpsilonError(f"Upsilon construction: non-series quotient ({exc})") from exc
-
-    U1 = ratio_z * P * theta_z * K - ratio_chi * theta_chi * L
-    U2 = one_plus_theta2 * (P - one) - ratio_chi * theta_chi * two_i_n
-
     d1K, d1L, d1T = _delta1(K), _delta1(L), _delta1(T)
+
+    def over_thL_prime(num):
+        try:
+            return divide(num, thL_prime).embed(ZC)
+        except SeriesError as exc:
+            raise UpsilonError(
+                f"Upsilon construction: non-series quotient ({exc})") from exc
+
+    ratio_z = over_thL_prime(thL)            # theta_L / theta_L'
+    ratio_chi = _mirror(ratio_z)
+    ratio_theta_chi = ratio_chi * theta_chi
+
+    U1 = ratio_z * P * theta_z * K - ratio_theta_chi * L
+    U2 = one_plus_theta2 * (P - one) - ratio_theta_chi * two_i_n
+
     alpha = thL.jet_coeff((K,))              # theta_L^(K)(0) != 0
 
     zero = TruncatedSeries.zero(ZC, D)
     if d1T:
         th1 = M.theta_j(1)
-        th1_bar = th1.conjugate(rename={"z": "chi"})
         thL1 = M.theta_j(L + 1)
-        thL1_bar = thL1.conjugate(rename={"z": "chi"})
         beta = thL1.jet_coeff((K - 1,))      # theta_{L+1}^(K-1)(0)
-        c2 = (thL.jet_coeff((K,)) * thL1.jet_coeff((K,))
-              - thL.jet_coeff((K + 1,)) * thL1.jet_coeff((K - 1,))) \
-            * L * (alpha * alpha * K).inverse()
+        c2 = (alpha * thL1.jet_coeff((K,))
+              - thL.jet_coeff((K + 1,)) * beta) * L * (alpha * alpha * K).inverse()
+        t1 = zero
         if d1K:
-            t1 = divide(theta_chi, thL_bar_prime.embed(ZC)) * th1.jet_coeff((L,))
-        else:
-            t1 = zero
-        t2 = ratio_chi * theta_chi * c2
-        q_L1_z = emb(divide(thL1, thL_prime))
-        q_11_z = emb(divide(th1 * th1, thL_prime))
-        q_L1_chi = emb(divide(thL1_bar, thL_bar_prime))
-        q_11_chi = emb(divide(th1_bar * th1_bar, thL_bar_prime))
-        t3 = -(P * (emb(th1) * one_plus_theta2
-                    + (q_L1_z - q_11_z * two_i_n) * theta_z))
-        t4 = (emb(th1_bar) * one_plus_theta2
-              + (q_L1_chi + q_11_chi * two_i_n) * theta_chi) \
-            * (beta * alpha.inverse())
+            q_theta_z = over_thL_prime(theta_z)     # theta_z / theta_1'
+            t1 = _mirror(q_theta_z) * th1.jet_coeff((L,))
+        t2 = ratio_theta_chi * c2
+        q_L1 = over_thL_prime(thL1)
+        q_11 = over_thL_prime(th1 * th1)
+        th1_sum = th1.embed(ZC) * one_plus_theta2
+        bracket = th1_sum + (q_L1 - q_11 * two_i_n) * theta_z
+        t3 = -(P * bracket)
+        t4 = _mirror(bracket) * (beta * alpha.inverse())
         tilde3 = t1 + t2 + t3 + t4
     else:
         tilde3 = zero
     U3 = tilde3 * d1L
 
     if d1K:
-        # K = 1 forces L = T = 1; theta_1' is a unit
-        th1 = M.theta_j(1)
-        th1_bar = th1.conjugate(rename={"z": "chi"})
-        th1_prime = th1.differentiate("z")
-        th1_bar_prime = th1_bar.differentiate("chi")
-        a1 = th1.jet_coeff((1,))             # theta_1'(0) = alpha
+        # K = 1 forces L = T = 1: th1, q_theta_z, q_L1 and q_11 are in hand
         a2 = th1.jet_coeff((2,))             # theta_1''(0)
-        inv_a1 = a1.inverse()
-        U4 = (emb(th1_bar) * one_plus_theta2 * inv_a1
-              - emb(divide(theta_z, th1_prime.embed(ZC))) * P
+        inv_a1 = alpha.inverse()             # theta_1'(0) = alpha
+        U4 = (_mirror(th1_sum) * inv_a1
+              - q_theta_z * P
               + theta_chi * inv_a1
-              * (emb(divide(th1_bar * th1_bar, th1_bar_prime)) * two_i_n
-                 + emb(divide(M.theta_j(2).conjugate(rename={"z": "chi"}),
-                              th1_bar_prime))
-                 - emb(divide(th1_bar, th1_bar_prime)) * (a2 * inv_a1)))
+              * (_mirror(q_11) * two_i_n
+                 + _mirror(q_L1)
+                 - ratio_chi * (a2 * inv_a1)))
     else:
         U4 = zero
 
-    return UpsilonFamily(n_mode, [U1, U2, U3, U4], tilde3, L, K, T)
+    return UpsilonFamily(n_mode, [U1, U2, U3, U4], L, K, T)
 
 
 def gamma_threshold(L: int, K: int, T: int) -> int:
@@ -200,7 +203,7 @@ def dim_Vn(U: UpsilonFamily, scan_bound: int, n0: int | None = None):
     """
     if (U.n_mode == SYMBOLIC) != (n0 is not None):
         raise UpsilonError("dim_Vn scans a fixed-n family, or a symbolic one at n0")
-    tracker = RankTracker(4)
+    tracker = RankTracker()
     deg = U.degree
     coeffs = [c.coeffs for c in U.components]
     for total in range(0, min(2 * scan_bound, deg) + 1):

@@ -70,6 +70,28 @@ def test_no_unreferenced_definitions():
     assert unreferenced == []
 
 
+def test_no_write_only_attributes():
+    """Every attribute a class in ``src/crjet`` assigns on ``self`` is read
+    as an attribute somewhere in ``src/``, ``tests/`` or ``bench/``."""
+    root = SRC.parents[1]
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "tests", "bench")
+             for path in sorted((root / folder).rglob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr not in read):
+                    unread.append(f"{path.name}:{node.lineno} {cls.name}.{node.attr}")
+    assert unread == []
+
+
 def test_benchmark_tracer_names_resolve():
     """Every function and method the benchmark tracer names exists, so a
     rename in crjet cannot silently zero a per-layer metric."""

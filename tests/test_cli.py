@@ -160,8 +160,13 @@ MALFORMED = [
      EXIT_IO, "f and g lists"),
     ("lambdas-not-an-object", "reconstruct", {"jet": {"lambdas": [1, 2]}}, [],
      EXIT_IO, "lambdas must be an object"),
+    ("upsilon-negative-n", "upsilon", {}, ["--n", "-1"],
+     EXIT_INVALID, "--n must be nonnegative, got -1"),
+    ("map-empty-lists", "verify", {"map": {"f": [], "g": []}}, [],
+     EXIT_IO, "nonempty f and g lists"),
 ]
-MALFORMED_FILES = {"validate": ("theta",), "verify": ("theta", "theta", "map"),
+MALFORMED_FILES = {"validate": ("theta",), "upsilon": ("theta",),
+                   "verify": ("theta", "theta", "map"),
                    "reconstruct": ("theta", "theta", "jet")}
 
 
@@ -188,6 +193,22 @@ class TestMalformedInput:
         rep = json.loads(proc.stdout)      # exactly one JSON document
         assert rep["command"] == command
         assert error in rep["error"]
+        assert "result" not in rep
+
+    @pytest.mark.parametrize("raw, error", [
+        pytest.param(b"\xff\xfa{", "'utf-8' codec can't decode", id="not-utf8"),
+        pytest.param(b'{"terms": [' + b"9" * 5000 + b"]}", "Exceeds the limit",
+                     id="integer-too-long"),
+    ])
+    def test_unreadable_json(self, tmp_path, raw, error):
+        path = tmp_path / "theta.json"
+        path.write_bytes(raw)
+        proc = run_fresh("validate", str(path))
+        assert proc.returncode == EXIT_IO
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["command"] == "validate"
+        assert "invalid JSON" in rep["error"] and error in rep["error"]
         assert "result" not in rep
 
 

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from crjet.hypersurface import family_b0, family_mc, family_nb
+from crjet.hypersurface import (THETA_VARS, family_b0, family_mc, family_nb,
+                                validate)
 from crjet.scalars import EC_I, ExactComplex, NPoly, factorial
 from crjet.series import TruncatedSeries
-from crjet.upsilon import (SYMBOLIC, UpsilonError, build_upsilon, compute_D,
-                           dim_Vn, gamma_threshold, pn_series,
+from crjet.upsilon import (SYMBOLIC, UpsilonError, _mirror, build_upsilon,
+                           compute_D, dim_Vn, gamma_threshold, pn_series,
                            xi_determinants, xi_rows)
 
+import upsilon_oracle
 from conftest import (assert_same_series, falling_binomial, random_hypersurface,
                       rising_binomial)
 
@@ -36,6 +39,37 @@ class TestStructuralIdentities:
         U = build_upsilon(family_b0(14), 2)
         lhs = U.components[0] * (EC_I * 2)
         assert (lhs - U.components[1]).is_zero()
+
+
+hypersurfaces = st.randoms(use_true_random=False).map(random_hypersurface)
+# theta = z^4 chi + z chi^4 + z^2 chi^2: L = 1, K = 4, T = 0
+L1_K4_T0 = validate(TruncatedSeries(THETA_VARS, 12, {
+    (4, 1, 1): ExactComplex(1), (1, 4, 1): ExactComplex(1),
+    (2, 2, 1): ExactComplex(1)}))
+
+
+class TestMirroredConstruction:
+    """The chi side got by mirroring equals the chi side built directly."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(hypersurfaces)
+    @example(family_b0(12))                              # K = 1, so L = T = 1
+    @example(family_mc(1, 2, 14))                        # L = K = 2
+    @example(family_nb(ExactComplex(1, 2), 2, 12))      # K = 2, T = 1
+    @example(L1_K4_T0)                                   # L = 1, K = 4, T = 0
+    def test_matches_direct_construction(self, M):
+        for mode in (SYMBOLIC, 0, 1, 3):
+            got = build_upsilon(M, mode).components
+            want = upsilon_oracle.build_upsilon(M, mode)
+            for a, b in zip(got, want, strict=True):
+                assert_same_series(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hypersurfaces)
+    def test_mirror_is_an_involution_fixing_theta(self, M):
+        assert_same_series(_mirror(M.theta), M.theta)
+        for c in build_upsilon(M, SYMBOLIC).components:
+            assert_same_series(_mirror(_mirror(c)), c)
 
 
 class TestSymbolicNumericConsistency:
