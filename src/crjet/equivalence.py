@@ -28,7 +28,6 @@ from .scalars import (EC_I, EC_ONE, EC_ZERO, ExactComplex, factorial,
                       rational_nth_root, split_parts)
 from .series import (TruncatedSeries, compose, divide, implicit_solve,
                      kth_root_unit)
-from .upsilon import compute_D
 
 ZC = ("z", "chi")
 
@@ -213,7 +212,9 @@ def forced_mu_sq(M: Hypersurface, Mhat: Hypersurface) -> Fraction:
 
 
 def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeries, Fraction]:
-    """The order-0 component f_0(z) = U(z, z/a_0^1), plus mu^2 = |a_0^1|^2."""
+    """The order-0 component f_0(z), plus mu^2 = |a_0^1|^2: zh = f_0(z) solves
+    zh uhat(zh) = (mu^2/a_0^1) z u(z) = conj(a_0^1) z u(z), where
+    theta_L = alpha z^K u(z)^K / K! and thetahat_L likewise through uhat."""
     a01 = ExactComplex.coerce(a01)
     mu_sq = forced_mu_sq(M, Mhat)
     if a01.norm_sq() != mu_sq:
@@ -230,17 +231,14 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeri
         mono = TruncatedSeries(("z",), th.degree, {(K,): const * Fraction(1, factorial(K))})
         return kth_root_unit(divide(th, mono), K)
 
-    u = unit_root(thL, alpha)             # theta_L = alpha z^K u(z)^K / K!
+    u = unit_root(thL, alpha)
     uhat = unit_root(thLhat, alphahat).rename({"z": "zh"})
 
     deg = min(u.degree, uhat.degree) + 1
-    VI = ("zh", "X", "Y")
-    zh = TruncatedSeries.var("zh", VI, deg)
-    Y = TruncatedSeries.var("Y", VI, deg)
-    iota = zh * uhat.embed(VI) - Y * u.rename({"z": "X"}).embed(VI) * mu_sq
-    U = implicit_solve(iota, "zh")        # U(X, Y)
-    zser = TruncatedSeries.var("z", ("z",), U.degree)
-    f0 = compose(U, {"X": zser, "Y": zser * a01.inverse()})
+    V = ("zh", "z")
+    zh = TruncatedSeries.var("zh", V, deg)
+    z = TruncatedSeries.var("z", V, deg)
+    f0 = implicit_solve(zh * uhat.embed(V) - z * u.embed(V) * a01.conj(), "zh")
 
     # postcondition: theta(z,chi) = thetahat(f0(z), conj f0(chi))
     f0zc = f0.embed(ZC)
@@ -413,21 +411,20 @@ def _order_system(solver, base, pin):
 
 
 def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
-                order: int, D=None) -> FormalMap:
+                order: int, D) -> FormalMap:
     """Rebuild an equivalence M -> Mhat from its jet data, to w-order `order`.
 
     For n not in D the order-n scalars are forced: the mapping identity at
     order n, together with divisibility and jet self-consistency, gives an
-    exact linear system with a unique solution.  For n in D the jet supplies
-    them and the same system checks realizability.  Each order takes one
-    run of the solver at x = 0 and four complex-linear directions, one per
-    slot of x; a fraction-free solve gives x, and a final run at x proves
-    it: its residual, low part and consistency entries must all vanish.
+    exact linear system with a unique solution.  For n in the exceptional
+    set D the jet supplies them: its pins fix every unknown, and the same
+    system checks realizability.  Each order takes one run of the solver at
+    x = 0 and four complex-linear directions, one per slot of x; a
+    fraction-free solve gives x, and a final run at x proves it: its
+    residual, low part and consistency entries must all vanish.
     """
     if order < 0:
         raise EquivalenceError(f"reconstruction order must be nonnegative, got {order}")
-    if D is None:
-        D = compute_D(M).D
     f0, _ = f0_from_jet(M, Mhat, jet.a01)
     b00 = jet.b00
     a01 = jet.a01
@@ -460,10 +457,8 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
         except InconsistentSystem as exc:
             raise JetRealizationError(
                 f"jet not realizable: order-{n} system inconsistent") from exc
+        # for n in D a unit row pins each unknown, so nothing is free
         if free:
-            if n in D:
-                raise JetRealizationError(
-                    f"order-{n} system underdetermined despite jet pins (bug)")
             raise EquivalenceError(
                 f"order-{n} scalars not forced although {n} is not in D: the "
                 f"order-{n} identity is only certified to degree "

@@ -74,7 +74,7 @@ class Hypersurface:
         return self.S.slice("tau", j) * factorial(j)
 
 
-def validate(Theta: TruncatedSeries, degree: int | None = None) -> Hypersurface:
+def validate(Theta: TruncatedSeries) -> Hypersurface:
     """Check normality/reality, derive Q and S, compute invariants.
 
     Q comes from the staged fixed point of ``_graph_function`` (one
@@ -83,8 +83,6 @@ def validate(Theta: TruncatedSeries, degree: int | None = None) -> Hypersurface:
     """
     if tuple(Theta.variables) != THETA_VARS:
         Theta = Theta.embed(THETA_VARS)
-    if degree is not None:
-        Theta = Theta.truncate(degree)
     D = Theta.degree
 
     if Theta.is_zero():

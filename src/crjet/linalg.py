@@ -11,8 +11,10 @@ from .scalars import ExactComplex
 class RankTracker:
     """Incremental row reduction over ExactComplex.
 
-    Rows are reduced against the accumulated echelon basis; a row that adds
-    new rank is kept together with its label (used for pivot certificates).
+    A row is reduced against the stored rows in insertion order; each is zero
+    at the pivots stored before it, so one pass clears every pivot.  A row
+    that adds new rank is kept together with its label (used for pivot
+    certificates).
     """
 
     def __init__(self):
@@ -32,13 +34,7 @@ class RankTracker:
         for j, c in enumerate(vec):
             if not c.is_zero():
                 inv = c.inverse()
-                vec = [a * inv for a in vec]
-                # keep the basis fully reduced so later candidates need one pass
-                self.rows = [
-                    (pc, [a - row[j] * b for a, b in zip(row, vec)] if not row[j].is_zero() else row)
-                    for pc, row in self.rows
-                ]
-                self.rows.append((j, vec))
+                self.rows.append((j, [a * inv for a in vec]))
                 self.labels.append(label)
                 return True
         return False

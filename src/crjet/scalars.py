@@ -254,9 +254,6 @@ class NPoly:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def is_real(self) -> bool:
-        return all(c.is_real() for c in self.coefficients)
-
     def leading(self) -> ExactComplex:
         if self.is_zero():
             raise ScalarError("zero polynomial has no leading coefficient")
@@ -278,9 +275,6 @@ class NPoly:
     def __sub__(self, other):
         return self + (-NPoly.coerce(other))
 
-    def __rsub__(self, other):
-        return NPoly.coerce(other) + (-self)
-
     def __neg__(self):
         return NPoly(tuple(-c for c in self.coefficients))
 
@@ -297,15 +291,6 @@ class NPoly:
         return NPoly(out)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "NPoly":
-        """Inverse of a unit (nonzero degree-0 polynomial)."""
-        if self.degree() != 0:
-            raise ScalarError(f"NPoly {self} is not a unit (degree != 0)")
-        return NPoly((self.coefficients[0].inverse(),))
-
-    def __truediv__(self, other):
-        return self * NPoly.coerce(other).inverse()
 
     def conj(self) -> "NPoly":
         return NPoly(tuple(c.conj() for c in self.coefficients))
@@ -455,12 +440,9 @@ def integer_roots(p: NPoly) -> set[int]:
     if p(0).is_zero():
         roots.add(0)
 
-    den = 1
-    for x in p.coefficients:
-        den = math.lcm(den, x.re.denominator, x.im.denominator)
-    c = [int(x.re * den) for x in p.coefficients]
+    c, im = split_parts(p.coefficients)
     if not any(c):
-        c = [int(x.im * den) for x in p.coefficients]
+        c = im
     while not c[-1]:
         c.pop()
     roots.update(n0 for n0 in _int_zeros(c, 1, bound) if p(n0).is_zero())

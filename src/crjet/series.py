@@ -162,15 +162,11 @@ class TruncatedSeries:
         return _series(tuple(mapping.get(v, v) for v in self.variables),
                        self.degree, self.coeffs)
 
-    def map_coeffs(self, fn, degree=None):
+    def map_coeffs(self, fn):
         """Apply ``fn`` (returning ``ExactComplex`` or ``NPoly``) to every
-        coefficient, optionally at a new truncation degree."""
-        coeffs = self.coeffs
-        if degree is None:
-            degree = self.degree
-        elif degree < self.degree:
-            coeffs = _upto(coeffs, degree)
-        return _series(self.variables, degree, {e: fn(c) for e, c in coeffs.items()})
+        coefficient."""
+        return _series(self.variables, self.degree,
+                       {e: fn(c) for e, c in self.coeffs.items()})
 
     def eval_n(self, n0):
         """Evaluate NPoly coefficients at an integer n0."""
@@ -220,9 +216,6 @@ class TruncatedSeries:
         if _is_scalar(other):
             other = TruncatedSeries.const(self.variables, self.degree, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if _is_scalar(other):
@@ -289,14 +282,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        a, b, degree = self._aligned(other)
-        keys = set(a.coeffs) | set(b.coeffs)
-        for e in keys:
-            if sum(e) > degree:
-                continue
-            if not (a.coeff(e) - b.coeff(e)).is_zero():
-                return False
-        return True
+        return (self - other).is_zero()
 
     def __repr__(self):
         if not self.coeffs:

@@ -13,8 +13,9 @@ from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    finite_determination_check, forced_mu_sq, reconstruct,
                    validate, verify_map)
 from crjet.linalg import solve_rational
-from crjet.scalars import EC_I
-from crjet.series import TruncatedSeries, compose, implicit_solve
+from crjet.scalars import EC_I, factorial
+from crjet.series import TruncatedSeries, compose, divide, implicit_solve, kth_root_unit
+from conftest import assert_same_series
 
 EPS = ExactComplex(Fraction(3, 5), Fraction(4, 5))  # a rational point on |z| = 1
 
@@ -144,7 +145,52 @@ class TestJetData:
         assert all(all(c.is_zero() for c in tup) for tup in jet.lambdas.values())
 
 
+def f0_over_three_variables(M, Mhat, a01):
+    """f_0 as f0_from_jet built it before it solved in (zh, z): U(X, Y) from
+    zh uhat(zh) = mu^2 Y u(X), then f_0(z) = U(z, z/a_0^1)."""
+    a01 = ExactComplex.coerce(a01)
+    mu_sq = forced_mu_sq(M, Mhat)
+    L, K = M.invariants.L, M.invariants.K
+    thL = M.theta_j(L)
+    thLhat = Mhat.theta_j(L)
+    alpha = thL.jet_coeff((K,))
+    alphahat = thLhat.jet_coeff((K,))
+
+    def unit_root(th, const):
+        mono = TruncatedSeries(("z",), th.degree, {(K,): const * Fraction(1, factorial(K))})
+        return kth_root_unit(divide(th, mono), K)
+
+    u = unit_root(thL, alpha)             # theta_L = alpha z^K u(z)^K / K!
+    uhat = unit_root(thLhat, alphahat).rename({"z": "zh"})
+
+    deg = min(u.degree, uhat.degree) + 1
+    VI = ("zh", "X", "Y")
+    zh = TruncatedSeries.var("zh", VI, deg)
+    Y = TruncatedSeries.var("Y", VI, deg)
+    iota = zh * uhat.embed(VI) - Y * u.rename({"z": "X"}).embed(VI) * mu_sq
+    U = implicit_solve(iota, "zh")        # U(X, Y)
+    zser = TruncatedSeries.var("z", ("z",), U.degree)
+    return compose(U, {"X": zser, "Y": zser * a01.inverse()})
+
+
 class TestF0FromJet:
+    @pytest.mark.parametrize("source, target, a01", [
+        (lambda: family_mc(1, 1, 14), lambda: family_mc(4, 1, 14), Fraction(1, 2)),
+        (lambda: family_mc(4, 1, 14), lambda: family_mc(1, 1, 14), 2),
+        (lambda: family_mc(4, 1, 14), lambda: family_mc(1, 1, 14), EPS * 2),
+        (lambda: pushed_forward(family_mc(1, 2, 16), {1: EPS, 2: 1}, 16),
+         lambda: family_mc(1, 2, 16), EPS.conj()),
+        (lambda: pushed_forward(family_nb(ExactComplex(1, 2), 2, 15), {1: EPS, 3: EC_I}, 15),
+         lambda: family_nb(ExactComplex(1, 2), 2, 15), EPS.conj()),
+        (lambda: pushed_forward(family_b0(14), {1: EPS, 2: 1}, 14),
+         lambda: family_b0(14), EPS.conj()),
+    ], ids=["mc1-mc4", "mc4-mc1", "mc4-mc1-rotated", "mc2-curved", "nb2-curved",
+            "b0-curved"])
+    def test_matches_three_variable_construction(self, source, target, a01):
+        M, Mhat = source(), target()
+        f0, _ = f0_from_jet(M, Mhat, a01)
+        assert_same_series(f0, f0_over_three_variables(M, Mhat, a01))
+
     def test_scaling_case(self):
         M1 = family_mc(1, 1, 14)
         M4 = family_mc(4, 1, 14)

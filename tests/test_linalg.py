@@ -1,11 +1,12 @@
-"""solve_rational against the Gauss-Jordan elimination over Fraction it replaced."""
+"""solve_rational and RankTracker against the eliminations they replaced."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crjet.linalg import InconsistentSystem, solve_rational
+from crjet.linalg import InconsistentSystem, RankTracker, solve_rational
+from crjet.scalars import ExactComplex
 
 
 def gauss_jordan(rows: list[list[Fraction]], rhs: list[Fraction]):
@@ -123,6 +124,77 @@ class TestSolveRational:
             rhs = [Fraction(b) for b in rhs]
             assert outcome(solve_rational, rows, rhs) == outcome(gauss_jordan, rows, rhs)
 
+
+class ReducedRankTracker:
+    """Incremental row reduction over ExactComplex, keeping the basis fully
+    reduced: RankTracker before it became forward elimination only.
+
+    Rows are reduced against the accumulated echelon basis; a row that adds
+    new rank is kept together with its label (used for pivot certificates).
+    """
+
+    def __init__(self):
+        self.rows = []      # echelon rows: (pivot_col, row)
+        self.labels = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add_row(self, vec, label=None) -> bool:
+        vec = list(ExactComplex.coerce(c) for c in vec)
+        for pivot_col, row in self.rows:
+            c = vec[pivot_col]
+            if not c.is_zero():
+                vec = [a - c * b for a, b in zip(vec, row)]
+        for j, c in enumerate(vec):
+            if not c.is_zero():
+                inv = c.inverse()
+                vec = [a * inv for a in vec]
+                # keep the basis fully reduced so later candidates need one pass
+                self.rows = [
+                    (pc, [a - row[j] * b for a, b in zip(row, vec)] if not row[j].is_zero() else row)
+                    for pc, row in self.rows
+                ]
+                self.rows.append((j, vec))
+                self.labels.append(label)
+                return True
+        return False
+
+
+complexes = st.builds(ExactComplex, fracs, fracs)
+sparse_complexes = st.one_of(complexes, st.just(ExactComplex(0)))
+
+
+@st.composite
+def complex_rows(draw):
+    """Rows of one width grown by random, zero, duplicate and combined rows."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("random", "zero", "duplicate", "combination")))
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append([ExactComplex(0)] * n)
+        elif kind == "random":
+            rows.append(draw(st.lists(sparse_complexes, min_size=n, max_size=n)))
+        else:
+            a = rows[draw(st.integers(0, len(rows) - 1))]
+            b = rows[draw(st.integers(0, len(rows) - 1))]
+            s = draw(complexes)
+            t = draw(complexes) if kind == "combination" else ExactComplex(0)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+class TestRankTracker:
+    @settings(max_examples=100, deadline=None)
+    @given(complex_rows())
+    def test_matches_fully_reduced_tracker(self, rows):
+        new, old = RankTracker(), ReducedRankTracker()
+        for k, row in enumerate(rows):
+            assert new.add_row(row, label=k) == old.add_row(row, label=k)
+            assert (new.rank, new.labels) == (old.rank, old.labels)
+        assert [pc for pc, _ in new.rows] == [pc for pc, _ in old.rows]
 
 class TestAgainstSympy:
     CASES = [

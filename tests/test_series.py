@@ -48,10 +48,10 @@ class TestArithmetic:
         assert t.coeff((5, 0)).is_zero()
         assert t.coeff((1, 1)) == ExactComplex(2)
 
-    def test_sum_and_map_drop_terms_above_the_result_degree(self):
+    def test_sum_drops_terms_above_the_result_degree(self):
         a = srs({(5, 0): ExactComplex(1), (1, 1): ExactComplex(2)})
         b = srs({(0, 1): EC_I}, degree=3)
-        for s in (a + b, b + a, a.map_coeffs(lambda c: c * 3, degree=3)):
+        for s in (a + b, b + a):
             assert s.degree == 3
             assert all(sum(e) <= 3 for e in s.coeffs)
         assert (a + b).coeffs == {(1, 1): ExactComplex(2), (0, 1): EC_I}
