@@ -17,22 +17,18 @@ import hashlib
 import sys
 
 from . import io as cio
-from .equivalence import (EquivalenceError, JetRealizationError,
-                          finite_determination_check, reconstruct, verify_map)
+from .equivalence import (EquivalenceError, finite_determination_check,
+                          reconstruct, verify_map)
 from .hypersurface import (Hypersurface, ValidationError, family_b0,
                            family_mc, family_nb)
 from .io import FormatError
-from .scalars import ExactComplex, rational_str
+from .scalars import ExactComplex
 from .upsilon import SYMBOLIC, UpsilonError, build_upsilon, compute_D
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_MATH = 3
-
-
-class MathInconsistency(ArithmeticError):
-    pass
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -77,7 +73,7 @@ def _load_json_input(path: str, inputs: dict, role: str):
     with open(path, "rb") as fh:
         raw = fh.read()
     inputs[role] = {"path": path, "sha256": _sha256_bytes(raw)}
-    return cio.load_json(path)
+    return cio.load_json(raw, path)
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -131,8 +127,7 @@ def _cmd_verify(args, inputs):
         exps, c = rep.first_offending
         result["first_offending"] = {
             "monomial": dict(zip(rep.residual.variables, exps)),
-            "re": rational_str(ExactComplex.coerce(c).re),
-            "im": rational_str(ExactComplex.coerce(c).im)}
+            **cio.complex_dict(ExactComplex.coerce(c))}
         raise ReportedFailure(result, "mapping-identity residual is nonzero")
     return result
 
@@ -147,7 +142,7 @@ def _cmd_reconstruct(args, inputs):
     H = reconstruct(M, Mhat, jet, order=order, D=analysis.D)
     rep = verify_map(M, Mhat, H)
     if not rep.is_zero:
-        raise MathInconsistency("reconstructed map fails verification")
+        raise EquivalenceError("reconstructed map fails verification")
     return {"D": analysis.D, "k": analysis.k, "order": order,
             "map": cio.formal_map_dict(H),
             "verified_to_degree": rep.certified_to_degree}
@@ -314,8 +309,7 @@ def main(argv=None) -> int:
         report["error"] = str(exc)
         _emit(report, args.text)
         return EXIT_INVALID
-    except (MathInconsistency, EquivalenceError, JetRealizationError,
-            UpsilonError) as exc:
+    except (EquivalenceError, UpsilonError) as exc:
         report["error"] = str(exc)
         _emit(report, args.text)
         return EXIT_MATH

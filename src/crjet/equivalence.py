@@ -9,12 +9,13 @@ f = sum f_n(z) w^n/n! and g likewise, the mapping identity
 determines (f_n, g_n) order by order from the k-jet of H: at each n the
 identity is affine in the four scalars (a_n^0, b_n^0, a_n^1, b_n^L), so the
 order-n equation is solved exactly over the rationals; for n in the
-exceptional set D the scalars are free and must be supplied as jet data.
+exceptional set D the scalars are free and the jet data supplies them.
 
-Each order takes one run of the order-n step at zero scalars and four
-complex-linear directions, one per scalar; together they give the real
+An order outside D takes one run of the order-n step at zero scalars and
+four complex-linear directions, one per scalar; together they give the real
 system, which a fraction-free elimination solves.  A final run at the
-solution is the proof: its residual and side conditions must vanish.
+scalars, solved or supplied, is the proof: its residual and side conditions
+must vanish.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .linalg import InconsistentSystem, solve_rational
 from .scalars import (EC_I, EC_ONE, EC_ZERO, ExactComplex, factorial,
                       rational_nth_root, split_parts)
 from .series import (TruncatedSeries, compose, divide, implicit_solve,
-                     kth_root_unit)
+                     inverse_unit, kth_root_unit)
 
 ZC = ("z", "chi")
 
@@ -234,7 +235,7 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeri
     u = unit_root(thL, alpha)
     uhat = unit_root(thLhat, alphahat).rename({"z": "zh"})
 
-    deg = min(u.degree, uhat.degree) + 1
+    deg = min(u.degree, uhat.degree)
     V = ("zh", "z")
     zh = TruncatedSeries.var("zh", V, deg)
     z = TruncatedSeries.var("z", V, deg)
@@ -270,11 +271,17 @@ def shat_jet_table(Mhat, f0, n_max):
     return table
 
 
+def _over_z_power(s, k):
+    """The terms of the z-series ``s`` from z^k upward, divided by z^k."""
+    return TruncatedSeries(("z",), s.degree - k,
+                           {(e - k,): c for (e,), c in s.coeffs.items() if e >= k})
+
+
 class _OrderSolver:
     """The order-n step, affine in x = (a_n^0, b_n^0, a_n^1, b_n^L).
 
     ``run`` evaluates the candidate (f_n, g_n) and every order-n constraint
-    at one x.  Without ``Rn`` the candidate, its peeled low part and the
+    at one x.  Without ``Rn`` the candidate, its low part and the
     terms -S0^(n+1) g_n + Shat_z S0^n f_n b00 of the residual are
     complex-linear in x; only the terms Shat gbar_n + Shat_chi fbar_n b00 are
     antilinear.  ``direction`` computes these parts once per slot of x, at
@@ -294,7 +301,9 @@ class _OrderSolver:
         self.theta1 = M.theta_j(1)
         self.thetaL = M.theta_j(self.L)
         self.thetaL1 = M.theta_j(self.L + 1)
-        self.thetaL_prime = self.thetaL.differentiate("z")
+        # theta_L' = z^(K-1) * unit: the inverse of that unit, for every run
+        self.inv_thetaL_unit = inverse_unit(
+            _over_z_power(self.thetaL.differentiate("z"), self.K - 1))
         self.f0_prime = f0.differentiate("z")
         self.shat = shat
         self.neg_S0_n1 = -S0_n1
@@ -322,15 +331,9 @@ class _OrderSolver:
              * (b00 * a_n0 * a01.inverse()))
         rhs_f = E * (two_i * b00).inverse()
 
-        # divisibility by theta_L' needs z-order >= K-1: peel the low part
-        low = []
-        peeled = rhs_f
-        for j in range(K - 1):
-            c = rhs_f.coeff((j,))
-            low.append(c)
-            if not c.is_zero():
-                peeled = peeled - TruncatedSeries(("z",), rhs_f.degree, {(j,): c})
-        F = divide(peeled, self.thetaL_prime)      # f_n / f_0'
+        # divisibility by theta_L' needs z-order >= K-1: ``low`` must vanish
+        low = [rhs_f.coeff((j,)) for j in range(K - 1)]
+        F = _over_z_power(rhs_f, K - 1) * self.inv_thetaL_unit      # f_n / f_0'
         return self.f0_prime * F, g_n, low
 
     def _linear(self, f_n, g_n):
@@ -342,8 +345,8 @@ class _OrderSolver:
         return self.shat[(0, 0, 0)] * gbar_n + self.shat[(0, 1, 0)] * fbar_n * self.b00
 
     def jets(self, f_n, g_n):
-        """f_n(0), f_n'(0), g_n(0) and g_n^(L)(0), in this order."""
-        return [f_n.coeff((0,)), f_n.jet_coeff((1,)), g_n.coeff((0,)),
+        """f_n(0), g_n(0), f_n'(0) and g_n^(L)(0), in the order of x."""
+        return [f_n.coeff((0,)), g_n.coeff((0,)), f_n.jet_coeff((1,)),
                 g_n.jet_coeff((self.L,))]
 
     def run(self, a_n0, b_n0, a_n1, b_nL):
@@ -352,7 +355,7 @@ class _OrderSolver:
         resid = self._linear(f_n, g_n) + self._antilinear(f_n, g_n) - self.Rn
         # self-consistency of the scalars with the candidate's jets
         consistency = [c - v.conj() for c, v in
-                       zip(self.jets(f_n, g_n), (a_n0, a_n1, b_n0, b_nL))]
+                       zip(self.jets(f_n, g_n), (a_n0, b_n0, a_n1, b_nL))]
         return f_n, g_n, resid, low, consistency
 
     def direction(self, j):
@@ -366,20 +369,15 @@ class _OrderSolver:
         return f, g, low, self._linear(f, g), self._antilinear(f, g)
 
 
-# the consistency entry that compares with conj(x_j): x is ordered
-# (a^0, b^0, a^1, b^L), the consistency list (a^0, a^1, b^0, b^L)
-_CONSISTENCY_SLOT = (0, 2, 1, 3)
-
-
-def _order_system(solver, base, pin):
-    """The real system (rows, rhs) for x at one order.
+def _order_system(solver, base):
+    """The real system (rows, rhs) for x at one order outside D.
 
     ``base`` is ``solver.run`` at x = 0.  Column 2j + p belongs to the unit
     u = i^p in slot j, and holds the change u*P_j + conj(u)*Q_j of every
     residual coefficient, u times the ``low`` entries, and u times the jets
     minus conj(u) at the slot's own consistency entry.  Each complex
     constraint gives a real and an imaginary row, cleared to integers by one
-    lcm; ``pin`` (the jet's values, for orders in D) adds x = pin.
+    lcm.
     """
     _, _, resid0, low0, cons0 = base
     cols = []
@@ -388,7 +386,7 @@ def _order_system(solver, base, pin):
         jets = solver.jets(f, g)
         for u, resid in ((EC_ONE, P + Q), (EC_I, (P - Q) * EC_I)):
             cons = [u * c for c in jets]
-            cons[_CONSISTENCY_SLOT[j]] -= u.conj()
+            cons[j] -= u.conj()
             # the residual also carries -Rn: it is certified no further
             cols.append((resid.truncate(resid0.degree), [u * c for c in low], cons))
     keys = sorted(set(resid0.coeffs).union(*(col[0].coeffs for col in cols)))
@@ -400,13 +398,6 @@ def _order_system(solver, base, pin):
         for part in split_parts(values):
             rows.append(part[:-1])
             rhs.append(-part[-1])
-    if pin is not None:
-        for j, val in enumerate(pin):
-            for p, target in enumerate((val.re, val.im)):
-                row = [0] * 8
-                row[2 * j + p] = 1
-                rows.append(row)
-                rhs.append(target)
     return rows, rhs
 
 
@@ -416,12 +407,11 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
 
     For n not in D the order-n scalars are forced: the mapping identity at
     order n, together with divisibility and jet self-consistency, gives an
-    exact linear system with a unique solution.  For n in the exceptional
-    set D the jet supplies them: its pins fix every unknown, and the same
-    system checks realizability.  Each order takes one run of the solver at
-    x = 0 and four complex-linear directions, one per slot of x; a
-    fraction-free solve gives x, and a final run at x proves it: its
-    residual, low part and consistency entries must all vanish.
+    exact linear system with a unique solution: one run of the solver at
+    x = 0 and four complex-linear directions, one per slot of x, build it,
+    and a fraction-free solve gives x.  For n in the exceptional set D the
+    jet supplies x.  Either way a final run at x proves it: its residual,
+    low part and consistency entries must all vanish.
     """
     if order < 0:
         raise EquivalenceError(f"reconstruction order must be nonnegative, got {order}")
@@ -449,28 +439,26 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
         Rn = universal_pn(n, f_parts, g_parts, fbar_parts, gbar_parts, s_jets, shat)
         solver = _OrderSolver(M, n, Rn, f0, b00, a01, a02, shat,
                               S0_pow[n], S0_pow[n + 1])
-        base = solver.run(*zero4)
-        pin = jet.lambdas.get(n, zero4) if n in D else None
-        rows, rhs = _order_system(solver, base, pin)
-        try:
-            sol, free = solve_rational(rows, rhs)
-        except InconsistentSystem as exc:
-            raise JetRealizationError(
-                f"jet not realizable: order-{n} system inconsistent") from exc
-        # for n in D a unit row pins each unknown, so nothing is free
-        if free:
-            raise EquivalenceError(
-                f"order-{n} scalars not forced although {n} is not in D: the "
-                f"order-{n} identity is only certified to degree "
-                f"{base[2].degree}, which can starve the rank; rebuild the "
-                "hypersurfaces with a larger truncation degree "
-                f"(free directions {free})")
-        x = tuple(ExactComplex(sol[2 * j], sol[2 * j + 1]) for j in range(4))
+        inconsistent = f"jet not realizable: order-{n} system inconsistent"
+        if n in D:
+            x = jet.lambdas.get(n, zero4)
+        else:
+            base = solver.run(*zero4)
+            try:
+                sol, free = solve_rational(*_order_system(solver, base))
+            except InconsistentSystem as exc:
+                raise JetRealizationError(inconsistent) from exc
+            if free:
+                raise EquivalenceError(
+                    f"order-{n} scalars not forced although {n} is not in D: the "
+                    f"order-{n} identity is only certified to degree "
+                    f"{base[2].degree}, which can starve the rank; rebuild the "
+                    "hypersurfaces with a larger truncation degree "
+                    f"(free directions {free})")
+            x = tuple(ExactComplex(sol[2 * j], sol[2 * j + 1]) for j in range(4))
         f_n, g_n, resid, low, consistency = solver.run(*x)
-        if (not resid.is_zero() or any(not ExactComplex.coerce(c).is_zero() for c in low)
-                or any(not c.is_zero() for c in consistency)):
-            raise JetRealizationError(
-                f"jet not realizable: order-{n} identity fails after solving")
+        if not resid.is_zero() or any(not c.is_zero() for c in low + consistency):
+            raise JetRealizationError(inconsistent)
         f_parts.append(f_n)
         g_parts.append(g_n)
         fbar_parts.append(f_n.conjugate(rename={"z": "chi"}))

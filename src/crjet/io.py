@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from io import BytesIO, TextIOWrapper
 
 from .equivalence import FormalMap, JetData
 from .hypersurface import THETA_VARS, Hypersurface, validate
@@ -174,12 +175,12 @@ def parse_jet_data(obj) -> JetData:
 
 # -- top level ---------------------------------------------------------------
 
-def load_json(path: str):
+def load_json(raw: bytes, path: str):
+    """Parse the bytes read from ``path`` as a text-mode read decodes them:
+    UTF-8 with universal newlines, so a CRLF counts as one character in
+    error positions."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        return json.load(TextIOWrapper(BytesIO(raw), encoding="utf-8"))
     except ValueError as exc:      # JSONDecodeError, UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
 

@@ -211,6 +211,15 @@ class TestMalformedInput:
         assert "invalid JSON" in rep["error"] and error in rep["error"]
         assert "result" not in rep
 
+    def test_crlf_counts_once_in_the_error_position(self, capsys, tmp_path):
+        # the position a text-mode read reports: each CRLF is one character
+        path = tmp_path / "crlf.json"
+        path.write_bytes(b'{\r\n  "a": 1,\r\n  "b": ]\r\n}\r\n')
+        code, rep = run(capsys, "validate", str(path))
+        assert code == EXIT_IO
+        assert rep["error"] == (f"{path}: invalid JSON: Expecting value: "
+                                "line 3 column 8 (char 19)")
+
 
 class TestAnalysis:
     def test_b0_dset(self, capsys):
