@@ -277,6 +277,30 @@ def _over_z_power(s, k):
                            {(e - k,): c for (e,), c in s.coeffs.items() if e >= k})
 
 
+class _Frame:
+    """What every order step shares: the slices theta_1 and theta_L, the
+    series 2i theta_(L+1) - 4 delta_(L,1) theta_1^2, f_0', the inverse of
+    the unit theta_L'/z^(K-1), the 1-jet scalars and the Shat table, none of
+    which depends on the order n."""
+
+    def __init__(self, M, f0, b00, a01, a02, shat):
+        inv = M.invariants
+        self.L, self.K = inv.L, inv.K
+        self.b00 = b00
+        self.a01 = a01
+        self.a02 = a02
+        self.theta1 = M.theta_j(1)
+        self.thetaL = M.theta_j(self.L)
+        d1L = 1 if self.L == 1 else 0
+        self.theta_a_n0 = (M.theta_j(self.L + 1) * (EC_I * 2)
+                           - self.theta1 * self.theta1 * (4 * d1L))
+        # theta_L' = z^(K-1) * unit: the inverse of that unit, for every run
+        self.inv_thetaL_unit = inverse_unit(
+            _over_z_power(self.thetaL.differentiate("z"), self.K - 1))
+        self.f0_prime = f0.differentiate("z")
+        self.shat = shat
+
+
 class _OrderSolver:
     """The order-n step, affine in x = (a_n^0, b_n^0, a_n^1, b_n^L).
 
@@ -289,65 +313,53 @@ class _OrderSolver:
     moved by the linear part times u and the antilinear part times conj(u).
     """
 
-    def __init__(self, M, n, Rn, f0, b00, a01, a02, shat, S0_n, S0_n1):
+    def __init__(self, frame, n, Rn, S0_n, S0_n1):
         """``S0_n`` and ``S0_n1`` are S(z,chi,0)^n and S(z,chi,0)^(n+1)."""
-        inv = M.invariants
-        self.L, self.K = inv.L, inv.K
+        self.frame = frame
         self.n = n
         self.Rn = Rn
-        self.b00 = b00
-        self.a01 = a01
-        self.a02 = a02
-        self.theta1 = M.theta_j(1)
-        self.thetaL = M.theta_j(self.L)
-        self.thetaL1 = M.theta_j(self.L + 1)
-        # theta_L' = z^(K-1) * unit: the inverse of that unit, for every run
-        self.inv_thetaL_unit = inverse_unit(
-            _over_z_power(self.thetaL.differentiate("z"), self.K - 1))
-        self.f0_prime = f0.differentiate("z")
-        self.shat = shat
         self.neg_S0_n1 = -S0_n1
-        self.shat_S0_n = shat[(1, 0, 0)] * S0_n
+        self.shat_S0_n = frame.shat[(1, 0, 0)] * S0_n
         self.Rn_chi0 = Rn.slice("chi", 0)
-        self.RnL = Rn.slice("chi", self.L) * factorial(self.L)
+        self.RnL = Rn.slice("chi", frame.L) * factorial(frame.L)
 
     def _candidate(self, Rn_chi0, RnL, a_n0, b_n0, a_n1, b_nL):
         """(f_n, g_n, low) from the given chi^0 and chi^L slices of Rn."""
-        L, K, n = self.L, self.K, self.n
-        b00, a01, a02 = self.b00, self.a01, self.a02
+        fr, n = self.frame, self.n
+        L, K = fr.L, fr.K
+        b00, a01, a02 = fr.b00, fr.a01, fr.a02
         two_i = EC_I * 2
         one_z = TruncatedSeries.const(("z",), RnL.degree, 1)
 
-        g_n = Rn_chi0 + one_z * b_n0 + self.theta1 * (two_i * b00 * a01.inverse() * a_n0)
+        g_n = Rn_chi0 + one_z * b_n0 + fr.theta1 * (two_i * b00 * a01.inverse() * a_n0)
 
-        d1L = 1 if L == 1 else 0
         h1 = (a_n1 * a01 - a_n0 * a02) * (a01 * a01).inverse()
         E = (RnL
-             + self.thetaL * g_n * (two_i * (n + 1))
+             + fr.thetaL * g_n * (two_i * (n + 1))
              - one_z * b_nL
-             - self.thetaL * (two_i * b_n0)
-             - self.thetaL * (two_i * L * b00 * h1)
-             - (self.thetaL1 * two_i - self.theta1 * self.theta1 * (4 * d1L))
-             * (b00 * a_n0 * a01.inverse()))
+             - fr.thetaL * (two_i * b_n0)
+             - fr.thetaL * (two_i * L * b00 * h1)
+             - fr.theta_a_n0 * (b00 * a_n0 * a01.inverse()))
         rhs_f = E * (two_i * b00).inverse()
 
         # divisibility by theta_L' needs z-order >= K-1: ``low`` must vanish
         low = [rhs_f.coeff((j,)) for j in range(K - 1)]
-        F = _over_z_power(rhs_f, K - 1) * self.inv_thetaL_unit      # f_n / f_0'
-        return self.f0_prime * F, g_n, low
+        F = _over_z_power(rhs_f, K - 1) * fr.inv_thetaL_unit        # f_n / f_0'
+        return fr.f0_prime * F, g_n, low
 
     def _linear(self, f_n, g_n):
-        return self.neg_S0_n1 * g_n.embed(ZC) + self.shat_S0_n * f_n.embed(ZC) * self.b00
+        return self.neg_S0_n1 * g_n.embed(ZC) + self.shat_S0_n * f_n.embed(ZC) * self.frame.b00
 
     def _antilinear(self, f_n, g_n):
         fbar_n = f_n.conjugate(rename={"z": "chi"}).embed(ZC)
         gbar_n = g_n.conjugate(rename={"z": "chi"}).embed(ZC)
-        return self.shat[(0, 0, 0)] * gbar_n + self.shat[(0, 1, 0)] * fbar_n * self.b00
+        shat = self.frame.shat
+        return shat[(0, 0, 0)] * gbar_n + shat[(0, 1, 0)] * fbar_n * self.frame.b00
 
     def jets(self, f_n, g_n):
         """f_n(0), g_n(0), f_n'(0) and g_n^(L)(0), in the order of x."""
         return [f_n.coeff((0,)), g_n.coeff((0,)), f_n.jet_coeff((1,)),
-                g_n.jet_coeff((self.L,))]
+                g_n.jet_coeff((self.frame.L,))]
 
     def run(self, a_n0, b_n0, a_n1, b_nL):
         """Candidate (f_n, g_n) plus all order-n constraint values."""
@@ -434,11 +446,11 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     for _ in range(order):
         S0_pow.append(S0_pow[-1] * S0)
 
+    frame = _Frame(M, f0, b00, a01, a02, shat)
     zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
         Rn = universal_pn(n, f_parts, g_parts, fbar_parts, gbar_parts, s_jets, shat)
-        solver = _OrderSolver(M, n, Rn, f0, b00, a01, a02, shat,
-                              S0_pow[n], S0_pow[n + 1])
+        solver = _OrderSolver(frame, n, Rn, S0_pow[n], S0_pow[n + 1])
         inconsistent = f"jet not realizable: order-{n} system inconsistent"
         if n in D:
             x = jet.lambdas.get(n, zero4)

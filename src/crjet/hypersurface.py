@@ -142,9 +142,9 @@ def _graph_function(Theta: TruncatedSeries) -> TruncatedSeries:
     p = 2
     while p < D:
         p = min(D, p + 2)
-        # truncate never raises a degree: lift Q to p through the constructor
+        # Q is exact only through p - 2, which is enough for a pass to p
         tau = TruncatedSeries.var("tau", GRAPH_VARS, p)
-        Q = TruncatedSeries(GRAPH_VARS, p, Q.coeffs)
+        Q = Q.lift(p)
         Q = tau + compose(Theta.truncate(p), {"s": (Q + tau) * half}) * two_i
     return Q
 

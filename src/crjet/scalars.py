@@ -12,10 +12,13 @@ Two coefficient rings are used throughout the package:
   ``ExactComplex`` coefficients (conjugation fixes n and conjugates the
   coefficients).
 
-Series products run on integers: ``numerator_rows`` puts a whole
-coefficient dict over one shared denominator as integer rows, and
-``from_numerators`` turns the numerators summed by the product back into
-canonical coefficients, with one gcd per output coefficient.
+A truncated series stores integer rows, not these objects: its terms as
+numerators over one shared denominator, keyed ``exps + (k, p)`` (power k of
+n, p = 1 for the terms of an ``NPoly``).  ``numerator_rows`` turns the
+coefficient dict given to the public series constructor, or a scalar
+factor, into such rows, and ``from_numerators`` turns stored rows back into
+canonical coefficients when a caller reads them, with one gcd per
+``ExactComplex``.
 
 Everything is immutable value semantics; no rounding ever happens.
 """
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 
 class ScalarError(ArithmeticError):
@@ -336,11 +338,12 @@ class NPoly:
 def numerator_rows(coeffs):
     """A coefficient dict over one shared denominator, as integer rows.
 
-    Returns ``(d, rows)``.  Each row ``(key, s, a, b)`` is the term
-    (a + b*i)/d * n^k at the exponent tuple ``exps``, with ``s = sum(exps)``
-    and ``key = exps + (k, p)``: an ``ExactComplex`` gives one row with
-    k = p = 0, an ``NPoly`` one row per nonzero coefficient with p = 1.
-    Rows are sorted by ``s``.
+    Returns ``(d, rows)``, with ``d`` the lcm of the denominators of the
+    coefficients.  ``rows`` maps ``exps + (k, p)`` to ``(a, b)``, the term
+    (a + b*i)/d * n^k at the exponent tuple ``exps``: an ``ExactComplex``
+    gives one row with k = p = 0, an ``NPoly`` one row per nonzero
+    coefficient with p = 1.  The rows are canonical: each coefficient is,
+    so ``gcd(d, every numerator) = 1``.
     """
     dens = set()
     for c in coeffs.values():
@@ -349,45 +352,38 @@ def numerator_rows(coeffs):
         else:
             dens.update(x._d for x in c.coefficients)
     d = math.lcm(*dens)
-    rows = []
+    rows = {}
     for exps, c in coeffs.items():
-        s = sum(exps)
         if type(c) is ExactComplex:
             m = d // c._d
-            rows.append((exps + (0, 0), s, c._a * m, c._b * m))
+            rows[exps + (0, 0)] = (c._a * m, c._b * m)
             continue
         for k, x in enumerate(c.coefficients):
             if x._a or x._b:
                 m = d // x._d
-                rows.append((exps + (k, 1), s, x._a * m, x._b * m))
-    rows.sort(key=itemgetter(1))
+                rows[exps + (k, 1)] = (x._a * m, x._b * m)
     return d, rows
 
 
-def from_numerators(acc, d: int) -> dict:
-    """Canonical coefficients from numerators summed over the denominator d.
+def from_numerators(rows, d: int) -> dict:
+    """The coefficients of canonical ``numerator_rows`` over the denominator d.
 
-    ``acc`` maps ``exps + (k, p)`` to ``[re, im]``, the keys of
-    ``numerator_rows`` added componentwise over the factors of each product.
-    The coefficient at ``exps`` is an ``NPoly`` when any of its keys has
-    p > 0, that is when an ``NPoly`` factor contributed to it, and an
-    ``ExactComplex`` otherwise; zero coefficients are left out.
+    The rows with p = 1 at one ``exps`` make an ``NPoly``, a row with p = 0
+    an ``ExactComplex``; each ``ExactComplex`` costs one gcd.
     """
-    poly = {key[:-2]: {} for key in acc if key[-1]}
     out = {}
-    for key, (re, im) in acc.items():
+    for key, (re, im) in rows.items():
         exps = key[:-2]
-        parts = poly.get(exps)
-        if parts is not None:
-            k = key[-2]
-            cur = parts.get(k)
-            parts[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-        elif re or im:
+        if key[-1]:
+            parts = out.get(exps)
+            if parts is None:
+                parts = out[exps] = {}
+            parts[key[-2]] = _canonical(re, im, d)
+        else:
             out[exps] = _canonical(re, im, d)
-    for exps, parts in poly.items():
-        c = NPoly([_canonical(*parts.get(k, (0, 0)), d) for k in range(max(parts) + 1)])
-        if not c.is_zero():
-            out[exps] = c
+    for exps, c in out.items():
+        if type(c) is dict:
+            out[exps] = NPoly([c.get(k, EC_ZERO) for k in range(max(c) + 1)])
     return out
 
 

@@ -1,17 +1,37 @@
 """Dense truncated multivariate power series over the exact coefficient rings.
 
-A ``TruncatedSeries`` keeps a dict from exponent tuples to coefficients
-(``ExactComplex`` or ``NPoly``) together with an ordered variable tuple and a
-truncation degree D.  Every operation is exact modulo truncation; operations
-that genuinely lose orders (differentiation, division by a monomial) shrink
-the recorded truncation degree so downstream certificates stay honest.
+A ``TruncatedSeries`` stores its terms as integer numerator rows over one
+shared denominator ``d``, after FLINT's ``fmpq_poly``: a map from
+``exps + (k, p)`` to ``(re, im)``, the term (re + im*i)/d * n^k at the
+exponent tuple ``exps``.  The flag ``p`` is 1 for the terms of an ``NPoly``
+coefficient and 0 for an ``ExactComplex`` one, so an ``ExactComplex`` takes
+one row with k = p = 0 and an ``NPoly`` one row per nonzero coefficient.
+The stored form is canonical: no row is zero, ``gcd(d, every numerator)``
+is 1, and the rows at one ``exps`` are either a single p = 0 row or p = 1
+rows only.
+
+The coefficient at ``exps`` is an ``NPoly`` exactly when an ``NPoly``
+reached it: a product, a sum or a scalar product gives an ``NPoly`` wherever
+one of its operands had one at a contributing term, even when the value
+that results is a constant, and drops the term only when it is zero.
+
+Arithmetic runs on the rows alone.  A product convolves the operands' rows
+(sorted by total degree and cached on the immutable series) and divides out
+one gcd at the end; sums add integers over the lcm of the denominators;
+negation, conjugation, scalar products, ``differentiate``, ``slice``,
+``embed``, ``rename`` and ``truncate`` are one pass each.  ``ExactComplex``
+and ``NPoly`` objects are built only when a caller reads them through
+``coeffs``, ``coeff`` or ``jet_coeff``, and ``coeffs`` is built at most once
+per series.  Every operation is exact modulo truncation; operations that
+genuinely lose orders (differentiation, division by a monomial) shrink the
+recorded truncation degree so downstream certificates stay honest.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from .scalars import (EC_ZERO, ExactComplex, NPoly, factorial, from_numerators,
                       numerator_rows)
@@ -32,13 +52,14 @@ def _is_scalar(c):
 
 
 class TruncatedSeries:
-    __slots__ = ("variables", "degree", "coeffs")
+    __slots__ = ("variables", "degree", "_d", "_num", "_npoly", "_rows", "_coeffs")
 
     def __init__(self, variables, degree, coeffs=None):
         variables = tuple(variables)
         if degree < 0:
             raise SeriesError("truncation degree must be nonnegative")
         clean = {}
+        npoly = False
         for exps, c in (coeffs or {}).items():
             exps = tuple(exps)
             if len(exps) != len(variables):
@@ -48,9 +69,11 @@ class TruncatedSeries:
             c = _coerce_coeff(c)
             if not c.is_zero():
                 clean[exps] = c
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
+                npoly = npoly or type(c) is NPoly
+        d, num = numerator_rows(clean)
+        _init(self, variables, degree, d, num, npoly)
+        if clean:
+            _set_coeffs(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -74,43 +97,72 @@ class TruncatedSeries:
         return cls(variables, degree, {exps: ExactComplex(1)})
 
     # -- inspection ------------------------------------------------------------
+    @property
+    def coeffs(self):
+        """The coefficients as a read-only dict from exponent tuples to
+        ``ExactComplex`` or ``NPoly``, built on first read and kept."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            if not self._num:
+                return {}
+            coeffs = from_numerators(self._num, self._d)
+            _set_coeffs(self, coeffs)
+        return coeffs
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def coeff(self, exps):
         """The stored coefficient, or ``EC_ZERO`` for any missing term."""
-        return self.coeffs.get(tuple(exps), EC_ZERO)
+        exps = tuple(exps)
+        if self._coeffs is None and not self._npoly:
+            key = exps + (0, 0)
+            v = self._num.get(key)
+            return EC_ZERO if v is None else from_numerators({key: v}, self._d)[exps]
+        return self.coeffs.get(exps, EC_ZERO)
 
     def constant_term(self):
         return self.coeff((0,) * len(self.variables))
 
     def order(self):
         """Least total degree present, or None for the zero series."""
-        if not self.coeffs:
+        if not self._num:
             return None
-        return min(sum(e) for e in self.coeffs)
+        return min(sum(k[:-2]) for k in self._num)
 
     def var_order(self, name):
         """Least exponent of one variable over the support, or None if zero."""
         idx = self.variables.index(name)
-        if not self.coeffs:
+        if not self._num:
             return None
-        return min(e[idx] for e in self.coeffs)
+        return min(k[idx] for k in self._num)
 
     def min_term(self):
         """Lowest-order stored term as (exponents, coeff), grading by total
         degree then lexicographic order; None for the zero series."""
-        if not self.coeffs:
+        if not self._num:
             return None
-        key = min(self.coeffs, key=lambda e: (sum(e), e))
-        return key, self.coeffs[key]
+        key = min((k[:-2] for k in self._num), key=lambda e: (sum(e), e))
+        return key, self.coeff(key)
 
     # -- structural conversions -------------------------------------------------
     def truncate(self, degree):
         """Forget orders above ``degree``; never extends the certified range."""
         if degree >= self.degree:
             return self
-        return _series(self.variables, degree, _upto(self.coeffs, degree))
+        return _part(self.variables, degree, self._d, _upto(self._num, degree),
+                     self._npoly)
+
+    def lift(self, degree):
+        """The same terms, declared to ``degree`` >= the current degree.
+
+        Only for a caller whose own argument accounts for the terms between
+        the two degrees, as the staged Q fixed point's does: a pass to
+        degree p needs Q exact only through p - 2.
+        """
+        if degree < self.degree:
+            raise SeriesError(f"lift to degree {degree} below {self.degree}; use truncate")
+        return _relabelled(self, self.variables, degree)
 
     def embed(self, variables):
         """Reinterpret over a superset (or reordering) of the variables."""
@@ -122,13 +174,14 @@ class TruncatedSeries:
             if v not in variables:
                 raise SeriesError(f"cannot embed: variable {v!r} missing from {variables}")
             pos.append(variables.index(v))
-        out = {}
-        for exps, c in self.coeffs.items():
-            new = [0] * len(variables)
-            for p, e in zip(pos, exps):
+        width = len(variables)
+        num = {}
+        for key, v in self._num.items():
+            new = [0] * width
+            for p, e in zip(pos, key):
                 new[p] = e
-            out[tuple(new)] = c
-        return _series(variables, self.degree, out)
+            num[tuple(new) + key[-2:]] = v
+        return _new(variables, self.degree, self._d, num, self._npoly)
 
     def slice(self, var, j):
         """The coefficient of ``var^j`` as a series in the remaining variables.
@@ -137,10 +190,11 @@ class TruncatedSeries:
         when deg m <= D - j.
         """
         idx = self.variables.index(var)
-        return _series(self.variables[:idx] + self.variables[idx + 1:],
-                       max(self.degree - j, 0),
-                       {e[:idx] + e[idx + 1:]: c
-                        for e, c in self.coeffs.items() if e[idx] == j})
+        return _part(self.variables[:idx] + self.variables[idx + 1:],
+                     max(self.degree - j, 0), self._d,
+                     {k[:idx] + k[idx + 1:]: v
+                      for k, v in self._num.items() if k[idx] == j},
+                     self._npoly)
 
     @classmethod
     def from_slices(cls, var, parts, degree):
@@ -149,33 +203,47 @@ class TruncatedSeries:
         The parts share one variable tuple; the result is truncated at the
         given ``degree``, whatever the degrees of the parts.
         """
+        if degree < 0:
+            raise SeriesError("truncation degree must be nonnegative")
         rest = parts[0].variables
-        out = {}
+        d = math.lcm(*(part._d for part in parts))
+        num = {}
         for j, part in enumerate(parts):
             if part.variables != rest:
                 raise SeriesError(f"slice {j} is over {part.variables}, not {rest}")
-            for e, c in part.coeffs.items():
-                out[e + (j,)] = c
-        return cls(rest + (var,), degree, out)
+            m = d // part._d
+            for k, (re, im) in part._num.items():
+                if sum(k[:-2]) + j <= degree:
+                    num[k[:-2] + (j,) + k[-2:]] = (re * m, im * m)
+        return _part(rest + (var,), degree, d, num,
+                     any(part._npoly for part in parts))
 
     def rename(self, mapping):
-        return _series(tuple(mapping.get(v, v) for v in self.variables),
-                       self.degree, self.coeffs)
-
-    def map_coeffs(self, fn):
-        """Apply ``fn`` (returning ``ExactComplex`` or ``NPoly``) to every
-        coefficient."""
-        return _series(self.variables, self.degree,
-                       {e: fn(c) for e, c in self.coeffs.items()})
+        return _relabelled(self, tuple(mapping.get(v, v) for v in self.variables),
+                           self.degree)
 
     def eval_n(self, n0):
-        """Evaluate NPoly coefficients at an integer n0."""
-        return self.map_coeffs(lambda c: c(n0) if isinstance(c, NPoly) else c)
+        """Evaluate NPoly coefficients at a rational n0."""
+        if not self._npoly:
+            return self
+        n0 = Fraction(n0)
+        p, q = n0.numerator, n0.denominator
+        top = max(k[-2] for k in self._num if k[-1])
+        num = {}
+        for k, (re, im) in self._num.items():
+            m = p ** k[-2] * q ** (top - k[-2])
+            key = k[:-2] + (0, 0)
+            cur = num.get(key)
+            num[key] = (re * m, im * m) if cur is None else (cur[0] + re * m,
+                                                             cur[1] + im * m)
+        return _reduced(self.variables, self.degree, self._d * q ** top,
+                        _nonzero(num), False)
 
     def conjugate(self, rename=None):
         """Coefficient-wise conjugation, optionally renaming variables
         (e.g. a series in z conjugates to a series in chi)."""
-        out = self.map_coeffs(lambda c: c.conj())
+        out = _new(self.variables, self.degree, self._d,
+                   {k: (re, -im) for k, (re, im) in self._num.items()}, self._npoly)
         if rename:
             out = out.rename(rename)
         return out
@@ -198,19 +266,14 @@ class TruncatedSeries:
     def __add__(self, other):
         if _is_scalar(other):
             other = TruncatedSeries.const(self.variables, self.degree, other)
-        a, b, degree = self._aligned(other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        if degree < max(a.degree, b.degree):
-            out = _upto(out, degree)
-        return _series(a.variables, degree, out)
+        a, b, _ = self._aligned(other)
+        return _sum(a.variables, (a, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.map_coeffs(lambda c: -c)
+        return _new(self.variables, self.degree, self._d,
+                    {k: (-re, -im) for k, (re, im) in self._num.items()}, self._npoly)
 
     def __sub__(self, other):
         if _is_scalar(other):
@@ -219,18 +282,28 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if _is_scalar(other):
-            c0 = _coerce_coeff(other)
-            return self.map_coeffs(lambda c: c * c0)
-        # one integer convolution of the operands' numerator_rows; the right
-        # rows are sorted by total degree, so each inner loop stops at the
-        # truncation instead of testing every pair
+            other = _coerce_coeff(other)
+            if type(other) is ExactComplex and not other.is_zero():
+                # a scalar factor goes into rows as the constructor puts it
+                d0, num0 = numerator_rows({(): other})
+                return _scaled(self, *num0[(0, 0)], d0)
+            other = TruncatedSeries.const(self.variables, self.degree, other)
         a, b, degree = self._aligned(other)
-        d1, rows1 = numerator_rows(a.coeffs)
-        d2, rows2 = numerator_rows(b.coeffs)
+        # an ExactComplex constant scales the rows of the other factor
+        for x, y in ((a, b), (b, a)):
+            c = _exact_constant(y)
+            if c is not None:
+                return _scaled(x.truncate(degree), *c, y._d)
+        # otherwise one integer convolution of the operands' cached rows; the
+        # right rows are sorted by total degree, so each inner loop stops at
+        # the truncation instead of testing every pair
+        rows2 = _rows(b)
         acc = {}
         get = acc.get
-        for e1, s1, a1, b1 in rows1:
+        for e1, s1, a1, b1 in _rows(a):
             lim = degree - s1
+            if lim < 0:
+                break
             for e2, s2, a2, b2 in rows2:
                 if s2 > lim:
                     break
@@ -243,7 +316,9 @@ class TruncatedSeries:
                 else:
                     cur[0] += re
                     cur[1] += im
-        return _series(a.variables, degree, from_numerators(acc, d1 * d2))
+        if a._npoly or b._npoly:
+            return _poly_reduced(a.variables, degree, a._d * b._d, acc)
+        return _reduced(a.variables, degree, a._d * b._d, _nonzero(acc), False)
 
     __rmul__ = __mul__
 
@@ -262,17 +337,15 @@ class TruncatedSeries:
     # -- calculus ----------------------------------------------------------------
     def differentiate(self, name, times=1):
         idx = self.variables.index(name)
-        out = self
-        for _ in range(times):
-            nxt = {}
-            for exps, c in out.coeffs.items():
-                e = exps[idx]
-                if e == 0:
-                    continue
-                key = exps[:idx] + (e - 1,) + exps[idx + 1:]
-                nxt[key] = c * e
-            out = _series(self.variables, max(out.degree - 1, 0), nxt)
-        return out
+        num = {}
+        for k, (re, im) in self._num.items():
+            e = k[idx]
+            if e < times:
+                continue
+            m = math.perm(e, times)
+            num[k[:idx] + (e - times,) + k[idx + 1:]] = (re * m, im * m)
+        return _part(self.variables, max(self.degree - times, 0), self._d, num,
+                     self._npoly)
 
     def jet_coeff(self, exps):
         """Derivative-at-zero convention: prod(e_i!) times the coefficient."""
@@ -285,7 +358,7 @@ class TruncatedSeries:
         return (self - other).is_zero()
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._num:
             return f"<series 0 in {self.variables} deg<={self.degree}>"
         items = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         parts = []
@@ -298,23 +371,184 @@ class TruncatedSeries:
 
 _set_variables = TruncatedSeries.variables.__set__
 _set_degree = TruncatedSeries.degree.__set__
-_set_coeffs = TruncatedSeries.coeffs.__set__
+_set_d = TruncatedSeries._d.__set__
+_set_num = TruncatedSeries._num.__set__
+_set_npoly = TruncatedSeries._npoly.__set__
+_set_rows = TruncatedSeries._rows.__set__
+_set_coeffs = TruncatedSeries._coeffs.__set__
 
 
-def _series(variables, degree, coeffs) -> TruncatedSeries:
-    """A series from parts the caller vouches for: exponent tuples matching
-    ``variables`` and within ``degree``, coefficients already ``ExactComplex``
-    or ``NPoly``.  Only zero coefficients are dropped."""
-    s = object.__new__(TruncatedSeries)
+# every zero series shares this empty row dict, which no code writes to, and
+# caches neither rows nor coefficients, so the many zero series stay small
+_NO_ROWS = {}
+
+
+def _init(s, variables, degree, d, num, npoly):
     _set_variables(s, variables)
     _set_degree(s, degree)
-    _set_coeffs(s, {e: c for e, c in coeffs.items() if not c.is_zero()})
+    _set_d(s, d)
+    _set_num(s, num or _NO_ROWS)
+    _set_npoly(s, npoly)
+    _set_rows(s, None)
+    _set_coeffs(s, None)
+
+
+def _new(variables, degree, d, num, npoly) -> TruncatedSeries:
+    """A series from rows the caller vouches for: canonical over ``d``,
+    keys matching ``variables`` and within ``degree``, and ``npoly`` true
+    exactly when some row has p = 1."""
+    s = object.__new__(TruncatedSeries)
+    _init(s, variables, degree, d, num, npoly)
     return s
 
 
-def _upto(coeffs, degree):
-    """The terms of total degree at most ``degree``."""
-    return {e: c for e, c in coeffs.items() if sum(e) <= degree}
+def _relabelled(s, variables, degree) -> TruncatedSeries:
+    """The terms of ``s`` over renamed variables or to a larger degree,
+    sharing its rows and whatever it has cached from them."""
+    out = _new(variables, degree, s._d, s._num, s._npoly)
+    _set_rows(out, s._rows)
+    _set_coeffs(out, s._coeffs)
+    return out
+
+
+def _rows(s):
+    """The rows (key, total degree, re, im) of ``s``, sorted by total degree."""
+    rows = s._rows
+    if rows is None:
+        if not s._num:
+            return ()
+        rows = sorted(((k, sum(k[:-2]), re, im) for k, (re, im) in s._num.items()),
+                      key=itemgetter(1))
+        _set_rows(s, rows)
+    return rows
+
+
+def _reduced(variables, degree, d, num, npoly) -> TruncatedSeries:
+    """``_new`` for rows with no zero row that may share a factor with
+    ``d``: one gcd pass divides it out."""
+    if d != 1:
+        g = d
+        for re, im in num.values():
+            g = math.gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            d //= g
+            num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+    return _new(variables, degree, d, num, npoly)
+
+
+def _part(variables, degree, d, num, npoly) -> TruncatedSeries:
+    """``_reduced`` for a subset of the rows of one series, whose ``npoly``
+    flag is given."""
+    return _reduced(variables, degree, d, num, npoly and any(k[-1] for k in num))
+
+
+def _poly_reduced(variables, degree, d, acc) -> TruncatedSeries:
+    """``_reduced`` for summed rows that may mix the flags at one ``exps``.
+
+    The coefficient at ``exps`` is an ``NPoly`` when any of its keys has
+    p > 0, zero or not: its rows go to p = 1, the ``ExactComplex`` part to
+    power k = 0.  Zero rows are then dropped.
+    """
+    poly = {k[:-2] for k in acc if k[-1]}
+    num = {}
+    for k, (re, im) in acc.items():
+        exps = k[:-2]
+        if exps in poly:
+            k = exps + (k[-2], 1)
+            cur = num.get(k)
+            if cur is not None:
+                re += cur[0]
+                im += cur[1]
+        num[k] = (re, im)
+    num = _nonzero(num)
+    return _reduced(variables, degree, d, num, any(k[-1] for k in num))
+
+
+def _nonzero(acc):
+    return {k: v for k, v in acc.items() if v[0] or v[1]}
+
+
+def _upto(num, degree):
+    """The rows of total degree at most ``degree``."""
+    return {k: v for k, v in num.items() if sum(k[:-2]) <= degree}
+
+
+def _exact_constant(s):
+    """The numerators (re, im) of s when s is one nonzero ExactComplex
+    constant, else None."""
+    if len(s._num) == 1:
+        (key, v), = s._num.items()
+        if not any(key):
+            return v
+    return None
+
+
+def _scaled(s, a0, b0, d0) -> TruncatedSeries:
+    """s * (a0 + b0*i)/d0 for a nonzero scalar."""
+    if b0:
+        num = {k: (re * a0 - im * b0, re * b0 + im * a0)
+               for k, (re, im) in s._num.items()}
+    elif a0 != 1:
+        num = {k: (re * a0, im * a0) for k, (re, im) in s._num.items()}
+    else:
+        num = s._num
+    return _reduced(s.variables, s.degree, s._d * d0, num, s._npoly)
+
+
+def _sum(variables, parts) -> TruncatedSeries:
+    """The sum of series over ``variables``, added as integers over the lcm
+    of their denominators and certified to the least of their degrees.
+
+    With an ``NPoly`` among the terms the parts are added one at a time, as
+    ``+`` adds them: a coefficient that cancels to zero is dropped before
+    the next part comes, and a later ``ExactComplex`` there stays one.
+    """
+    npoly = False
+    degree = parts[0].degree
+    dens = []
+    for p in parts:
+        npoly = npoly or p._npoly
+        degree = min(degree, p.degree)
+        dens.append(p._d)
+    if npoly and len(parts) > 2:
+        acc = parts[0]
+        for p in parts[1:]:
+            acc = _sum(variables, (acc, p))
+        return acc
+    d = math.lcm(*dens)
+    out = None
+    for p in parts:
+        m = d // p._d
+        num = p._num if p.degree <= degree else _upto(p._num, degree)
+        if out is None:
+            out = dict(num) if m == 1 else {k: (re * m, im * m)
+                                            for k, (re, im) in num.items()}
+            continue
+        get = out.get
+        for k, (re, im) in num.items():
+            if m != 1:
+                re *= m
+                im *= m
+            cur = get(k)
+            if cur is None:
+                out[k] = (re, im)
+            else:
+                re += cur[0]
+                im += cur[1]
+                if re or im:
+                    out[k] = (re, im)
+                else:
+                    del out[k]
+    if npoly:
+        return _poly_reduced(variables, degree, d, out)
+    return _reduced(variables, degree, d, out, False)
+
+
+def _has_term(s, exps) -> bool:
+    num = s._num
+    return exps + (0, 0) in num or (s._npoly and any(k[:-2] == exps for k in num))
 
 
 def compose(h: TruncatedSeries, args) -> TruncatedSeries:
@@ -337,7 +571,7 @@ def compose(h: TruncatedSeries, args) -> TruncatedSeries:
                 union.append(v)
             continue
         a = args[v]
-        if not a.constant_term().is_zero():
+        if _has_term(a, (0,) * len(a.variables)):
             raise SeriesError(f"compose argument for {v!r} has nonzero constant term")
         degree = min(degree, a.degree)
         union += [u for u in a.variables if u not in union]
@@ -353,30 +587,25 @@ def compose(h: TruncatedSeries, args) -> TruncatedSeries:
             tab.append(tab[-1] * tab[1])
         return tab[e]
 
-    # group the terms of h by their substituted exponents; each group is a
+    # group the rows of h by their substituted exponents; each group is a
     # polynomial in the kept variables, a constant when every one is given
     groups = {}
-    for exps, c in h.coeffs.items():
-        if sum(exps) > degree:
+    for k, v in h._num.items():
+        if sum(k[:-2]) > degree:
             continue
         rest = [0] * len(union)
         for i, p in kept:
-            rest[p] = exps[i]
-        groups.setdefault(tuple(exps[i] for i in subbed), {})[tuple(rest)] = c
-    const = (0,) * len(union)
-    acc = TruncatedSeries.zero(union, degree)
-    for key, part in groups.items():
+            rest[p] = k[i]
+        groups.setdefault(tuple(k[i] for i in subbed), {})[tuple(rest) + k[-2:]] = v
+    terms = []
+    for key, num in groups.items():
         term = None
         for i, e in zip(subbed, key):
             if e:
                 term = power(i, e) if term is None else term * power(i, e)
-        if term is None:
-            acc = acc + _series(union, degree, part)
-        elif len(part) == 1 and const in part:
-            acc = acc + term * part[const]
-        else:
-            acc = acc + _series(union, degree, part) * term
-    return acc
+        part = _part(union, degree, h._d, num, h._npoly)
+        terms.append(part if term is None else part * term)
+    return _sum(union, terms or [TruncatedSeries.zero(union, degree)])
 
 
 def inverse_unit(a: TruncatedSeries) -> TruncatedSeries:
@@ -406,26 +635,29 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
         raise SeriesError("division by zero series")
     a, b, degree = num._aligned(den)
     nvars = len(a.variables)
-    mins = [min(e[i] for e in b.coeffs) for i in range(nvars)]
-    base = tuple(mins)
-    if base not in b.coeffs:
+    base = tuple(min(k[i] for k in b._num) for i in range(nvars))
+    if not _has_term(b, base):
         raise SeriesError(
             f"denominator is not monomial*unit: no term with exponents {base}")
-    d = sum(base)
-    shifted_den = {}
-    for exps, c in b.coeffs.items():
-        shifted_den[tuple(e - m for e, m in zip(exps, base))] = c
-    shifted_num = {}
-    for exps, c in a.coeffs.items():
-        if any(e < m for e, m in zip(exps, base)):
+    new_degree = degree - sum(base)
+
+    def shifted(s):
+        out = {}
+        for k, v in s._num.items():
+            exps = tuple(e - m for e, m in zip(k, base))
+            if sum(exps) <= new_degree:
+                out[exps + k[-2:]] = v
+        return _part(a.variables, new_degree, s._d, out, s._npoly)
+
+    for k in a._num:
+        if any(e < m for e, m in zip(k, base)):
+            exps = k[:-2]
             raise SeriesError(
                 f"not divisible: term {dict(zip(a.variables, exps))} of the numerator "
                 f"has lower order than the denominator monomial {dict(zip(a.variables, base))}")
-        shifted_num[tuple(e - m for e, m in zip(exps, base))] = c
-    new_degree = degree - d
-    u = TruncatedSeries(a.variables, new_degree, shifted_den)
-    q = TruncatedSeries(a.variables, new_degree, shifted_num)
-    return q * inverse_unit(u)
+    if new_degree < 0:
+        raise SeriesError("truncation degree must be nonnegative")
+    return shifted(a) * inverse_unit(shifted(b))
 
 
 def implicit_solve(rho: TruncatedSeries, wvar: str) -> TruncatedSeries:

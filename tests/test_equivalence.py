@@ -432,6 +432,26 @@ class TestOrderSystem:
         self.check_orders(monkeypatch, M, Mhat, A, [0])
 
 
+class TestOrderIndependentWork:
+    def test_theta_L_unit_is_inverted_once_per_reconstruction(self, monkeypatch):
+        calls = []
+        original = equivalence.inverse_unit
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(equivalence, "inverse_unit", counted)
+        M = family_mc(1, 1, 18)
+        A = linear_map(EPS, 2, 18)
+        counts = []
+        for order in (2, 5):
+            calls.clear()
+            assert reconstruct(M, M, extract_jet(A, [0]), order, D=[0]) == A
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
 class TestFiniteDetermination:
     def test_equal_maps_agree(self):
         M = family_mc(1, 1, 18)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -57,10 +58,14 @@ class TestArithmetic:
         assert (a + b).coeffs == {(1, 1): ExactComplex(2), (0, 1): EC_I}
 
 
+def union_of(a, b):
+    return a.variables + tuple(v for v in b.variables if v not in a.variables)
+
+
 def schoolbook(a, b):
     """The product a * b as variables, degree and coefficients, one scalar
     product c1 * c2 per pair of terms, summed per exponent tuple."""
-    variables = a.variables + tuple(v for v in b.variables if v not in a.variables)
+    variables = union_of(a, b)
     degree = min(a.degree, b.degree)
     out = {}
     for e1, c1 in a.embed(variables).coeffs.items():
@@ -86,6 +91,31 @@ def series_of(draw, coeffs):
     return TruncatedSeries(variables, degree, draw(st.dictionaries(exps, coeffs, max_size=8)))
 
 
+def assert_canonical(s):
+    """The stored rows of s: no zero row, every row within the degree, one
+    p = 0 row or p = 1 rows only at each exponent tuple, the NPoly flag
+    exact, and no factor common to the denominator and every numerator."""
+    exps_flags = {}
+    for key, (re, im) in s._num.items():
+        assert len(key) == len(s.variables) + 2
+        assert re or im
+        assert sum(key[:-2]) <= s.degree
+        assert key[-1] in (0, 1) and (key[-1] or key[-2] == 0)
+        exps_flags.setdefault(key[:-2], []).append(key[-1])
+    assert all(flags == [0] or all(flags) for flags in exps_flags.values())
+    assert s._npoly == any(key[-1] for key in s._num)
+    assert math.gcd(s._d, *(x for v in s._num.values() for x in v)) == 1
+
+
+def assert_matches(s, variables, degree, coeffs):
+    """s has these variables, degree, keys, values and coefficient types."""
+    assert_canonical(s)
+    assert (s.variables, s.degree) == (variables, degree)
+    assert s.coeffs == coeffs
+    assert {e: type(c) for e, c in s.coeffs.items()} == \
+        {e: type(c) for e, c in coeffs.items()}
+
+
 class TestProductKernel:
     @pytest.mark.parametrize("left, right", [("exact", "exact"), ("exact", "npoly"),
                                              ("npoly", "exact"), ("npoly", "npoly"),
@@ -94,12 +124,7 @@ class TestProductKernel:
     def test_matches_schoolbook_products(self, left, right, data):
         a = data.draw(series_of(COEFFS[left]))
         b = data.draw(series_of(COEFFS[right]))
-        variables, degree, coeffs = schoolbook(a, b)
-        p = a * b
-        assert (p.variables, p.degree) == (variables, degree)
-        assert p.coeffs == coeffs
-        assert {e: type(c) for e, c in p.coeffs.items()} == \
-            {e: type(c) for e, c in coeffs.items()}
+        assert_matches(a * b, *schoolbook(a, b))
 
     @pytest.mark.parametrize("unit", [EC_I, NPoly([0, 1])])
     def test_cancelled_terms_are_dropped(self, unit):
@@ -109,6 +134,210 @@ class TestProductKernel:
         p = a * b
         assert (1, 1) not in p.coeffs
         assert p.coeffs == {(2, 0): unit * unit, (0, 2): ExactComplex(-1)}
+
+
+def nonzero(coeffs, degree):
+    return {e: c for e, c in coeffs.items() if sum(e) <= degree and not c.is_zero()}
+
+
+def naive_add(x, y):
+    """x + y one coefficient sum per shared key, zero sums dropped."""
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = c if e not in out else out[e] + c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def naive_mul(x, y, degree):
+    """x * y by one scalar product c1 * c2 per pair of terms."""
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            if sum(e1) + sum(e2) > degree:
+                continue
+            key = tuple(p + q for p, q in zip(e1, e2))
+            out[key] = c1 * c2 if key not in out else out[key] + c1 * c2
+    return nonzero(out, degree)
+
+
+def naive_compose(h, args):
+    """compose(h, args) from coefficient objects, in the library's order of
+    work: power chains p_e = p_(e-1) * p_1 per argument, each group of h's
+    terms with the same substituted exponents times the product of its
+    powers, and the groups added one at a time."""
+    union, degree = [], h.degree
+    for v in h.variables:
+        new = args[v].variables if v in args else (v,)
+        union += [u for u in new if u not in union]
+        if v in args:
+            degree = min(degree, args[v].degree)
+    union = tuple(union)
+    one = {(0,) * len(union): ExactComplex(1)}
+    chains = {v: [one, nonzero(a.embed(union).coeffs, degree)] for v, a in args.items()}
+    groups = {}
+    for e, c in h.coeffs.items():
+        if sum(e) > degree:
+            continue
+        rest = [0] * len(union)
+        for v, k in zip(h.variables, e):
+            if v not in args:
+                rest[union.index(v)] = k
+        key = tuple(k for v, k in zip(h.variables, e) if v in args)
+        groups.setdefault(key, {})[tuple(rest)] = c
+    subbed = [v for v in h.variables if v in args]
+    total = {}
+    for key, part in groups.items():
+        term = None
+        for v, k in zip(subbed, key):
+            if k:
+                chain = chains[v]
+                while len(chain) <= k:
+                    chain.append(naive_mul(chain[-1], chain[1], degree))
+                term = chain[k] if term is None else naive_mul(term, chain[k], degree)
+        total = naive_add(total, part if term is None else naive_mul(part, term, degree))
+    return union, degree, total
+
+
+scalars = st.one_of(exact, npolys, st.integers(-3, 3))
+
+
+class TestRowOperations:
+    """Every row operation against the same operation on coefficient objects."""
+
+    KINDS = pytest.mark.parametrize("kind", ["exact", "npoly", "mixed"])
+
+    @KINDS
+    @given(data=st.data())
+    def test_sum_difference_and_negation(self, kind, data):
+        a = data.draw(series_of(COEFFS[kind]))
+        b = data.draw(series_of(COEFFS["mixed"]))
+        variables = union_of(a, b)
+        degree = min(a.degree, b.degree)
+        x = nonzero(a.embed(variables).coeffs, degree)
+        y = nonzero(b.embed(variables).coeffs, degree)
+        assert_matches(a + b, variables, degree, naive_add(x, y))
+        assert_matches(a - b, variables, degree,
+                       naive_add(x, {e: -c for e, c in y.items()}))
+        assert_matches(-a, a.variables, a.degree, {e: -c for e, c in a.coeffs.items()})
+
+    @KINDS
+    @given(data=st.data())
+    def test_scalar_products(self, kind, data):
+        a = data.draw(series_of(COEFFS[kind]))
+        c0 = data.draw(scalars)
+        want = nonzero({e: c * c0 for e, c in a.coeffs.items()}, a.degree)
+        assert_matches(a * c0, a.variables, a.degree, want)
+        if type(c0) is int:
+            assert_matches(c0 * a, a.variables, a.degree, want)
+
+    @KINDS
+    @given(data=st.data())
+    def test_conjugate_and_rename(self, kind, data):
+        a = data.draw(series_of(COEFFS[kind]))
+        want = {e: c.conj() for e, c in a.coeffs.items()}
+        assert_matches(a.conjugate(), a.variables, a.degree, want)
+        renamed = tuple(v.upper() for v in a.variables)
+        assert_matches(a.conjugate(rename={v: v.upper() for v in a.variables}),
+                       renamed, a.degree, want)
+
+    @KINDS
+    @given(data=st.data())
+    def test_differentiate(self, kind, data):
+        a = data.draw(series_of(COEFFS[kind]))
+        var = data.draw(st.sampled_from(a.variables))
+        times = data.draw(st.integers(0, 3))
+        idx = a.variables.index(var)
+        want, degree = dict(a.coeffs), a.degree
+        for _ in range(times):
+            want = {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+                    for e, c in want.items() if e[idx]}
+            degree = max(degree - 1, 0)
+        assert_matches(a.differentiate(var, times), a.variables, degree, want)
+
+    @KINDS
+    @given(data=st.data())
+    def test_slice_embed_truncate(self, kind, data):
+        a = data.draw(series_of(COEFFS[kind]))
+        var = data.draw(st.sampled_from(a.variables))
+        j = data.draw(st.integers(0, 6))
+        idx = a.variables.index(var)
+        assert_matches(a.slice(var, j), a.variables[:idx] + a.variables[idx + 1:],
+                       max(a.degree - j, 0),
+                       {e[:idx] + e[idx + 1:]: c for e, c in a.coeffs.items() if e[idx] == j})
+        wider = ("s",) + tuple(reversed(a.variables))
+        assert_matches(a.embed(wider), wider, a.degree,
+                       {(0,) + tuple(reversed(e)): c for e, c in a.coeffs.items()})
+        t = data.draw(st.integers(0, 6))
+        assert_matches(a.truncate(t), a.variables, min(t, a.degree),
+                       nonzero(a.coeffs, t))
+
+    @KINDS
+    @given(data=st.data())
+    def test_compose(self, kind, data):
+        hvars = data.draw(st.sampled_from((("u",), ("u", "v"), ("v", "u", "w"))))
+        degree = data.draw(st.integers(0, 5))
+        exps = st.tuples(*[st.integers(0, degree)] * len(hvars))
+        h = TruncatedSeries(hvars, degree,
+                            data.draw(st.dictionaries(exps, COEFFS[kind], max_size=6)))
+        subbed = data.draw(st.lists(st.sampled_from(hvars), min_size=1, unique=True))
+        args = {}
+        for v in subbed:
+            arg = data.draw(series_of(COEFFS["mixed"]))
+            args[v] = arg - TruncatedSeries.const(arg.variables, arg.degree,
+                                                  arg.constant_term())
+        assert_matches(compose(h, args), *naive_compose(h, args))
+
+    @KINDS
+    @given(data=st.data())
+    def test_eval_n(self, kind, data):
+        a = data.draw(series_of(COEFFS[kind]))
+        n0 = data.draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+        want = {e: c(n0) if type(c) is NPoly else c for e, c in a.coeffs.items()}
+        assert_matches(a.eval_n(n0), a.variables, a.degree, nonzero(want, a.degree))
+
+    def test_npoly_terms_that_cancel_in_a_product_still_make_an_npoly(self):
+        # at x y: n * 1 and 1 * (-n) cancel, 2 * 3 remains
+        a = srs({(1, 0): NPoly([0, 1]), (0, 1): ExactComplex(1), (0, 0): ExactComplex(2)})
+        b = srs({(0, 1): ExactComplex(1), (1, 0): NPoly([0, -1]), (1, 1): ExactComplex(3)})
+        p = a * b
+        assert p.coeffs[(1, 1)] == NPoly([6])
+        assert_matches(p, *schoolbook(a, b))
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0)])
+    def test_compose_adds_its_groups_one_at_a_time(self, order):
+        # at x^2: 5 from u^2, n from u and -n from v; the NPoly terms cancel
+        terms = [((2, 0), ExactComplex(5)), ((1, 0), NPoly([0, 1])), ((0, 1), NPoly([0, -1]))]
+        h = TruncatedSeries(("u", "v"), 4, dict(terms[i] for i in order))
+        args = {"u": TruncatedSeries(("x",), 4, {(1,): ExactComplex(1), (2,): ExactComplex(1)}),
+                "v": TruncatedSeries(("x",), 4, {(2,): ExactComplex(1)})}
+        out = compose(h, args)
+        assert_matches(out, *naive_compose(h, args))
+        # an NPoly reached x^2 after the 5 did, so it stays one; when the
+        # NPoly terms cancel first, the sum at x^2 is dropped and the 5 is exact
+        assert type(out.coeff((2,))) is (NPoly if order[0] == 0 else ExactComplex)
+
+    def test_cancelled_npoly_drops_the_term(self):
+        c = ExactComplex(Fraction(2, 3), -1)
+        s = srs({(1, 0): NPoly([c]), (0, 1): EC_I}) + srs({(1, 0): -c})
+        assert_matches(s, XY, DEG, {(0, 1): EC_I})
+
+    def test_npoly_plus_exact_stays_npoly(self):
+        s = srs({(1, 0): NPoly([0, 1])}) + srs({(1, 0): ExactComplex(1)})
+        assert_matches(s, XY, DEG, {(1, 0): NPoly([1, 1])})
+
+    def test_npoly_times_npoly_is_npoly(self):
+        # the p flags of the factors' rows add up to 2 in the product
+        p = srs({(1, 0): NPoly([2])}) * srs({(0, 1): NPoly([0, 3])})
+        assert_matches(p, XY, DEG, {(1, 1): NPoly([0, 6])})
+        assert type(p.coeff((1, 1))) is NPoly
+
+    def test_missing_coefficient_of_an_npoly_product_is_exact_zero(self):
+        s = srs({(1, 0): NPoly([0, 1]), (0, 1): ExactComplex(2)})
+        p = s * s
+        assert type(p.coeff((0, 3))) is ExactComplex
+        assert p.coeff((0, 3)).is_zero()
+        assert type(p.coeff((0, 2))) is ExactComplex
+        assert type(p.coeff((1, 1))) is NPoly
 
 
 class TestDifferentiationAndJets:

@@ -94,7 +94,7 @@ def pn_by_binomials(theta):
     of (1 + i theta)^n and (1 - i theta)^(-n), coefficients NPoly in n."""
     it = theta * EC_I
     one = TruncatedSeries.const(theta.variables, theta.degree, 1)
-    rising = one.map_coeffs(lambda c: c * NPoly.const(1))
+    rising = one * NPoly.const(1)
     falling = rising
     power = one
     for k in range(1, theta.degree // theta.order() + 1):
