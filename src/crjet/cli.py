@@ -127,7 +127,7 @@ def _cmd_verify(args, inputs):
         exps, c = rep.first_offending
         result["first_offending"] = {
             "monomial": dict(zip(rep.residual.variables, exps)),
-            **cio.complex_dict(ExactComplex.coerce(c))}
+            **cio.complex_dict(c)}
         raise ReportedFailure(result, "mapping-identity residual is nonzero")
     return result
 

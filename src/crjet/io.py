@@ -58,10 +58,7 @@ def series_dict(s: TruncatedSeries) -> dict:
     for exps in sorted(s.coeffs):
         c = s.coeffs[exps]
         entry = {"exponents": list(exps)}
-        if isinstance(c, NPoly):
-            entry.update(npoly_dict(c))
-        else:
-            entry.update(complex_dict(ExactComplex.coerce(c)))
+        entry.update(npoly_dict(c) if isinstance(c, NPoly) else complex_dict(c))
         terms.append(entry)
     return {"variables": list(s.variables),
             "truncation_degree": s.degree,
@@ -112,6 +109,15 @@ def parse_series(obj, expect_variables=None) -> TruncatedSeries:
     return TruncatedSeries(variables, degree, coeffs)
 
 
+def _parse_numeric_series(obj, what, variables) -> TruncatedSeries:
+    """``parse_series`` for a series of numbers: a term in n is refused."""
+    s = parse_series(obj, expect_variables=variables)
+    for i, term in enumerate(obj["terms"]):
+        if "n_coeffs" in term:
+            raise FormatError(f"{what} term #{i}: n_coeffs belong to series in n only")
+    return s
+
+
 # -- hypersurfaces -----------------------------------------------------------
 
 def hypersurface_dict(M: Hypersurface) -> dict:
@@ -119,7 +125,7 @@ def hypersurface_dict(M: Hypersurface) -> dict:
 
 
 def parse_hypersurface(obj, degree=None) -> Hypersurface:
-    Theta = parse_series(obj, expect_variables=THETA_VARS)
+    Theta = _parse_numeric_series(obj, "hypersurface", THETA_VARS)
     if degree is not None and degree < Theta.degree:
         Theta = Theta.truncate(degree)
     return validate(Theta)
@@ -137,8 +143,8 @@ def parse_formal_map(obj) -> FormalMap:
     if not isinstance(obj, dict) or not all(
             isinstance(obj.get(k), list) and obj[k] for k in ("f", "g")):
         raise FormatError("formal map must be an object with nonempty f and g lists")
-    f = [parse_series(s, expect_variables=("z",)) for s in obj["f"]]
-    g = [parse_series(s, expect_variables=("z",)) for s in obj["g"]]
+    f = [_parse_numeric_series(s, "map", ("z",)) for s in obj["f"]]
+    g = [_parse_numeric_series(s, "map", ("z",)) for s in obj["g"]]
     return FormalMap(f, g)
 
 

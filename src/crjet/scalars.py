@@ -100,9 +100,9 @@ class ExactComplex:
     # -- ring operations -------------------------------------------------------
     def __add__(self, other):
         if type(other) is not ExactComplex:
-            if isinstance(other, NPoly):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = ExactComplex.coerce(other)
+            other = ExactComplex(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
             return _canonical(self._a + other._a, self._b + other._b, d1)
@@ -113,9 +113,9 @@ class ExactComplex:
 
     def __sub__(self, other):
         if type(other) is not ExactComplex:
-            if isinstance(other, NPoly):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = ExactComplex.coerce(other)
+            other = ExactComplex(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
             return _canonical(self._a - other._a, self._b - other._b, d1)
@@ -130,9 +130,9 @@ class ExactComplex:
 
     def __mul__(self, other):
         if type(other) is not ExactComplex:
-            if isinstance(other, NPoly):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = ExactComplex.coerce(other)
+            other = ExactComplex(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         return _canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
                           self._d * other._d)

@@ -1,21 +1,21 @@
 """The Upsilon family, jet-span dimensions, the exceptional set D, and jet order k.
 
 For a validated 1-infinite-type hypersurface with slice invariants (L, K, T)
-we build four series Upsilon^n_1..4 in (z, chi).  The parameter n is either a
-fixed integer or left symbolic, in which case every coefficient is a
-polynomial in n (NPoly).  The span V^n of the jet vectors
+we build four series Upsilon^n_1..4 in (z, chi), symbolically in n: every
+coefficient is a polynomial in n (NPoly).  The span V^n of the jet vectors
 
     upsilon^n_{s,t} = (Upsilon^n)_{z^s chi^t}(0, 0)  in C^4
 
 has dimension < gamma := 2 + d1K + d1L*d1T exactly for n in the exceptional
 set D, which is finite; the jet order k is read off from D.
 
-The symbolic family is built from P^n = ((1 + i theta)/(1 - i theta))^n by
-the recurrence of its coefficient polynomials in n; the leading minors of
-the xi matrix come from one shared-minor expansion, and each candidate n is
-settled by a rank scan that evaluates only the jets it reads.  theta is
-real, so every chi-side factor of Upsilon is the mirror of a z-side one (z
-and chi swapped, coefficients conjugated), and only the z side is divided.
+The family is built from P^n = ((1 + i theta)/(1 - i theta))^n by the
+recurrence of its coefficient polynomials in n; the leading minors of the xi
+matrix come from one shared-minor expansion.  The family at a fixed n, asked
+for directly or by the rank scan that settles each candidate n, is the
+symbolic family evaluated there (``eval_n``).  theta is real, so every
+chi-side factor of Upsilon is the mirror of a z-side one (z and chi
+swapped, coefficients conjugated), and only the z side is divided.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import RankTracker
-from .scalars import EC_I, EC_ZERO, ExactComplex, NPoly, integer_roots
-from .series import SeriesError, TruncatedSeries, divide, inverse_unit
+from .scalars import EC_I, EC_ZERO, NPoly, integer_roots
+from .series import SeriesError, TruncatedSeries, divide
 
 ZC = ("z", "chi")
 
@@ -62,24 +62,18 @@ class UpsilonFamily:
                              self.L, self.K, self.T)
 
 
-def pn_series(theta: TruncatedSeries, n_mode) -> TruncatedSeries:
-    """((1 + i theta)/(1 - i theta))^n as a series in (z, chi).
+def pn_series(theta: TruncatedSeries) -> TruncatedSeries:
+    """((1 + i theta)/(1 - i theta))^n as a series in (z, chi), symbolic in n.
 
-    For symbolic n, write x = i theta and P = sum_k g_k(n) x^k.  From
-    (1 - x^2) P' = 2n P (Bateman's recurrence for the Mittag-Leffler
-    polynomials) g_0 = 1, g_1 = 2n and k g_k = 2n g_(k-1) + (k-2) g_(k-2),
-    so P is one power chain of x with each power scaled by the polynomial
-    g_k.  theta has positive order, so only finitely many powers survive
-    the truncation; every coefficient of P is an ``NPoly``.
+    Write x = i theta and P = sum_k g_k(n) x^k.  From (1 - x^2) P' = 2n P
+    (Bateman's recurrence for the Mittag-Leffler polynomials) g_0 = 1,
+    g_1 = 2n and k g_k = 2n g_(k-1) + (k-2) g_(k-2), so P is one power chain
+    of x with each power scaled by the polynomial g_k.  theta has positive
+    order, so only finitely many powers survive the truncation; every
+    coefficient of P is an ``NPoly``.
     """
     x = theta * EC_I
     one = TruncatedSeries.const(theta.variables, theta.degree, 1)
-    if n_mode != SYMBOLIC:
-        n = int(n_mode)
-        if n < 0:
-            raise UpsilonError("n must be a nonnegative integer")
-        base = (one + x) * inverse_unit(one - x)
-        return base ** n
     ord_theta = theta.order()
     if ord_theta is None:
         raise UpsilonError("theta vanishes identically")
@@ -101,7 +95,8 @@ def _mirror(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def build_upsilon(M, n_mode) -> UpsilonFamily:
-    """Construct (Upsilon^n_1, ..., Upsilon^n_4).
+    """Construct (Upsilon^n_1, ..., Upsilon^n_4), for ``n_mode`` SYMBOLIC or
+    a nonnegative integer n; the family at n is the symbolic one's ``eval_n``.
 
     theta is real, so each chi-side factor is the ``_mirror`` of a z-side one
     built by the same operations in the same order, which keeps every value
@@ -110,21 +105,21 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     L = T = 1, so theta_1 = theta_L and Upsilon_4's quotients are these or
     their mirrors.
     """
+    if n_mode != SYMBOLIC:
+        n = int(n_mode)
+        if n < 0:
+            raise UpsilonError("n must be a nonnegative integer")
+        return build_upsilon(M, SYMBOLIC).eval_n(n)
     inv = M.invariants
     if inv.m != 1:
         raise UpsilonError("Upsilon family requires a 1-infinite-type hypersurface")
     L, K, T = inv.L, inv.K, inv.T
     theta = M.theta
     D = theta.degree
-
-    if n_mode == SYMBOLIC:
-        n_scalar = NPoly.n()
-    else:
-        n_scalar = ExactComplex.coerce(int(n_mode))
-    two_i_n = n_scalar * (EC_I * 2)
+    two_i_n = NPoly.n() * (EC_I * 2)
 
     one = TruncatedSeries.const(ZC, D, 1)
-    P = pn_series(theta, n_mode)
+    P = pn_series(theta)
     theta_z = theta.differentiate("z")
     theta_chi = theta.differentiate("chi")
     one_plus_theta2 = one + theta * theta
@@ -185,35 +180,30 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     else:
         U4 = zero
 
-    return UpsilonFamily(n_mode, [U1, U2, U3, U4], L, K, T)
+    return UpsilonFamily(SYMBOLIC, [U1, U2, U3, U4], L, K, T)
 
 
 def gamma_threshold(L: int, K: int, T: int) -> int:
     return 2 + _delta1(K) + _delta1(L) * _delta1(T)
 
 
-def dim_Vn(U: UpsilonFamily, scan_bound: int, n0: int | None = None):
-    """(rank, pivot (s,t) list) of the jet vectors with s, t <= scan_bound.
+def dim_Vn(U: UpsilonFamily, scan_bound: int):
+    """(rank, pivot (s,t) list) of the jet vectors with s, t <= scan_bound,
+    for a family at a fixed n.
 
-    A symbolic family is scanned at n = ``n0``, which it requires: only the
-    coefficient at each scanned (s, t) is evaluated, never the whole family.
     A row is the coefficient vector without the s! t! of the jet convention;
     scaling a row by a nonzero constant changes neither the rank nor which
     rows add rank, so the pivot labels are those of the jet vectors.
     """
-    if (U.n_mode == SYMBOLIC) != (n0 is not None):
-        raise UpsilonError("dim_Vn scans a fixed-n family, or a symbolic one at n0")
+    if U.n_mode == SYMBOLIC:
+        raise UpsilonError("dim_Vn scans a fixed-n family; evaluate it with eval_n")
     tracker = RankTracker()
     deg = U.degree
     coeffs = [c.coeffs for c in U.components]
     for total in range(0, min(2 * scan_bound, deg) + 1):
         for s in range(max(0, total - scan_bound), min(total, scan_bound) + 1):
             key = (s, total - s)
-            row = []
-            for cs in coeffs:
-                c = cs.get(key, EC_ZERO)
-                row.append(c if type(c) is ExactComplex else c(n0))
-            tracker.add_row(row, label=key)
+            tracker.add_row([cs.get(key, EC_ZERO) for cs in coeffs], label=key)
         if tracker.rank == 4:
             break
     return tracker.rank, list(tracker.labels)
@@ -310,7 +300,7 @@ def compute_D(M, scan_bound: int | None = None) -> JetAnalysis:
 
     D, vn_dims, certificates = [], {}, {}
     for n0 in sorted(candidates):
-        rank, pivots = dim_Vn(U, scan_bound, n0)
+        rank, pivots = dim_Vn(U.eval_n(n0), scan_bound)
         vn_dims[n0] = rank
         if rank < gamma:
             D.append(n0)

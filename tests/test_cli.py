@@ -133,6 +133,9 @@ class TestFamilyOptions:
         assert "result" not in rep
 
 
+# a term whose coefficient is written as a polynomial in n
+N_COEFFS = [{"re": "1", "im": "0"}]
+
 # (id, subcommand, top-level fields replaced in the "theta", "map" or "jet"
 # file, extra argv, exit code, error fragment)
 MALFORMED = [
@@ -164,8 +167,18 @@ MALFORMED = [
      EXIT_INVALID, "--n must be nonnegative, got -1"),
     ("map-empty-lists", "verify", {"map": {"f": [], "g": []}}, [],
      EXIT_IO, "nonempty f and g lists"),
+] + [
+    (f"n-coeffs-theta-{command}", command,
+     {"theta": {"terms": [{"exponents": [1, 1, 1], "n_coeffs": N_COEFFS}]}}, [],
+     EXIT_IO, "hypersurface term #0: n_coeffs")
+    for command in ("validate", "dset", "upsilon", "verify")
+] + [
+    ("n-coeffs-map-g0", "verify", {"map": {"g": [
+        {"variables": ["z"], "truncation_degree": 14,
+         "terms": [{"exponents": [0], "n_coeffs": N_COEFFS}]}]}}, [],
+     EXIT_IO, "map term #0: n_coeffs"),
 ]
-MALFORMED_FILES = {"validate": ("theta",), "upsilon": ("theta",),
+MALFORMED_FILES = {"validate": ("theta",), "upsilon": ("theta",), "dset": ("theta",),
                    "verify": ("theta", "theta", "map"),
                    "reconstruct": ("theta", "theta", "jet")}
 

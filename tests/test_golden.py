@@ -24,6 +24,9 @@ for fam in ("b0", "mc"):
     CASES[f"upsilon_symbolic_{fam}"] = ["upsilon", "--family", fam]
     CASES[f"reconstruct_{fam}"] = ["reconstruct", f"{fam}.json", f"{fam}.json",
                                    f"{fam}_jet.json", "--order", "2"]
+CASES["upsilon_n3_nb_j2"] = ["upsilon", "--family", "nb", "--j", "2",
+                             "--b-re", "1", "--b-im", "2", "--n", "3"]
+CASES["upsilon_n0_mc_j2"] = ["upsilon", "--family", "mc", "--j", "2", "--n", "0"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

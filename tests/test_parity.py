@@ -39,6 +39,21 @@ UPSILON_DIGESTS = {
     "b0": "a4ed29cc17593208313f349dc63d6b296f9efa13d24d5bf39d3622f46143247b",
 }
 
+FIXED_N_DIGESTS = {
+    ("b0", 0): "05b2ea4be713796a71626f2ecf3dbbdaa468c3aba2bc195a6aaceae398c99b4a",
+    ("b0", 1): "e63cd23e7e06a1d3ea1875b992bd99c53af41355b711b3085bc014ae6d9297fe",
+    ("b0", 2): "15b0abe216ff7d051130c8242ccaa59b33530265462d4a45761b0a3f9cd62dce",
+    ("b0", 5): "852433d15389dc88c2529d615b754a7a582514d2ecaa8f519253eb79d08aba7a",
+    ("mc", 0): "f95811dbf1298c9bcc127c3a3241978ca818c2e08d7783e85ce53bd11f7ae98a",
+    ("mc", 1): "552b7e01528dade1ab47b28f615e7900c6114d0f1ce09937ca63bd097f4d5153",
+    ("mc", 2): "8b7ffe340baf69d0d041a9a528aaa1fe0bfadf17a38aad22cdcb729a6854ffba",
+    ("mc", 5): "562e90eceefc5df5620f7ec5306f528b03ab4309dda43eb1cbcefdd1ff43bb92",
+    ("nb", 0): "bc1dc62b766a352e79b032b70389ea3a26782df37b9d26b925931354ec79c056",
+    ("nb", 1): "79b5f0db97f8851f35b70fd6d767fa6faba2d85ef4d59d89ab337b5aa0d8d7f8",
+    ("nb", 2): "cf054f05c3f290839ed9fb9b25a625b02c91856d9fda6eed0827a77988ae739e",
+    ("nb", 5): "ea45e85a741e705277c5fc911e5fcc4125a5048a4f9bc0f2eb265f8c83edc76c",
+}
+
 RECONSTRUCTION_DIGEST = "b5c9e5e133eb89fbe2ef774f42c68bccdcbc422084cb83fe2a893fbdbdd83659"
 
 
@@ -95,6 +110,12 @@ def test_hypersurface_series(name):
 def test_symbolic_upsilon(name):
     U = build_upsilon(FAMILIES[name](), SYMBOLIC)
     assert digest(U.components) == UPSILON_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, n", sorted(FIXED_N_DIGESTS))
+def test_fixed_n_upsilon(name, n):
+    U = build_upsilon(FAMILIES[name](), n)
+    assert digest(U.components) == FIXED_N_DIGESTS[name, n]
 
 
 def test_criterion_08_reconstructions():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from crjet.scalars import (EC_I, ExactComplex, NPoly, ScalarError, factorial,
                            integer_roots, rational_nth_root)
+from crjet.series import TruncatedSeries
 
 from conftest import falling_binomial, rising_binomial
 
@@ -53,6 +54,16 @@ class TestExactComplex:
     def test_coerce_rejects_garbage(self):
         with pytest.raises((ScalarError, TypeError, ValueError)):
             ExactComplex.coerce("1/2")
+
+    def test_defers_to_operands_it_cannot_coerce(self):
+        s = TruncatedSeries(("z", "chi"), 4, {(1, 0): ExactComplex(2), (0, 2): EC_I})
+        assert EC_I * s == s * EC_I
+        assert (ExactComplex(0) * s).is_zero()
+        assert EC_I + s == s + EC_I
+        with pytest.raises(TypeError):
+            EC_I - s            # a series has no reflected subtraction
+        with pytest.raises(TypeError):
+            EC_I * "1/2"
 
     def test_is_real(self):
         assert ExactComplex(3).is_real()

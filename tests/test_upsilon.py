@@ -60,7 +60,7 @@ class TestMirroredConstruction:
     def test_matches_direct_construction(self, M):
         for mode in (SYMBOLIC, 0, 1, 3):
             got = build_upsilon(M, mode).components
-            want = upsilon_oracle.build_upsilon(M, mode)
+            want = upsilon_oracle.build_upsilon(M, mode).components
             for a, b in zip(got, want, strict=True):
                 assert_same_series(a, b)
 
@@ -83,7 +83,7 @@ class TestSymbolicNumericConsistency:
         M = make()
         sym = build_upsilon(M, SYMBOLIC)
         for n0 in range(7):
-            fixed = build_upsilon(M, n0)
+            fixed = upsilon_oracle.build_upsilon(M, n0)
             at_n0 = sym.eval_n(n0)
             for a, b in zip(at_n0.components, fixed.components):
                 assert (a - b.truncate(a.degree)).is_zero()
@@ -109,7 +109,7 @@ class TestSymbolicPn:
         # theta = -i z makes x = i theta = z, so P = sum_k g_k(n) z^k
         deg = 12
         theta = TruncatedSeries(("z",), deg, {(1,): -EC_I})
-        P = pn_series(theta, SYMBOLIC)
+        P = pn_series(theta)
         for k in range(deg + 1):
             via = NPoly()
             for j in range(k + 1):
@@ -125,11 +125,11 @@ class TestSymbolicPn:
     ])
     def test_matches_binomial_product(self, make):
         theta = make().theta
-        assert_same_series(pn_series(theta, SYMBOLIC), pn_by_binomials(theta))
+        assert_same_series(pn_series(theta), pn_by_binomials(theta))
 
 
 class TestRankScan:
-    """Scanning the symbolic family at n0 is the scan of U.eval_n(n0)."""
+    """The rank scan of compute_D is the scan of the directly built fixed-n family."""
 
     def test_matches_fixed_n_family(self):
         rng = random.Random(47)
@@ -139,16 +139,20 @@ class TestRankScan:
         for M in inputs:
             inv = M.invariants
             bound = 3 * inv.K + 3 * inv.L + 2
-            U = build_upsilon(M, SYMBOLIC)
-            for n0 in range(7):
-                assert dim_Vn(U, bound, n0) == dim_Vn(U.eval_n(n0), bound), n0
+            dims = compute_D(M, scan_bound=bound).vn_dims
+            for n0 in sorted(set(range(7)) | set(dims)):
+                want = dim_Vn(upsilon_oracle.build_upsilon(M, n0), bound)
+                assert dim_Vn(build_upsilon(M, n0), bound) == want, n0
+                if n0 in dims:
+                    assert dims[n0] == want[0], n0
 
-    def test_n0_goes_with_a_symbolic_family(self):
-        M = family_b0(12)
+    def test_scans_only_a_fixed_n_family(self):
         with pytest.raises(UpsilonError):
-            dim_Vn(build_upsilon(M, SYMBOLIC), 8)
-        with pytest.raises(UpsilonError):
-            dim_Vn(build_upsilon(M, 2), 8, 2)
+            dim_Vn(build_upsilon(family_b0(12), SYMBOLIC), 8)
+
+    def test_negative_n_is_refused(self):
+        with pytest.raises(UpsilonError, match="nonnegative"):
+            build_upsilon(family_b0(12), -1)
 
 
 class TestXiDeterminants:

@@ -5,19 +5,39 @@ conjugations and divisions by conj(theta_L)', as the family was first
 written.  ``crjet.upsilon.build_upsilon`` gets the chi side by mirroring the
 z side instead; ``test_upsilon.py`` checks that both give the same four
 components, coefficient types included.
+
+At a fixed integer n this oracle builds the family directly over
+``ExactComplex``, with P^n the n-th power of (1 + i theta)/(1 - i theta),
+while ``crjet`` evaluates its symbolic family at n: the independent fixed-n
+reference of acceptance criterion 10 and of the rank-scan tests.
 """
 
 from __future__ import annotations
 
+from crjet import upsilon
 from crjet.scalars import EC_I, ExactComplex, NPoly
-from crjet.series import SeriesError, TruncatedSeries, divide
-from crjet.upsilon import SYMBOLIC, UpsilonError, pn_series
+from crjet.series import SeriesError, TruncatedSeries, divide, inverse_unit
+from crjet.upsilon import SYMBOLIC, UpsilonError, UpsilonFamily
 
 ZC = ("z", "chi")
 
 
 def _delta1(x) -> int:
     return 1 if x == 1 else 0
+
+
+def pn_series(theta, n_mode):
+    """((1 + i theta)/(1 - i theta))^n: ``crjet``'s series for symbolic n,
+    the n-th power of the quotient for an integer n."""
+    if n_mode == SYMBOLIC:
+        return upsilon.pn_series(theta)
+    x = theta * EC_I
+    one = TruncatedSeries.const(theta.variables, theta.degree, 1)
+    n = int(n_mode)
+    if n < 0:
+        raise UpsilonError("n must be a nonnegative integer")
+    base = (one + x) * inverse_unit(one - x)
+    return base ** n
 
 
 def build_upsilon(M, n_mode):
@@ -109,4 +129,4 @@ def build_upsilon(M, n_mode):
     else:
         U4 = zero
 
-    return [U1, U2, U3, U4]
+    return UpsilonFamily(n_mode, [U1, U2, U3, U4], L, K, T)
