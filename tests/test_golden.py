@@ -1,7 +1,8 @@
 """CLI reports must stay byte-identical to the committed golden files.
 
 ``tests/data/golden`` holds the inputs (``b0.json``, ``mc.json`` and their
-jet files, built at degree 14 from the map z -> (3/5 + 4/5 i) z, w -> 3w)
+jet files, built at degree 14 from the map z -> (3/5 + 4/5 i) z, w -> 3w,
+and ``mixed.json``)
 and, for each case below, the exact stdout the CLI printed for it.  The
 commands run from inside that directory so the relative input paths
 embedded in the reports match.
@@ -27,6 +28,9 @@ for fam in ("b0", "mc"):
 CASES["upsilon_n3_nb_j2"] = ["upsilon", "--family", "nb", "--j", "2",
                              "--b-re", "1", "--b-im", "2", "--n", "3"]
 CASES["upsilon_n0_mc_j2"] = ["upsilon", "--family", "mc", "--j", "2", "--n", "0"]
+# theta = -1/2 z chi - 1/3 z chi^2 - 1/3 z^2 chi + 2 z^2 chi^2 at degree 11: its
+# symbolic Upsilon mixes ExactComplex and NPoly coefficients
+CASES["upsilon_symbolic_mixed"] = ["upsilon", "mixed.json"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -16,8 +16,9 @@ from crjet import (ExactComplex, FormalMap, TruncatedSeries, build_upsilon,
                    compute_D, extract_jet, family_b0, family_mc, family_nb,
                    reconstruct, validate)
 from crjet.hypersurface import THETA_VARS
-from crjet.series import compose
-from crjet.upsilon import SYMBOLIC
+from crjet.scalars import NPoly
+from crjet.series import compose, divide, inverse_unit, kth_root_unit
+from crjet.upsilon import SYMBOLIC, pn_series
 
 EPS_UNIT = ExactComplex(Fraction(3, 5), Fraction(4, 5))
 
@@ -54,6 +55,31 @@ FIXED_N_DIGESTS = {
     ("nb", 5): "ea45e85a741e705277c5fc911e5fcc4125a5048a4f9bc0f2eb265f8c83edc76c",
 }
 
+S_DIGESTS = {
+    "mc": "dc6eb54bf9cdf7db9f33d9bb0047db70e0c5f27b6ee76ba7fa203098e0a0ff2e",
+    "nb": "f504c35e83b7c5ef3f599211db61931fcc0ae2e0b6d6790019663fa769c68c74",
+    "b0": "04e247e85ba031d6d756dbb0fcbeb2d3d7aca33dcf1ff089d9b30680e897a211",
+}
+
+PN_DIGESTS = {
+    "mc": "7e16fe4bcfeefb4231d362374527ac4545bf36290dd0c3368a5784c53d6c8724",
+    "nb": "3812886e0846cf8e48f9c919f228dfaf75c64f92290d91c8aadd3398aa1c4ee7",
+    "b0": "66a8f14da8f985ac573168aa7b4e5848071774947884421690e2cb143ce8d448",
+}
+
+DERIVED_DIGESTS = {
+    "inverse_unit-exact": "f8f5aaddf935c7b23e6a90f588f5e2655a85134e4700255a9c7b62b7ba0c937a",
+    "inverse_unit-mixed": "199b3303e1a95f261678b8e258ff32932f1ee897ee9abf1c0fc2c9c9c1eb7de3",
+    "kth_root_unit-1-exact": "4a917d4466bcd8be8fcf10f4e7c5af49d111a3d811dfd31f8a7942dade131381",
+    "kth_root_unit-2-exact": "2dc8cd05573801192e3b965d2c1ca47b5fd9f6f979b2521ccc7d91d7f3ef246e",
+    "kth_root_unit-3-exact": "820eda9158ec7bd01fad0d24f725a70a39fafee737470fcf2b0942ce01ceba73",
+    "kth_root_unit-1-mixed": "4c2d417a64030c55a32ce1fb63f50ee8312e4f3a53aaa65efa3bba784626c9c5",
+    "kth_root_unit-2-mixed": "51ab2b261dbeadcf14f01742fa5feebe5f22dfd7e9332a5e7e612e88efa915e2",
+    "kth_root_unit-3-mixed": "aad9e03114cc1de533a20ea9a79d5adccca034132191065bdea413e3b062902a",
+    "divide-exact": "df008219049a309a1077d32f228b2a24b34ff0351afa2d64aee8cbc952096874",
+    "divide-mixed": "f0a4a591e1ca657935dbb4ce85e70d3e275a07336903e0e7e84bbd8c384e6398",
+}
+
 RECONSTRUCTION_DIGEST = "b5c9e5e133eb89fbe2ef774f42c68bccdcbc422084cb83fe2a893fbdbdd83659"
 
 
@@ -69,6 +95,28 @@ def linear_map(eps, r, degree):
     f0 = TruncatedSeries(("z",), degree, {(1,): ExactComplex.coerce(eps)})
     g0 = TruncatedSeries(("z",), degree, {(0,): ExactComplex.coerce(r)})
     return FormalMap([f0], [g0])
+
+
+def units():
+    """Units in (z, chi) with constant term 1, from the slices theta of b0
+    and nb: 1 + theta_b0 + theta_nb, all ExactComplex, and
+    1 + theta_b0 + (1 + n) theta_nb, which mixes ExactComplex and NPoly."""
+    b0, nb = FAMILIES["b0"]().theta, FAMILIES["nb"]().theta
+    one = TruncatedSeries.const(b0.variables, b0.degree, 1)
+    return {"exact": one + b0 + nb, "mixed": one + b0 + nb * NPoly([1, 1])}
+
+
+def derived_series(name):
+    """The series ``DERIVED_DIGESTS`` pins under ``name``."""
+    op, *k, kind = name.split("-")
+    u = units()[kind]
+    if op == "inverse_unit":
+        return inverse_unit(u + u)
+    if op == "kth_root_unit":
+        return kth_root_unit(u, int(k[0]))
+    # (u - 1) / (z chi (2 + theta_b0 + theta_nb)): a monomial times a unit
+    z, chi = (TruncatedSeries.var(v, u.variables, u.degree) for v in u.variables)
+    return divide(u - 1, z * chi * (units()["exact"] + 1))
 
 
 def criterion_08_cases(degree):
@@ -104,6 +152,21 @@ def criterion_08_cases(degree):
 def test_hypersurface_series(name):
     M = FAMILIES[name]()
     assert digest([M.Q, M.S, M.theta]) == HYPERSURFACE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_graph_quotient(name):
+    assert digest([FAMILIES[name]().S]) == S_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_pn_series(name):
+    assert digest([pn_series(FAMILIES[name]().theta)]) == PN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_DIGESTS))
+def test_derived_series(name):
+    assert digest([derived_series(name)]) == DERIVED_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
