@@ -27,8 +27,8 @@ from .hypersurface import Hypersurface
 from .linalg import InconsistentSystem, solve_rational
 from .scalars import (EC_I, EC_ONE, EC_ZERO, ExactComplex, factorial,
                       rational_nth_root, split_parts)
-from .series import (TruncatedSeries, compose, divide, implicit_solve,
-                     inverse_unit, kth_root_unit)
+from .series import (TruncatedSeries, compose, implicit_solve, inverse_unit,
+                     kth_root_unit)
 
 ZC = ("z", "chi")
 
@@ -229,8 +229,7 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeri
     alphahat = thLhat.jet_coeff((K,))
 
     def unit_root(th, const):
-        mono = TruncatedSeries(("z",), th.degree, {(K,): const * Fraction(1, factorial(K))})
-        return kth_root_unit(divide(th, mono), K)
+        return kth_root_unit(th.shift("z", K) * (const.inverse() * factorial(K)), K)
 
     u = unit_root(thL, alpha)
     uhat = unit_root(thLhat, alphahat).rename({"z": "zh"})
@@ -271,12 +270,6 @@ def shat_jet_table(Mhat, f0, n_max):
     return table
 
 
-def _over_z_power(s, k):
-    """The terms of the z-series ``s`` from z^k upward, divided by z^k."""
-    return TruncatedSeries(("z",), s.degree - k,
-                           {(e - k,): c for (e,), c in s.coeffs.items() if e >= k})
-
-
 class _Frame:
     """What every order step shares: the slices theta_1 and theta_L, the
     series 2i theta_(L+1) - 4 delta_(L,1) theta_1^2, f_0', the inverse of
@@ -296,7 +289,7 @@ class _Frame:
                            - self.theta1 * self.theta1 * (4 * d1L))
         # theta_L' = z^(K-1) * unit: the inverse of that unit, for every run
         self.inv_thetaL_unit = inverse_unit(
-            _over_z_power(self.thetaL.differentiate("z"), self.K - 1))
+            self.thetaL.differentiate("z").shift("z", self.K - 1))
         self.f0_prime = f0.differentiate("z")
         self.shat = shat
 
@@ -344,7 +337,7 @@ class _OrderSolver:
 
         # divisibility by theta_L' needs z-order >= K-1: ``low`` must vanish
         low = [rhs_f.coeff((j,)) for j in range(K - 1)]
-        F = _over_z_power(rhs_f, K - 1) * fr.inv_thetaL_unit        # f_n / f_0'
+        F = rhs_f.shift("z", K - 1) * fr.inv_thetaL_unit            # f_n / f_0'
         return fr.f0_prime * F, g_n, low
 
     def _linear(self, f_n, g_n):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import EC_I, ExactComplex, factorial
-from .series import TruncatedSeries, compose, divide, kth_root_unit
+from .series import TruncatedSeries, compose, kth_root_unit
 
 THETA_VARS = ("z", "chi", "s")
 ZC = ("z", "chi")
@@ -110,7 +110,7 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
         raise ValidationError("finite type: out of scope (Theta(z,chi,0) != 0)")
 
     Q = _graph_function(Theta)
-    S = divide(Q, TruncatedSeries.var("tau", GRAPH_VARS, Q.degree))
+    S = Q.shift("tau", 1)
 
     theta = Theta.slice("s", 1)  # Theta_s(z,chi,0); for m = 1 this is theta
 
@@ -222,11 +222,9 @@ def family_nb(b, j: int, degree: int) -> Hypersurface:
 
 def family_b0(degree: int) -> Hypersurface:
     """theta = (1 - sqrt(1 - 4 z^2 chi^2)) / (2 z chi), Catalan coefficients."""
-    one = TruncatedSeries.const(ZC, degree + 2, 1)
     z = TruncatedSeries.var("z", ZC, degree + 2)
     chi = TruncatedSeries.var("chi", ZC, degree + 2)
-    root = kth_root_unit(one - (z * chi) ** 2 * 4, 2)
-    theta = divide(one - root, z * chi * 2)
-    Theta = TruncatedSeries(THETA_VARS, degree,
-                            {(a, b, 1): c for (a, b), c in theta.coeffs.items()})
+    root = kth_root_unit(1 - (z * chi) ** 2 * 4, 2)
+    theta = (1 - root).shift("z", 1).shift("chi", 1) * Fraction(1, 2)
+    Theta = TruncatedSeries.from_slices("s", [TruncatedSeries.zero(ZC, degree), theta], degree)
     return validate(Theta)

@@ -263,6 +263,8 @@ class NPoly:
 
     # -- ring operations -------------------------------------------------------
     def __add__(self, other):
+        if not isinstance(other, (NPoly, ExactComplex, int, Fraction)):
+            return NotImplemented
         other = NPoly.coerce(other)
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
@@ -275,12 +277,14 @@ class NPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-NPoly.coerce(other))
+        return self + (-other)
 
     def __neg__(self):
         return NPoly(tuple(-c for c in self.coefficients))
 
     def __mul__(self, other):
+        if not isinstance(other, (NPoly, ExactComplex, int, Fraction)):
+            return NotImplemented
         other = NPoly.coerce(other)
         if self.is_zero() or other.is_zero():
             return NPoly()

@@ -19,18 +19,23 @@ Arithmetic runs on the rows alone.  A product convolves the operands' rows
 (sorted by total degree and cached on the immutable series) and divides out
 one gcd at the end; sums add integers over the lcm of the denominators;
 negation, conjugation, scalar products, ``differentiate``, ``slice``,
-``embed``, ``rename`` and ``truncate`` are one pass each.  ``ExactComplex``
-and ``NPoly`` objects are built only when a caller reads them through
-``coeffs``, ``coeff`` or ``jet_coeff``, and ``coeffs`` is built at most once
-per series.  Every operation is exact modulo truncation; operations that
-genuinely lose orders (differentiation, division by a monomial) shrink the
-recorded truncation degree so downstream certificates stay honest.
+``shift``, ``embed``, ``rename`` and ``truncate`` are one pass each.
+``ExactComplex`` and ``NPoly`` objects are built only when a caller reads
+them through ``coeffs``, ``coeff`` or ``jet_coeff``, and ``coeffs`` is built
+at most once per series.  A power series sum_j c_j x^j of a series x with
+zero constant term is one ``compose`` of sum_j c_j t^j at x (Brent and Kung,
+1978): the geometric series of ``inverse_unit``, the binomial series of
+``kth_root_unit`` and ``upsilon.pn_series``.  Every operation is exact
+modulo truncation; operations that genuinely lose orders (``differentiate``,
+``shift``, the quotient by a monomial) shrink the recorded truncation degree
+so downstream certificates stay honest.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, count, repeat
 from operator import add, itemgetter
 
 from .scalars import (EC_ZERO, ExactComplex, NPoly, factorial, from_numerators,
@@ -196,6 +201,16 @@ class TruncatedSeries:
                       for k, v in self._num.items() if k[idx] == j},
                      self._npoly)
 
+    def shift(self, var, k):
+        """The terms of ``var``-order >= k divided by var^k, certified to D - k."""
+        if k > self.degree:
+            raise SeriesError(f"shift by {var}^{k} below truncation degree {self.degree}")
+        idx = self.variables.index(var)
+        return _part(self.variables, self.degree - k, self._d,
+                     {key[:idx] + (key[idx] - k,) + key[idx + 1:]: v
+                      for key, v in self._num.items() if key[idx] >= k},
+                     self._npoly)
+
     @classmethod
     def from_slices(cls, var, parts, degree):
         """sum_j parts[j] * var^j, with ``var`` appended as the last variable.
@@ -276,9 +291,10 @@ class TruncatedSeries:
                     {k: (-re, -im) for k, (re, im) in self._num.items()}, self._npoly)
 
     def __sub__(self, other):
-        if _is_scalar(other):
-            other = TruncatedSeries.const(self.variables, self.degree, other)
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -(self - other)
 
     def __mul__(self, other):
         if _is_scalar(other):
@@ -504,6 +520,8 @@ def _sum(variables, parts) -> TruncatedSeries:
     With an ``NPoly`` among the terms the parts are added one at a time, as
     ``+`` adds them: a coefficient that cancels to zero is dropped before
     the next part comes, and a later ``ExactComplex`` there stays one.
+    ``compose`` adds its groups here, so a power series with ``NPoly``
+    coefficients (``upsilon.pn_series``) takes this branch.
     """
     npoly = False
     degree = parts[0].degree
@@ -608,56 +626,51 @@ def compose(h: TruncatedSeries, args) -> TruncatedSeries:
     return _sum(union, terms or [TruncatedSeries.zero(union, degree)])
 
 
+def _power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
+    """sum_j c_j x^j for the c_0, c_1, ... that ``coeffs`` yields and x with
+    zero constant term, as one ``compose``; x^j has order j * ord(x), so
+    only the powers j <= D // ord(x) survive and only their c_j are taken."""
+    order = x.order()
+    top = x.degree // order if order else 0
+    h = TruncatedSeries(("t",), x.degree, {(j,): c for j, c in zip(range(top + 1), coeffs)})
+    return compose(h, {"t": x})
+
+
 def inverse_unit(a: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of a series whose constant term is a unit (geometric series)."""
+    """Inverse of a series whose constant term c0 is a unit: 1/c0 times the
+    geometric series in 1 - a/c0."""
     c0 = a.constant_term()
     if c0.is_zero():
         raise SeriesError("inverse_unit: constant term is zero")
     inv0 = c0.inverse()
-    v = -((a - TruncatedSeries.const(a.variables, a.degree, c0)) * inv0)
-    acc = TruncatedSeries.const(a.variables, a.degree, 1)
-    term = acc
-    for _ in range(a.degree):
-        term = term * v
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc * inv0
+    v = (c0 - a) * inv0
+    return _power_series(v, repeat(1)) * inv0
 
 
 def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    """Exact division when den = (monomial) * (unit).
+    """Exact division when den = (monomial) * (unit): both are ``shift``-ed
+    by the monomial and the numerator is multiplied by the unit's inverse.
 
     The result is certified to degree D - d where d is the monomial's total
     degree; failure of monomial divisibility raises with the offending term.
     """
     if den.is_zero():
         raise SeriesError("division by zero series")
-    a, b, degree = num._aligned(den)
-    nvars = len(a.variables)
-    base = tuple(min(k[i] for k in b._num) for i in range(nvars))
+    a, b, _ = num._aligned(den)
+    base = tuple(min(k[i] for k in b._num) for i in range(len(a.variables)))
     if not _has_term(b, base):
         raise SeriesError(
             f"denominator is not monomial*unit: no term with exponents {base}")
-    new_degree = degree - sum(base)
-
-    def shifted(s):
-        out = {}
-        for k, v in s._num.items():
-            exps = tuple(e - m for e, m in zip(k, base))
-            if sum(exps) <= new_degree:
-                out[exps + k[-2:]] = v
-        return _part(a.variables, new_degree, s._d, out, s._npoly)
-
     for k in a._num:
         if any(e < m for e, m in zip(k, base)):
-            exps = k[:-2]
             raise SeriesError(
-                f"not divisible: term {dict(zip(a.variables, exps))} of the numerator "
+                f"not divisible: term {dict(zip(a.variables, k))} of the numerator "
                 f"has lower order than the denominator monomial {dict(zip(a.variables, base))}")
-    if new_degree < 0:
-        raise SeriesError("truncation degree must be nonnegative")
-    return shifted(a) * inverse_unit(shifted(b))
+    # a monomial above the truncation makes a shift raise
+    for v, m in zip(a.variables, base):
+        if m:
+            a, b = a.shift(v, m), b.shift(v, m)
+    return a * inverse_unit(b)
 
 
 def implicit_solve(rho: TruncatedSeries, wvar: str) -> TruncatedSeries:
@@ -686,21 +699,12 @@ def implicit_solve(rho: TruncatedSeries, wvar: str) -> TruncatedSeries:
 
 
 def kth_root_unit(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """The unique r with r(0) = 1 and r^k = a, for a(0) = 1 (binomial series)."""
+    """The unique r with r(0) = 1 and r^k = a, for a(0) = 1: the binomial
+    series of exponent 1/k in a - 1."""
     if k <= 0:
         raise SeriesError("root order must be positive")
-    one = TruncatedSeries.const(a.variables, a.degree, 1)
     if not (a.constant_term() - _coerce_coeff(1)).is_zero():
         raise SeriesError("kth_root_unit requires constant term exactly 1")
-    x = a - one
-    acc = one
-    term = one
-    coeff = Fraction(1)
     alpha = Fraction(1, k)
-    for j in range(1, a.degree + 1):
-        term = term * x
-        if term.is_zero():
-            break
-        coeff = coeff * (alpha - (j - 1)) / j
-        acc = acc + term * coeff
-    return acc
+    coeffs = accumulate(count(1), lambda c, j: c * (alpha - (j - 1)) / j, initial=Fraction(1))
+    return _power_series(a - 1, coeffs)

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .linalg import RankTracker
 from .scalars import EC_I, EC_ZERO, NPoly, integer_roots
-from .series import SeriesError, TruncatedSeries, divide
+from .series import TruncatedSeries, compose, inverse_unit
 
 ZC = ("z", "chi")
 
@@ -67,25 +67,21 @@ def pn_series(theta: TruncatedSeries) -> TruncatedSeries:
 
     Write x = i theta and P = sum_k g_k(n) x^k.  From (1 - x^2) P' = 2n P
     (Bateman's recurrence for the Mittag-Leffler polynomials) g_0 = 1,
-    g_1 = 2n and k g_k = 2n g_(k-1) + (k-2) g_(k-2), so P is one power chain
-    of x with each power scaled by the polynomial g_k.  theta has positive
-    order, so only finitely many powers survive the truncation; every
-    coefficient of P is an ``NPoly``.
+    g_1 = 2n and k g_k = 2n g_(k-1) + (k-2) g_(k-2), so P is one ``compose``
+    of G(t) = sum_k g_k t^k at t = x.  theta has positive order, so only the
+    powers k <= D // ord(theta) survive the truncation; every coefficient of
+    P is an ``NPoly``.
     """
-    x = theta * EC_I
-    one = TruncatedSeries.const(theta.variables, theta.degree, 1)
     ord_theta = theta.order()
     if ord_theta is None:
         raise UpsilonError("theta vanishes identically")
     two_n = NPoly([0, 2])
     g_prev, g = NPoly(), NPoly.const(1)      # g_(-1) = 0 starts the recurrence
-    P = TruncatedSeries.const(theta.variables, theta.degree, g)
-    power = one
+    G = {(0,): g}
     for k in range(1, theta.degree // ord_theta + 1):
         g_prev, g = g, (two_n * g + g_prev * (k - 2)) * Fraction(1, k)
-        power = power * x
-        P = P + power * g
-    return P
+        G[(k,)] = g
+    return compose(TruncatedSeries(("t",), theta.degree, G), {"t": theta * EC_I})
 
 
 def _mirror(s: TruncatedSeries) -> TruncatedSeries:
@@ -103,7 +99,8 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     and coefficient type.  Only z-side numerators are divided by theta_L':
     theta_L, theta_(L+1), theta_1^2 and, for K = 1, theta_z.  K = 1 forces
     L = T = 1, so theta_1 = theta_L and Upsilon_4's quotients are these or
-    their mirrors.
+    their mirrors.  theta_L' is z^(K-1) times a unit; each quotient is a
+    ``shift`` by z^(K-1) times the unit's inverse, computed once per build.
     """
     if n_mode != SYMBOLIC:
         n = int(n_mode)
@@ -128,12 +125,13 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     thL_prime = thL.differentiate("z")
     d1K, d1L, d1T = _delta1(K), _delta1(L), _delta1(T)
 
+    # theta_L' = z^(K-1) * unit: the unit is inverted once for every quotient
+    inv_unit = inverse_unit(thL_prime.shift("z", K - 1))
+
     def over_thL_prime(num):
-        try:
-            return divide(num, thL_prime).embed(ZC)
-        except SeriesError as exc:
-            raise UpsilonError(
-                f"Upsilon construction: non-series quotient ({exc})") from exc
+        if not num.is_zero() and num.var_order("z") < K - 1:
+            raise UpsilonError("Upsilon construction: non-series quotient by theta_L'")
+        return (num.shift("z", K - 1) * inv_unit).embed(ZC)
 
     ratio_z = over_thL_prime(thL)            # theta_L / theta_L'
     ratio_chi = _mirror(ratio_z)

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -60,10 +61,16 @@ class TestExactComplex:
         assert EC_I * s == s * EC_I
         assert (ExactComplex(0) * s).is_zero()
         assert EC_I + s == s + EC_I
-        with pytest.raises(TypeError):
-            EC_I - s            # a series has no reflected subtraction
+        assert EC_I - s == -(s - EC_I)
         with pytest.raises(TypeError):
             EC_I * "1/2"
+        for p in (NPoly([0, 1]), NPoly([1])):
+            assert p * s == s * p
+            assert p + s == s + p
+            assert p - s == -(s - p)
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(p, "1/2")
 
     def test_is_real(self):
         assert ExactComplex(3).is_real()

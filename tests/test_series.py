@@ -198,7 +198,8 @@ def naive_compose(h, args):
     return union, degree, total
 
 
-scalars = st.one_of(exact, npolys, st.integers(-3, 3))
+scalars = st.one_of(exact, npolys, st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
 
 
 class TestRowOperations:
@@ -227,8 +228,30 @@ class TestRowOperations:
         c0 = data.draw(scalars)
         want = nonzero({e: c * c0 for e, c in a.coeffs.items()}, a.degree)
         assert_matches(a * c0, a.variables, a.degree, want)
-        if type(c0) is not NPoly:
-            assert_matches(c0 * a, a.variables, a.degree, want)
+        c = c0 if type(c0) is NPoly else ExactComplex.coerce(c0)
+        const = nonzero({(0,) * len(a.variables): c}, a.degree)
+        assert_matches(a + c0, a.variables, a.degree, naive_add(a.coeffs, const))
+        assert_matches(a - c0, a.variables, a.degree,
+                       naive_add(a.coeffs, {e: -x for e, x in const.items()}))
+        # a scalar on the left gives what it gives on the right
+        assert_matches(c0 * a, a.variables, a.degree, want)
+        assert_matches(c0 + a, a.variables, a.degree, (a + c0).coeffs)
+        assert_matches(c0 - a, a.variables, a.degree, (-(a - c0)).coeffs)
+
+    @KINDS
+    @given(data=st.data())
+    def test_shift(self, kind, data):
+        a = data.draw(series_of(COEFFS[kind]))
+        var = data.draw(st.sampled_from(a.variables))
+        k = data.draw(st.integers(0, 6))
+        if k > a.degree:
+            with pytest.raises(SeriesError):
+                a.shift(var, k)
+            return
+        idx = a.variables.index(var)
+        assert_matches(a.shift(var, k), a.variables, a.degree - k,
+                       {e[:idx] + (e[idx] - k,) + e[idx + 1:]: c
+                        for e, c in a.coeffs.items() if e[idx] >= k})
 
     @KINDS
     @given(data=st.data())
@@ -458,7 +481,7 @@ class TestUnits:
         q = divide(num, x * x * y)
         assert q == (one + y * 3).truncate(q.degree)
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_kth_root_unit(self, k):
         rng = random.Random(k)
         a = random_series(rng, XY, DEG, 4, min_order=1)

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crjet.hypersurface import (THETA_VARS, family_b0, family_mc, family_nb,
-                                validate)
+from crjet import series, upsilon
+from crjet.hypersurface import (THETA_VARS, Hypersurface, InvariantTuple, family_b0,
+                                family_mc, family_nb, validate)
 from crjet.scalars import EC_I, ExactComplex, NPoly, factorial
 from crjet.series import TruncatedSeries
 from crjet.upsilon import (SYMBOLIC, UpsilonError, _mirror, build_upsilon,
@@ -263,6 +264,33 @@ class TestExceptionalSet:
             U = build_upsilon(M, n0)
             Us = build_upsilon(Ms, n0)
             assert dim_Vn(U, 8)[0] == dim_Vn(Us, 8)[0]
+
+
+class TestQuotientsByThetaLPrime:
+    def test_theta_L_unit_is_inverted_once_per_build(self, monkeypatch):
+        M = family_b0(14)
+        calls = []
+        original = series.inverse_unit
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        # the name as series (for divide) and upsilon look it up
+        monkeypatch.setattr(series, "inverse_unit", counted)
+        monkeypatch.setattr(upsilon, "inverse_unit", counted)
+        build_upsilon(M, SYMBOLIC)
+        assert len(calls) == 1
+
+    def test_non_series_quotient_is_refused(self):
+        # theta = z^3 chi + z chi^2: L = 1, K = 3, and T = 1 is declared, so
+        # theta_2 = 2z, of z-order 1 < K - 1, is divided by theta_1' = 3z^2;
+        # build_upsilon reads only theta and the invariants
+        theta = TruncatedSeries(("z", "chi"), 10, {(3, 1): ExactComplex(1),
+                                                   (1, 2): ExactComplex(1)})
+        M = Hypersurface(None, None, None, theta, InvariantTuple(1, 2, 1, 3, 1, 10))
+        with pytest.raises(UpsilonError, match="non-series quotient"):
+            build_upsilon(M, SYMBOLIC)
 
 
 class TestGammaThreshold:
