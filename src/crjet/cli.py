@@ -5,8 +5,10 @@ reconstruct, determination.  Every report is deterministic JSON (or aligned
 text with --text) embedding the resolved options and the sha256 of each
 input, so identical jobs produce byte-identical output.
 
-Exit codes: 0 success; 1 I/O or parse error; 2 validation rejection
-(flat / finite-type / reality violations); 3 mathematical inconsistency
+Every run but ``-h`` ends in one report, and ``main`` is its only way out.
+Exit codes: 0 success; 1 I/O or parse error, including a command line that
+does not parse; 2 validation rejection (flat / finite-type / reality
+violations, an out-of-range option value); 3 mathematical inconsistency
 (failed verification, unrealizable jet, violated bound).
 """
 
@@ -31,18 +33,8 @@ EXIT_INVALID = 2
 EXIT_MATH = 3
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _default_degree(L: int, K: int) -> int:
-    return 4 * L + 4 * K + 3
-
-
 def _load_hypersurface(args, inputs: dict, role: str = "input") -> Hypersurface:
     """Either a JSON file path or a --family generator."""
-    if args.degree is not None and args.degree <= 0:
-        raise ValidationError(f"--degree must be positive, got {args.degree}")
     path = getattr(args, role, None)
     family = getattr(args, "family", None) if role == "input" else None
     if family is not None:
@@ -50,7 +42,7 @@ def _load_hypersurface(args, inputs: dict, role: str = "input") -> Hypersurface:
             raise FormatError("give either an input file or --family, not both")
         j = args.j
         L, K = {"mc": (j, j), "nb": (1, j), "b0": (1, 1)}[family]
-        degree = args.degree if args.degree is not None else _default_degree(L, K)
+        degree = args.degree if args.degree is not None else 4 * L + 4 * K + 3
         if family == "mc":
             M = family_mc(cio.parse_frac(args.c), j, degree=degree)
         elif family == "nb":
@@ -61,7 +53,7 @@ def _load_hypersurface(args, inputs: dict, role: str = "input") -> Hypersurface:
         else:
             M = family_b0(degree=degree)
         payload = cio.dump_json(cio.hypersurface_dict(M)).encode("utf-8")
-        inputs[role] = {"family": family, "sha256": _sha256_bytes(payload)}
+        inputs[role] = {"family": family, "sha256": hashlib.sha256(payload).hexdigest()}
         return M
     if path is None:
         raise FormatError(f"missing {role} hypersurface (file path or --family)")
@@ -72,7 +64,7 @@ def _load_hypersurface(args, inputs: dict, role: str = "input") -> Hypersurface:
 def _load_json_input(path: str, inputs: dict, role: str):
     with open(path, "rb") as fh:
         raw = fh.read()
-    inputs[role] = {"path": path, "sha256": _sha256_bytes(raw)}
+    inputs[role] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
     return cio.load_json(raw, path)
 
 
@@ -89,7 +81,6 @@ def _cmd_invariants(args, inputs):
 
 
 def _cmd_upsilon(args, inputs):
-    _check_nonnegative(args.n, "n")
     M = _load_hypersurface(args, inputs)
     mode = SYMBOLIC if args.n is None else args.n
     U = build_upsilon(M, mode)
@@ -110,13 +101,7 @@ def _cmd_jet_order(args, inputs):
     return {"k": analysis.k, "D": analysis.D}
 
 
-def _check_nonnegative(value, option):
-    if value is not None and value < 0:
-        raise ValidationError(f"--{option} must be nonnegative, got {value}")
-
-
 def _cmd_verify(args, inputs):
-    _check_nonnegative(args.order, "order")
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     H = cio.parse_formal_map(_load_json_input(args.map, inputs, "map"))
@@ -133,7 +118,6 @@ def _cmd_verify(args, inputs):
 
 
 def _cmd_reconstruct(args, inputs):
-    _check_nonnegative(args.order, "order")
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     jet = cio.parse_jet_data(_load_json_input(args.jet, inputs, "jet"))
@@ -190,8 +174,16 @@ def _add_hypersurface_opts(p, roles=("input",)):
                    help="truncation degree (default 4L+4K+3 for families)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command line that does not parse raises FormatError into main's one
+    report instead of exiting; subparsers inherit the class."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="crjet",
         description="Exact formal invariants and equivalences of "
                     "1-infinite-type hypersurfaces in C^2")
@@ -255,12 +247,8 @@ _BODIES = {
 def _resolved_options(args) -> dict:
     skip = {"command", "text", "input", "source", "target", "map", "map1",
             "map2", "jet"}
-    out = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or val is None:
-            continue
-        out[key] = val
-    return out
+    return {key: val for key, val in sorted(vars(args).items())
+            if key not in skip and val is not None}
 
 
 def _render_text(obj, indent=0, lines=None):
@@ -293,32 +281,42 @@ def _emit(report, as_text: bool):
         sys.stdout.write(cio.dump_json(report))
 
 
+# the least value of each bounded option, checked in this order before dispatch
+_LEAST = {"n": 0, "order": 0, "k": 0, "degree": 1}
+
+# the exit code of each reported exception class; the most derived class wins
+_EXIT_CODES = {ReportedFailure: EXIT_MATH, ValidationError: EXIT_INVALID,
+               EquivalenceError: EXIT_MATH, UpsilonError: EXIT_MATH,
+               FormatError: EXIT_IO, OSError: EXIT_IO}
+
+
+def _check_bounds(args):
+    for option, least in _LEAST.items():
+        value = getattr(args, option, None)
+        if value is not None and value < least:
+            word = "positive" if least else "nonnegative"
+            raise ValidationError(f"--{option} must be {word}, got {value}")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    inputs = {}
-    report = {"command": args.command, "options": _resolved_options(args),
-              "inputs": inputs}
+    # parsed into an existing namespace, so a command line that does not
+    # parse still reports the subcommand it names
+    args = argparse.Namespace(command=None, text=False)
+    report = {"options": {}, "inputs": {}}
+    code = EXIT_OK
     try:
-        report["result"] = _BODIES[args.command](args, inputs)
-    except ReportedFailure as exc:
-        report["result"] = exc.result
+        build_parser().parse_args(argv, args)
+        report["options"] = _resolved_options(args)
+        _check_bounds(args)
+        report["result"] = _BODIES[args.command](args, report["inputs"])
+    except tuple(_EXIT_CODES) as exc:
+        code = next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+        if isinstance(exc, ReportedFailure):
+            report["result"] = exc.result
         report["error"] = str(exc)
-        _emit(report, args.text)
-        return EXIT_MATH
-    except ValidationError as exc:
-        report["error"] = str(exc)
-        _emit(report, args.text)
-        return EXIT_INVALID
-    except (EquivalenceError, UpsilonError) as exc:
-        report["error"] = str(exc)
-        _emit(report, args.text)
-        return EXIT_MATH
-    except (FormatError, OSError) as exc:
-        report["error"] = str(exc)
-        _emit(report, args.text)
-        return EXIT_IO
+    report["command"] = args.command
     _emit(report, args.text)
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

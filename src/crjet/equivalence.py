@@ -119,7 +119,8 @@ class JetData:
     """The k-jet content driving reconstruction.
 
     a01, b00 pin the 1-jet; lambdas[n] = (a_n^0, b_n^0, a_n^1, b_n^L) for the
-    exceptional orders n in D.
+    exceptional orders n in D.  ``extract_jet`` fills the last slot with
+    b_n^1, so its output is this data only when L = 1.
     """
 
     def __init__(self, a01, b00, lambdas=None):
@@ -142,7 +143,11 @@ class JetData:
 
 
 def extract_jet(H: FormalMap, D) -> JetData:
-    """Read the reconstruction data of H for exceptional set D."""
+    """Read the reconstruction data of H for exceptional set D.
+
+    Assumes L = 1: the last slot of lambdas[n] is b_n^1, while JetData and
+    the order-n solver read it as b_n^L, the conjugate of g_n^(L)(0).
+    """
     lambdas = {}
     for n in D:
         if n == 0:

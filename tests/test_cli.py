@@ -1,15 +1,22 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crjet
-from crjet import ExactComplex, FormalMap, TruncatedSeries, extract_jet, family_mc
+from crjet import (ExactComplex, FormalMap, TruncatedSeries, extract_jet,
+                   family_b0, family_mc)
 from crjet import io as cio
 from crjet.cli import EXIT_INVALID, EXIT_IO, EXIT_MATH, EXIT_OK, main
 
@@ -167,6 +174,12 @@ MALFORMED = [
      EXIT_INVALID, "--n must be nonnegative, got -1"),
     ("map-empty-lists", "verify", {"map": {"f": [], "g": []}}, [],
      EXIT_IO, "nonempty f and g lists"),
+    ("determination-negative-k", "determination", {}, ["--k", "-1"],
+     EXIT_INVALID, "--k must be nonnegative, got -1"),
+    ("unknown-option", "validate", {}, ["--bogus"],
+     EXIT_IO, "unrecognized arguments: --bogus"),
+    ("dset-j-not-an-int", "dset", {}, ["--family", "mc", "--j", "abc"],
+     EXIT_IO, "argument --j: invalid int value: 'abc'"),
 ] + [
     (f"n-coeffs-theta-{command}", command,
      {"theta": {"terms": [{"exponents": [1, 1, 1], "n_coeffs": N_COEFFS}]}}, [],
@@ -180,11 +193,13 @@ MALFORMED = [
 ]
 MALFORMED_FILES = {"validate": ("theta",), "upsilon": ("theta",), "dset": ("theta",),
                    "verify": ("theta", "theta", "map"),
-                   "reconstruct": ("theta", "theta", "jet")}
+                   "reconstruct": ("theta", "theta", "jet"),
+                   "determination": ("theta", "theta", "map", "map")}
 
 
 class TestMalformedInput:
-    """A malformed file or option value ends in one report, with no traceback."""
+    """A malformed file, option value or command line ends in one report, with
+    no traceback."""
 
     @pytest.mark.parametrize("command, fields, extra, expected, error", [
         pytest.param(*case[1:], id=case[0]) for case in MALFORMED])
@@ -202,6 +217,24 @@ class TestMalformedInput:
         proc = run_fresh(command, *(paths[r] for r in MALFORMED_FILES[command]),
                          *extra)
         assert proc.returncode == expected
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)      # exactly one JSON document
+        assert rep["command"] == command
+        assert error in rep["error"]
+        assert "result" not in rep
+
+    @pytest.mark.parametrize("argv, command, error", [
+        pytest.param([], None, "the following arguments are required: command",
+                     id="no-command"),
+        pytest.param(["bogus"], None, "invalid choice: 'bogus'",
+                     id="unknown-subcommand"),
+        pytest.param(["verify", "a.json", "b.json"], "verify",
+                     "the following arguments are required: map",
+                     id="missing-positional"),
+    ])
+    def test_usage_error_is_one_report(self, argv, command, error):
+        proc = run_fresh(*argv)
+        assert proc.returncode == EXIT_IO
         assert "Traceback" not in proc.stderr
         rep = json.loads(proc.stdout)      # exactly one JSON document
         assert rep["command"] == command
@@ -354,3 +387,148 @@ class TestReports:
             assert code == EXIT_INVALID
             assert rep["error"] == f"--degree must be positive, got {degree}"
             assert "result" not in rep
+
+
+# -- random argv ------------------------------------------------------------------
+
+INPUT_OPTIONS = ("--family", "--c", "--j", "--b-re", "--b-im", "--degree")
+# the positional file roles and the options of each subcommand
+ARGV_SHAPES = {
+    "validate": (("theta",), INPUT_OPTIONS),
+    "invariants": (("theta",), INPUT_OPTIONS),
+    "upsilon": (("theta",), INPUT_OPTIONS + ("--n",)),
+    "dset": (("theta",), INPUT_OPTIONS + ("--scan-bound",)),
+    "jet-order": (("theta",), INPUT_OPTIONS + ("--scan-bound",)),
+    "verify": (("theta", "theta", "map"), ("--degree", "--order")),
+    "reconstruct": (("theta", "theta", "jet"), ("--degree", "--order", "--scan-bound")),
+    "determination": (("theta", "theta", "map", "map"),
+                      ("--degree", "--k", "--scan-bound")),
+}
+
+
+def _mostly(good, bad):
+    """Draws from ``good`` three times in four, else from ``bad``."""
+    return st.sampled_from([good] * 3 + [bad]).flatmap(lambda strategy: strategy)
+
+
+JUNK = st.sampled_from(["abc", "", "1/0", "2.5", "-x", "9" * 5000])
+RATIONALS = _mostly(st.sampled_from(["1", "-2/3", "0"]), JUNK)
+
+
+def _ints(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str), JUNK)
+
+
+# --degree <= 16 and --order <= 4 keep every example fast
+OPTION_VALUES = {
+    "--family": st.sampled_from(["mc", "nb", "b0", "xx"]),
+    "--c": RATIONALS, "--b-re": RATIONALS, "--b-im": RATIONALS,
+    "--j": _ints(-1, 2), "--degree": _ints(-1, 16), "--order": _ints(-2, 4),
+    "--n": _ints(-2, 5), "--k": _ints(-2, 4), "--scan-bound": _ints(-2, 8),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 16)
+    | st.sampled_from(["", "1", "-1/2", "abc", "1/0", "z", 2.5]),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(["variables", "truncation_degree", "terms", "exponents",
+                         "re", "im", "n_coeffs", "f", "g", "a01", "b00",
+                         "lambdas", "1"]), kids, max_size=3),
+    max_leaves=8)
+
+
+@functools.lru_cache(maxsize=None)
+def _wellformed_files():
+    """Files of each role that parse: the identity and z + z^2 as maps, whose
+    jets (the second one not realizable) are the jet files."""
+    maps = [FormalMap([TruncatedSeries(("z",), 12, f0)],
+                      [TruncatedSeries(("z",), 12, {(0,): ExactComplex(1)})])
+            for f0 in ({(1,): ExactComplex(1)},
+                       {(1,): ExactComplex(1), (2,): ExactComplex(1)})]
+    return {"theta": [cio.hypersurface_dict(family_mc(1, 1, 12)),
+                      cio.hypersurface_dict(family_b0(12)),
+                      {"variables": ["z", "chi", "s"], "truncation_degree": 8,
+                       "terms": M2_TERMS}],
+            "map": [cio.formal_map_dict(H) for H in maps],
+            "jet": [cio.jet_data_dict(extract_jet(H, [0, 1])) for H in maps]}
+
+
+@st.composite
+def _mutated(draw, obj):
+    """obj with the value at one drawn path below the top replaced by a drawn
+    JSON value."""
+    obj = copy.deepcopy(obj)
+    parent, key, node = None, None, obj
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or draw(st.booleans())):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    parent[key] = draw(JSON_VALUES)
+    return obj
+
+
+@st.composite
+def _file_bytes(draw, role):
+    """A well-formed, mutated, garbled or missing (None) file of the role."""
+    kind = draw(_mostly(st.just("wellformed"),
+                        st.sampled_from(["mutated", "garbled", "missing"])))
+    if kind == "garbled":
+        return draw(st.binary(max_size=16))
+    if kind == "missing":
+        return None
+    obj = draw(st.sampled_from(_wellformed_files()[role]))
+    if kind == "mutated":
+        obj = draw(_mutated(obj))
+    return cio.dump_json(obj).encode("utf-8")
+
+
+@st.composite
+def _argv(draw):
+    """(argv, files): file arguments are bare names, files maps each name to
+    its bytes or to None when the file is missing."""
+    argv = draw(st.sampled_from([[], ["--parallel"]]))
+    command = draw(st.sampled_from([*ARGV_SHAPES, "bogus", None]))
+    if command is None:
+        return argv, {}
+    roles, options = ARGV_SHAPES.get(command, ARGV_SHAPES["validate"])
+    count = draw(_mostly(st.just(len(roles)), st.integers(0, len(roles))))
+    files, groups = {}, []
+    for i, role in enumerate(roles[:count]):
+        name = f"{i}-{role}.json"
+        files[name] = draw(_file_bytes(role))
+        groups.append([name])
+    for option in draw(st.lists(st.sampled_from(options), unique=True, max_size=3)):
+        groups.append([option, draw(OPTION_VALUES[option])])
+    groups += draw(_mostly(st.just([]), st.sampled_from(
+        [["--bogus"], ["extra.json"], ["--order"]]).map(lambda t: [t])))
+    tokens = [t for group in draw(st.permutations(groups)) for t in group]
+    return argv + [command] + tokens, files
+
+
+class TestRandomArgv:
+    """Any argv but -h, over every subcommand and with malformed files and
+    option values, ends in one JSON report and a documented exit code."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_argv())
+    def test_one_report(self, case):
+        argv, files = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, raw in files.items():
+                if raw is not None:
+                    with open(os.path.join(tmp, name), "wb") as fh:
+                        fh.write(raw)
+            argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    pytest.fail(f"SystemExit({exc.code}) left main for {argv}")
+        assert code in {EXIT_OK, EXIT_IO, EXIT_INVALID, EXIT_MATH}
+        assert err.getvalue() == ""
+        rep = json.loads(out.getvalue())   # exactly one JSON document
+        command = next((a for a in argv if not a.startswith("-")), None)
+        assert rep["command"] == (command if command in ARGV_SHAPES else None)
+        assert ("error" in rep) == (code != EXIT_OK)
+        assert "result" in rep or code != EXIT_OK
