@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from crjet import (ExactComplex, FormalMap, TruncatedSeries, build_upsilon,
-                   compute_D, extract_jet, family_b0, family_mc, family_nb,
-                   reconstruct, validate)
+                   compute_D, extract_jet, f0_from_jet, family_b0, family_mc,
+                   family_nb, reconstruct, validate)
 from crjet.hypersurface import THETA_VARS
-from crjet.scalars import NPoly
-from crjet.series import compose, divide, inverse_unit, kth_root_unit
+from crjet.scalars import EC_I, NPoly
+from crjet.series import (compose, divide, implicit_solve, inverse_unit,
+                          kth_root_unit)
 from crjet.upsilon import SYMBOLIC, pn_series
 
 EPS_UNIT = ExactComplex(Fraction(3, 5), Fraction(4, 5))
@@ -80,6 +81,20 @@ DERIVED_DIGESTS = {
     "divide-mixed": "f0a4a591e1ca657935dbb4ce85e70d3e275a07336903e0e7e84bbd8c384e6398",
 }
 
+GRAPH_DIGESTS = {
+    16: "1d2ef82dacf6142c77532830b54f78bb08e5e236d7476026cfed6aacb9002a83",
+    24: "b6d1880471f84740298e9a03cd8461896b4fd6be3429a6127d66d737f945ae9b",
+    32: "c2355269bfc950384e1952a4b42f222e24938e09475b3fb53d0813fe699287e3",
+}
+
+CURVED_F0_DIGEST = "5e19bafa66dc7d18648ad01a5b52a1a2ad6a312101ca89f1ee58411c0fc613a1"
+
+IMPLICIT_DIGESTS = {
+    "two-variables": "1a1865813155da3ccdae3bf77ed66e42481f229f87136fd342e6011991067d2e",
+    "three-variables": "9e0e7bc2489f0a22ae45cb41a468e71491b1e8644a13b46de85494573c299273",
+    "complex-slope": "452941409c5936249086eb85f39b072149d2f649ea8fe3c8ac1375570466967e",
+}
+
 RECONSTRUCTION_DIGEST = "b5c9e5e133eb89fbe2ef774f42c68bccdcbc422084cb83fe2a893fbdbdd83659"
 
 
@@ -117,6 +132,47 @@ def derived_series(name):
     # (u - 1) / (z chi (2 + theta_b0 + theta_nb)): a monomial times a unit
     z, chi = (TruncatedSeries.var(v, u.variables, u.degree) for v in u.variables)
     return divide(u - 1, z * chi * (units()["exact"] + 1))
+
+
+def rich_theta(degree):
+    """Theta = z chi s + i z chi^2 s - i z^2 chi s + 1/3 z^2 chi^2 s^2
+    + 2 z chi s^3 - 1/2 z^3 chi^3 s^2: s^2 and s^3 terms, so Q is far from
+    the plain tau + 2i theta tau."""
+    return TruncatedSeries(THETA_VARS, degree, {
+        (1, 1, 1): ExactComplex(1), (1, 2, 1): EC_I, (2, 1, 1): -EC_I,
+        (2, 2, 2): ExactComplex(Fraction(1, 3)), (1, 1, 3): ExactComplex(2),
+        (3, 3, 2): ExactComplex(Fraction(-1, 2))})
+
+
+def curved_b0_pullback(degree):
+    """(M, b0, a_0^1) with theta of M = theta of b0 at (f0(z), conj f0(chi)),
+    f0 = eps z + z^2 + (1/2 + i/3) z^3 for the unit eps = 3/5 + 4/5 i."""
+    B = family_b0(degree)
+    f0 = {1: EPS_UNIT, 2: ExactComplex(1), 3: ExactComplex(Fraction(1, 2), Fraction(1, 3))}
+    f0zc = TruncatedSeries(("z", "chi"), degree, {(k, 0): c for k, c in f0.items()})
+    f0bar = TruncatedSeries(("z", "chi"), degree, {(0, k): c.conj() for k, c in f0.items()})
+    theta = compose(B.theta.truncate(degree), {"z": f0zc, "chi": f0bar})
+    M = validate(TruncatedSeries(
+        THETA_VARS, degree, {(a, b, 1): c for (a, b), c in theta.coeffs.items()}))
+    return M, B, EPS_UNIT.conj()
+
+
+def implicit_rho(name):
+    """The rho(w, ...) whose root ``IMPLICIT_DIGESTS`` pins under ``name``;
+    each has a w^2 or w x term, so d rho/dw is not constant."""
+    if name == "two-variables":
+        V = ("w", "x", "y")
+        w, x, y = (TruncatedSeries.var(v, V, 14) for v in V)
+        return w - x - y * w * w - x * y * w ** 3 + w * x * Fraction(1, 2), "w"
+    if name == "three-variables":
+        V = ("x", "w", "y", "t")
+        x, w, y, t = (TruncatedSeries.var(v, V, 10) for v in V)
+        return (w * 3 - x * y + t * t * EC_I - w * w * (x + t) * 2
+                + w ** 3 * Fraction(1, 3) - w * y * EC_I), "w"
+    V = ("u", "a", "b")
+    u, a, b = (TruncatedSeries.var(v, V, 16) for v in V)
+    return (u * ExactComplex(2, 1) - a - b * EC_I + u * u * ExactComplex(1, -1)
+            - u * a * b * 3 + u ** 4 * Fraction(1, 5)), "u"
 
 
 def criterion_08_cases(degree):
@@ -167,6 +223,21 @@ def test_pn_series(name):
 @pytest.mark.parametrize("name", sorted(DERIVED_DIGESTS))
 def test_derived_series(name):
     assert digest([derived_series(name)]) == DERIVED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("degree", sorted(GRAPH_DIGESTS))
+def test_rich_graph_function(degree):
+    assert digest([validate(rich_theta(degree)).Q]) == GRAPH_DIGESTS[degree]
+
+
+def test_curved_f0():
+    f0, _ = f0_from_jet(*curved_b0_pullback(16))
+    assert digest([f0]) == CURVED_F0_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(IMPLICIT_DIGESTS))
+def test_implicit_solve(name):
+    assert digest([implicit_solve(*implicit_rho(name))]) == IMPLICIT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
