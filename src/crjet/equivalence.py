@@ -264,13 +264,12 @@ def shat_jet_table(Mhat, f0, n_max):
     f0zc = f0.embed(ZC)
     f0bar = f0.conjugate(rename={"z": "chi"}).embed(ZC)
     table = {}
-    for j in range(n_max + 1):
-        dz = Mhat.S.differentiate("z", j)
-        for k in range(n_max + 1 - j):
-            dzk = dz.differentiate("chi", k)
-            for l in range(n_max + 1 - j - k):
-                d = dzk.differentiate("tau", l)
-                table[(j, k, l)] = compose(d.slice("tau", 0),
+    for l in range(n_max + 1):
+        s_l = Mhat.s_tau_jet(l)            # Shat_{tau^l}(z, chi, 0)
+        for j in range(n_max + 1 - l):
+            dz = s_l.differentiate("z", j)
+            for k in range(n_max + 1 - l - j):
+                table[(j, k, l)] = compose(dz.differentiate("chi", k),
                                            {"z": f0zc, "chi": f0bar})
     return table
 

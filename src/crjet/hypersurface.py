@@ -9,9 +9,8 @@ graph form w = Q(z, chi, tau), its 1-infinite-type factor S = Q/tau, the
 slice theta = Theta_s(z,chi,0) with chi-components theta_j(z), and the
 invariant tuple (m, r, L, K, T).
 
-Q is the fixed point of Q <- tau + 2i Theta(z, chi, (Q + tau)/2), iterated
-with staged precision: normality makes each pass gain two degrees, so pass
-k only needs to work to degree min(D, 2 + 2k).
+Q = 2 s - tau for the root s = (Q + tau)/2 of -i(s - tau) - Theta(z, chi, s),
+which ``series.implicit_solve`` finds by Newton iteration.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import EC_I, ExactComplex, factorial
-from .series import TruncatedSeries, compose, kth_root_unit
+from .series import TruncatedSeries, implicit_solve, kth_root_unit
 
 THETA_VARS = ("z", "chi", "s")
 ZC = ("z", "chi")
-GRAPH_VARS = ("z", "chi", "tau")
 
 
 class ValidationError(ValueError):
@@ -77,9 +75,11 @@ class Hypersurface:
 def validate(Theta: TruncatedSeries) -> Hypersurface:
     """Check normality/reality, derive Q and S, compute invariants.
 
-    Q comes from the staged fixed point of ``_graph_function`` (one
-    ``compose`` of Theta at s = (Q + tau)/2 per pass, two degrees gained per
-    pass), S = Q/tau.
+    With s = (w + tau)/2 the graph equation (w - tau)/2i = Theta(z, chi, s)
+    reads -i(s - tau) - Theta(z, chi, s) = 0, a plain series over
+    (z, chi, s, tau) whose root s(z, chi, tau) ``implicit_solve`` gives.
+    Then Q = 2s - tau, with tau over (z, chi, tau) as the s^0 slice of the
+    variable tau, and S = Q/tau.
     """
     if tuple(Theta.variables) != THETA_VARS:
         Theta = Theta.embed(THETA_VARS)
@@ -109,7 +109,9 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
     if m == 0:
         raise ValidationError("finite type: out of scope (Theta(z,chi,0) != 0)")
 
-    Q = _graph_function(Theta)
+    V = THETA_VARS + ("tau",)
+    s, tau = (TruncatedSeries.var(v, V, D) for v in ("s", "tau"))
+    Q = implicit_solve((tau - s) * EC_I - Theta.embed(V), "s") * 2 - tau.slice("s", 0)
     S = Q.shift("tau", 1)
 
     theta = Theta.slice("s", 1)  # Theta_s(z,chi,0); for m = 1 this is theta
@@ -118,35 +120,6 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
     M = Hypersurface(Theta, Q, S, theta, invariants)
     _cross_check(M)
     return M
-
-
-def _graph_function(Theta: TruncatedSeries) -> TruncatedSeries:
-    """Q(z, chi, tau), the solution w of (w - tau)/2i = Theta(z, chi, (w + tau)/2).
-
-    Q is the fixed point of Q <- tau + 2i Theta(z, chi, (Q + tau)/2), and
-    each pass gains two degrees: normality gives every term z^a chi^b s^c
-    of Theta a >= 1 and b >= 1, so an error of order >= p - 1 in s moves
-    Theta(z, chi, s) only in orders >= (p - 1) + 2 = p + 1.  Hence a Q exact
-    through degree p - 2 maps to one exact through degree p.  Q = tau is
-    exact through degree 2 (Theta has order >= 3), and pass k runs at
-    precision p = min(D, 2 + 2k), with Theta and Q truncated or lifted to
-    p, so only the last pass works at the full degree D (the cheap half of
-    Brent-Kung precision doubling).  ``compose`` keeps z and chi and puts
-    the variables of its argument in place of s, so each pass gives Q over
-    (z, chi, tau).
-    """
-    D = Theta.degree
-    Q = TruncatedSeries.var("tau", GRAPH_VARS, 2)
-    half = Fraction(1, 2)
-    two_i = EC_I * 2
-    p = 2
-    while p < D:
-        p = min(D, p + 2)
-        # Q is exact only through p - 2, which is enough for a pass to p
-        tau = TruncatedSeries.var("tau", GRAPH_VARS, p)
-        Q = Q.lift(p)
-        Q = tau + compose(Theta.truncate(p), {"s": (Q + tau) * half}) * two_i
-    return Q
 
 
 def _invariants(Theta, theta, m, D) -> InvariantTuple:

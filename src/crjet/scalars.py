@@ -170,6 +170,9 @@ class ExactComplex:
                 and self._d == other._d)
 
     def __hash__(self):
+        # equal values hash alike: a real value equals its Fraction
+        if not self._b:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
@@ -318,6 +321,10 @@ class NPoly:
         return self.coefficients == other.coefficients
 
     def __hash__(self):
+        # equal values hash alike: a constant equals its coefficient, the
+        # zero polynomial equals 0
+        if len(self.coefficients) <= 1:
+            return hash(self.coefficients[0]) if self.coefficients else 0
         return hash(self.coefficients)
 
     def __repr__(self):
@@ -406,11 +413,7 @@ def split_parts(values):
     return re, im
 
 
-def factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
+factorial = math.factorial
 
 
 def integer_roots(p: NPoly) -> set[int]:

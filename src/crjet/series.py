@@ -24,9 +24,11 @@ negation, conjugation, scalar products, ``differentiate``, ``slice``,
 them through ``coeffs``, ``coeff`` or ``jet_coeff``, and ``coeffs`` is built
 at most once per series.  A power series sum_j c_j x^j of a series x with
 zero constant term is one ``compose`` of sum_j c_j t^j at x (Brent and Kung,
-1978): the geometric series of ``inverse_unit``, the binomial series of
-``kth_root_unit`` and ``upsilon.pn_series``.  Every operation is exact
-modulo truncation; operations that genuinely lose orders (``differentiate``,
+1978), built by ``power_series``: the geometric series of ``inverse_unit``,
+the binomial series of ``kth_root_unit`` and ``upsilon.pn_series``.
+``implicit_solve`` finds the root of an implicit series equation by Newton
+iteration with precision doubling.  Every operation is exact modulo
+truncation; operations that genuinely lose orders (``differentiate``,
 ``shift``, the quotient by a monomial) shrink the recorded truncation degree
 so downstream certificates stay honest.
 """
@@ -162,8 +164,10 @@ class TruncatedSeries:
         """The same terms, declared to ``degree`` >= the current degree.
 
         Only for a caller whose own argument accounts for the terms between
-        the two degrees, as the staged Q fixed point's does: a pass to
-        degree p needs Q exact only through p - 2.
+        the two degrees, as the Newton passes of ``implicit_solve`` do: a
+        pass to degree q corrects w above its degree p, and the inverse
+        slope, a factor of a residual of order >= p + 1, matters only
+        through q - p - 1.
         """
         if degree < self.degree:
             raise SeriesError(f"lift to degree {degree} below {self.degree}; use truncate")
@@ -626,10 +630,11 @@ def compose(h: TruncatedSeries, args) -> TruncatedSeries:
     return _sum(union, terms or [TruncatedSeries.zero(union, degree)])
 
 
-def _power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
-    """sum_j c_j x^j for the c_0, c_1, ... that ``coeffs`` yields and x with
-    zero constant term, as one ``compose``; x^j has order j * ord(x), so
-    only the powers j <= D // ord(x) survive and only their c_j are taken."""
+def power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
+    """sum_j c_j x^j for the c_0, c_1, ... that the iterable ``coeffs``
+    yields and x with zero constant term, as one ``compose``; x^j has order
+    j * ord(x), so only the powers j <= D // ord(x) survive and only their
+    c_j are drawn from ``coeffs``."""
     order = x.order()
     top = x.degree // order if order else 0
     h = TruncatedSeries(("t",), x.degree, {(j,): c for j, c in zip(range(top + 1), coeffs)})
@@ -644,7 +649,7 @@ def inverse_unit(a: TruncatedSeries) -> TruncatedSeries:
         raise SeriesError("inverse_unit: constant term is zero")
     inv0 = c0.inverse()
     v = (c0 - a) * inv0
-    return _power_series(v, repeat(1)) * inv0
+    return power_series(v, repeat(1)) * inv0
 
 
 def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -676,25 +681,34 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 def implicit_solve(rho: TruncatedSeries, wvar: str) -> TruncatedSeries:
     """Solve rho(w, x) = 0 for w = w(x) with w(0) = 0.
 
-    Requires rho(0) = 0 and the pure-w-linear coefficient c to be a unit;
-    the solution is found by the contraction w -> w - rho(w, x)/c, which
-    gains one correct order per pass.  Each pass is one ``compose`` of rho
-    at w, so the solution is over the other variables of rho, in order.
+    Requires rho(0) = 0 and d rho/dw (0) a unit.  Newton's method with
+    precision doubling (Brent and Kung, 1978): a pass from w exact through
+    p to precision q <= 2p + 1 sets w <- w - rho(w) / rho_w(w), exact
+    through q since the step's error has order >= 2p + 2.  rho(w) has
+    order >= p + 1, so 1/rho_w(w) is needed only through q - p - 1 <= p,
+    where w is already exact.  The precisions are D, D // 2, ..., 1 taken
+    upward, and a pass whose rho(w) vanishes to q keeps w.  Each pass
+    composes rho at w, so the solution is over the other variables of rho,
+    in order.
     """
     if not rho.constant_term().is_zero():
         raise SeriesError("implicit function theorem hypothesis fails: rho(0) != 0")
-    idx = rho.variables.index(wvar)
-    lin = tuple(1 if i == idx else 0 for i in range(len(rho.variables)))
-    c = rho.coeff(lin)
-    if c.is_zero():
+    slope = rho.differentiate(wvar)
+    if slope.constant_term().is_zero():
         raise SeriesError("implicit function theorem hypothesis fails: d rho/dw (0) is not a unit")
-    cinv = c.inverse()
-    w = TruncatedSeries.zero([v for v in rho.variables if v != wvar], rho.degree)
-    for _ in range(rho.degree):
-        residual = compose(rho, {wvar: w})
-        if residual.is_zero():
-            break
-        w = w - residual * cinv
+    precisions = []
+    q = rho.degree
+    while q:
+        precisions.append(q)
+        q //= 2
+    w = TruncatedSeries.zero([v for v in rho.variables if v != wvar], 0)
+    for q in reversed(precisions):
+        p = w.degree
+        w = w.lift(q)
+        residual = compose(rho.truncate(q), {wvar: w})
+        if not residual.is_zero():
+            inv = inverse_unit(compose(slope.truncate(q - p - 1), {wvar: w}))
+            w = w - residual * inv.lift(q)
     return w
 
 
@@ -707,4 +721,4 @@ def kth_root_unit(a: TruncatedSeries, k: int) -> TruncatedSeries:
         raise SeriesError("kth_root_unit requires constant term exactly 1")
     alpha = Fraction(1, k)
     coeffs = accumulate(count(1), lambda c, j: c * (alpha - (j - 1)) / j, initial=Fraction(1))
-    return _power_series(a - 1, coeffs)
+    return power_series(a - 1, coeffs)

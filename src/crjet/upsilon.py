@@ -21,11 +21,11 @@ swapped, coefficients conjugated), and only the z side is divided.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from .linalg import RankTracker
 from .scalars import EC_I, EC_ZERO, NPoly, integer_roots
-from .series import TruncatedSeries, compose, inverse_unit
+from .series import TruncatedSeries, inverse_unit, power_series
 
 ZC = ("z", "chi")
 
@@ -67,21 +67,22 @@ def pn_series(theta: TruncatedSeries) -> TruncatedSeries:
 
     Write x = i theta and P = sum_k g_k(n) x^k.  From (1 - x^2) P' = 2n P
     (Bateman's recurrence for the Mittag-Leffler polynomials) g_0 = 1,
-    g_1 = 2n and k g_k = 2n g_(k-1) + (k-2) g_(k-2), so P is one ``compose``
-    of G(t) = sum_k g_k t^k at t = x.  theta has positive order, so only the
-    powers k <= D // ord(theta) survive the truncation; every coefficient of
-    P is an ``NPoly``.
+    g_1 = 2n and k g_k = 2n g_(k-1) + (k-2) g_(k-2), so P is the
+    ``power_series`` of these g_k at x; every coefficient of P is an
+    ``NPoly``.
     """
-    ord_theta = theta.order()
-    if ord_theta is None:
+    if theta.is_zero():
         raise UpsilonError("theta vanishes identically")
+    return power_series(theta * EC_I, _mittag_leffler_coefficients())
+
+
+def _mittag_leffler_coefficients():
+    """g_0, g_1, ... of ``pn_series``, from g_(-1) = 0 and g_0 = 1."""
     two_n = NPoly([0, 2])
-    g_prev, g = NPoly(), NPoly.const(1)      # g_(-1) = 0 starts the recurrence
-    G = {(0,): g}
-    for k in range(1, theta.degree // ord_theta + 1):
+    g_prev, g = NPoly(), NPoly.const(1)
+    for k in count(1):
+        yield g
         g_prev, g = g, (two_n * g + g_prev * (k - 2)) * Fraction(1, k)
-        G[(k,)] = g
-    return compose(TruncatedSeries(("t",), theta.degree, G), {"t": theta * EC_I})
 
 
 def _mirror(s: TruncatedSeries) -> TruncatedSeries:

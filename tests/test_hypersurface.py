@@ -10,6 +10,7 @@ from crjet.scalars import EC_I, ExactComplex, factorial
 from crjet.series import TruncatedSeries, compose, implicit_solve
 
 from conftest import assert_same_series, random_hypersurface
+from solver_oracle import staged_graph_function
 
 ZC = ("z", "chi")
 
@@ -161,22 +162,35 @@ def normal_real_thetas(draw):
     return TruncatedSeries(THETA_VARS, D, coeffs)
 
 
-class TestGraphFunction:
-    """validate's staged fixed point gives the Q of rho + implicit_solve."""
+GRAPH_EXAMPLES = [
+    theta_input({(1, 1, 1): ExactComplex(1)}, degree=3),
+    theta_input({(1, 1, 1): ExactComplex(2), (1, 2, 1): EC_I, (2, 1, 1): -EC_I}, degree=4),
+    theta_input({(1, 1, 1): ExactComplex(1), (2, 3, 2): ExactComplex(1, 1),
+                 (3, 2, 2): ExactComplex(1, -1)}, degree=13),
+    theta_input({(1, 1, 2): ExactComplex(-3), (2, 2, 3): ExactComplex(1)}, degree=14),
+]
 
-    @settings(max_examples=60, deadline=None)
-    @given(normal_real_thetas())
-    @example(theta_input({(1, 1, 1): ExactComplex(1)}, degree=3))
-    @example(theta_input({(1, 1, 1): ExactComplex(2), (1, 2, 1): EC_I,
-                          (2, 1, 1): -EC_I}, degree=4))
-    @example(theta_input({(1, 1, 1): ExactComplex(1), (2, 3, 2): ExactComplex(1, 1),
-                          (3, 2, 2): ExactComplex(1, -1)}, degree=13))
-    @example(theta_input({(1, 1, 2): ExactComplex(-3), (2, 2, 3): ExactComplex(1)},
-                         degree=14))
+
+def graph_cases(test):
+    """Run ``test`` on the GRAPH_EXAMPLES and 60 drawn normal real Thetas."""
+    for Theta in reversed(GRAPH_EXAMPLES):
+        test = example(Theta)(test)
+    return settings(max_examples=60, deadline=None)(given(normal_real_thetas())(test))
+
+
+class TestGraphFunction:
+    """validate's Q, the Newton root in s = (w + tau)/2, is the root in w of
+    rho and the staged fixed point it replaced."""
+
+    @graph_cases
     def test_matches_implicit_solve(self, Theta):
         Q = validate(Theta).Q
         assert Q.degree == Theta.degree
         assert_same_series(Q, q_by_implicit_solve(Theta))
+
+    @graph_cases
+    def test_matches_staged_fixed_point(self, Theta):
+        assert_same_series(validate(Theta).Q, staged_graph_function(Theta))
 
 
 class TestInvariantEdgeCases:

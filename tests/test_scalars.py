@@ -98,7 +98,9 @@ class TestCanonicalForm:
         c = (a + b) - b                    # a, reached through arithmetic
         assert c == a
         assert (c.re, c.im) == (a.re, a.im)
-        assert hash(c) == hash(a) == hash((a.re, a.im))
+        assert hash(c) == hash(a)
+        if a.is_real():                    # equal to its Fraction, so hashed as it
+            assert a == a.re and hash(a) == hash(a.re)
 
     @given(complexes, rationals)
     def test_rational_operands_on_both_sides(self, a, q):
@@ -124,6 +126,17 @@ class TestCanonicalForm:
         assert str(ExactComplex(0, -2)) == "-2*i"
         assert ExactComplex("1/2", "-3") == ExactComplex(Fraction(1, 2), -3)
 
+    @given(rationals)
+    def test_real_values_hash_as_rationals(self, q):
+        z = ExactComplex(q)
+        assert z == q and hash(z) == hash(q)
+        assert q in {z} and z in {q}
+
+    def test_integer_in_a_set_of_exact_complex(self):
+        assert 2 in {ExactComplex(2)}
+        assert {ExactComplex(2): "two"}[2] == "two"
+        assert ExactComplex(0, 2) not in {2}
+
     def test_immutable(self):
         z = ExactComplex(1, 2)
         with pytest.raises(AttributeError):
@@ -145,6 +158,20 @@ class TestNPoly:
     def test_product_evaluation_commutes(self, ca, cb, n):
         p, q = NPoly(ca), NPoly(cb)
         assert (p * q)(n) == p(n) * q(n)
+
+
+    @given(complexes)
+    def test_constant_hashes_as_its_coefficient(self, c):
+        p = NPoly([c])
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c}
+
+    def test_hash_agrees_with_equality(self):
+        assert NPoly([3]) == 3 and 3 in {NPoly([3])}
+        assert NPoly() == 0 and hash(NPoly()) == hash(0) == hash(ExactComplex(0))
+        assert NPoly([0, 0]) in {0}
+        assert NPoly([1, 2]) == NPoly([ExactComplex(1), ExactComplex(2)])
+        assert hash(NPoly([1, 2])) == hash(NPoly([ExactComplex(1), ExactComplex(2)]))
 
 
 class TestBinomialPolynomials:

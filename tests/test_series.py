@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crjet import series
 from crjet.scalars import EC_I, ExactComplex, NPoly
 from crjet.series import (SeriesError, TruncatedSeries, compose, divide,
                           implicit_solve, inverse_unit, kth_root_unit)
 
 from conftest import assert_same_series, rand_complex, random_series
+from solver_oracle import contraction_solve
 
 DEG = 8
 XY = ("x", "y")
@@ -491,6 +493,20 @@ class TestUnits:
         assert r ** k == u.truncate(r.degree)
 
 
+@st.composite
+def implicit_equations(draw):
+    """rho over w and one to three other variables, w at any position, with
+    rho(0) = 0, a unit slope at 0 and random higher terms in w."""
+    variables = draw(st.sampled_from([("w", "x"), ("x", "w", "y"), ("x", "y", "t", "w")]))
+    degree = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    rho = random_series(rng, variables, degree, draw(st.integers(0, 8)), min_order=1)
+    lin = tuple(int(v == "w") for v in variables)
+    parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    c = ExactComplex(draw(parts.filter(bool)), draw(parts))
+    return rho + TruncatedSeries(variables, degree, {lin: c - rho.coeff(lin)})
+
+
 class TestImplicitSolve:
     def test_postcondition(self):
         # rho(w,x) = w - x - w^2: solve w(x); check rho(w(x), x) = 0
@@ -512,6 +528,33 @@ class TestImplicitSolve:
         x = TruncatedSeries.var("x", WV, DEG)
         with pytest.raises(SeriesError):
             implicit_solve(w * w - x, "w")
+
+    @settings(max_examples=80, deadline=None)
+    @given(implicit_equations())
+    def test_matches_contraction(self, rho):
+        assert_same_series(implicit_solve(rho, "w"), contraction_solve(rho, "w"))
+
+    def test_newton_passes_double_the_precision(self, monkeypatch):
+        # Catalan: w = x + w^2 at degree 32 takes the precisions 1, 2, 4, 8,
+        # 16, 32; the contraction took one compose per degree, 32 in all
+        WV = ("w", "x")
+        w = TruncatedSeries.var("w", WV, 32)
+        x = TruncatedSeries.var("x", WV, 32)
+        calls = []
+        compose_once = series.compose
+
+        def counting(h, args):
+            calls.append(tuple(args))
+            return compose_once(h, args)
+
+        monkeypatch.setattr(series, "compose", counting)
+        sol = implicit_solve(w - x - w * w, "w")
+        passes = math.floor(math.log2(32)) + 1
+        # rho and d rho/dw at w, and the power series of each inverse_unit
+        assert calls.count(("w",)) <= 2 * passes
+        assert len(calls) <= 3 * passes
+        assert sol.degree == 32
+        assert sol.coeff((32,)) == ExactComplex(math.comb(62, 31) // 32)
 
 
 class TestEvalN:
