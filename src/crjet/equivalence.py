@@ -68,28 +68,16 @@ class FormalMap:
         return self.g_components[n].jet_coeff((k,)).conj()
 
     def jet(self, k: int):
-        """The k-jet: coefficients of z^a w^b, a+b <= k, of both components."""
-        out = {}
-        for comp, parts in (("f", self.f_components), ("g", self.g_components)):
-            for b, series in enumerate(parts):
-                wexp = b + (1 if comp == "g" else 0)  # G = w*g
-                if wexp > k:
-                    continue
-                for a in range(k - wexp + 1):
-                    c = series.coeff((a,)) * Fraction(1, factorial(b))
-                    if not c.is_zero():
-                        out[(comp, a, wexp)] = c
+        """The k-jet: coefficients of z^a w^b, a+b <= k, of f and of G = w*g."""
+        fzw, gzw = self.as_two_variable(k)
+        out = {("f", a, b): c for (a, b), c in fzw.coeffs.items()}
+        out.update((("g", a, b + 1), c) for (a, b), c in gzw.coeffs.items() if a + b < k)
         return out
 
     def as_two_variable(self, degree: int):
         """(f(z,w), g(z,w)) as series in (z, w)."""
         return (_from_components(self.f_components, "w", degree),
                 _from_components(self.g_components, "w", degree))
-
-    def conjugate_components(self):
-        fbar = [s.conjugate(rename={"z": "chi"}) for s in self.f_components]
-        gbar = [s.conjugate(rename={"z": "chi"}) for s in self.g_components]
-        return fbar, gbar
 
     def __eq__(self, other):
         if not isinstance(other, FormalMap):
@@ -183,9 +171,9 @@ def verify_map(M: Hypersurface, Mhat: Hypersurface, H: FormalMap,
     V3 = ("z", "chi", "tau")
     Q = M.Q.truncate(degree)
     fzw, gzw = H.as_two_variable(degree)
-    fbar, gbar = H.conjugate_components()
-    fb_at = _from_components(fbar, "tau", degree).embed(V3)
-    gb_at = _from_components(gbar, "tau", degree).embed(V3)
+    conj = {"z": "chi", "w": "tau"}
+    fb_at = fzw.conjugate(rename=conj).embed(V3)
+    gb_at = gzw.conjugate(rename=conj).embed(V3)
     g_at = compose(gzw, {"w": Q})
     f_at = compose(fzw, {"w": Q})
     tau = TruncatedSeries.var("tau", V3, degree)

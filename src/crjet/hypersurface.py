@@ -105,7 +105,7 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
                 f"{coeff} != conj({mirror})")
 
     # type: m = least s-order with a nonzero slice
-    m = min(e[2] for e in Theta.coeffs)
+    m = Theta.var_order("s")
     if m == 0:
         raise ValidationError("finite type: out of scope (Theta(z,chi,0) != 0)")
 
@@ -116,27 +116,22 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
 
     theta = Theta.slice("s", 1)  # Theta_s(z,chi,0); for m = 1 this is theta
 
-    invariants = _invariants(Theta, theta, m, D)
+    invariants = _invariants(theta, m, D)
     M = Hypersurface(Theta, Q, S, theta, invariants)
     _cross_check(M)
     return M
 
 
-def _invariants(Theta, theta, m, D) -> InvariantTuple:
+def _invariants(theta, m, D) -> InvariantTuple:
     if m != 1:
         # in-scope inputs are 1-infinite type; higher m is reported, not analyzed
         return InvariantTuple(m, None, None, None, None, D)
-    support = list(theta.coeffs)
-    r = min(a + b for a, b in support)
-    L = min(b for _, b in support)
-    K = min(a for a, b in support if b == L)
-    # T = 1 iff theta_{L+1}(z) has z-order >= K - 1
-    T = 1
-    for a, b in support:
-        if b == L + 1 and a < K - 1:
-            T = 0
-            break
-    return InvariantTuple(m, r, L, K, T, D)
+    L = theta.var_order("chi")
+    K = theta.slice("chi", L).order()
+    # T = 1 iff theta_{L+1}(z) has z-order >= K - 1 (or vanishes)
+    next_order = theta.slice("chi", L + 1).order()
+    T = 0 if next_order is not None and next_order < K - 1 else 1
+    return InvariantTuple(m, theta.order(), L, K, T, D)
 
 
 def _cross_check(M: Hypersurface):

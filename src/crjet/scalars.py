@@ -419,37 +419,27 @@ factorial = math.factorial
 def integer_roots(p: NPoly) -> set[int]:
     """All nonnegative integer roots of p.
 
-    Every root x of p satisfies |x| <= 1 + max_i |c_i| / |c_d| (Cauchy bound);
-    we bound |c_i| above by |re| + |im| and |c_d| below by max(|re|, |im|),
-    which keeps the bound rational and safe.  A real root of p is a root of
-    the integer polynomial c built from the real (or, when that vanishes, the
-    imaginary) parts of the coefficients with denominators cleared.  Over the
-    integers c is monotone between the sign changes of its forward difference
-    c(x+1) - c(x), found the same way one degree down, so one bisection per
-    monotone stretch finds the zeros of c up to the bound: O(deg^2 log bound)
-    exact evaluations in all, instead of a scan of the whole range.  Every
-    candidate is confirmed on p itself.
+    A real root of p is a root of the integer polynomial c built from the
+    real (or, when that vanishes, the imaginary) parts of the coefficients
+    with denominators cleared, and every integer root x of c satisfies
+    |x| <= 1 + max_{i<d} |c_i| // |c_d| (Cauchy bound, exact over the
+    integers).  Over the integers c is monotone between the sign changes of
+    its forward difference c(x+1) - c(x), found the same way one degree
+    down, so one bisection per monotone stretch finds the zeros of c up to
+    the bound: O(deg^2 log bound) exact evaluations in all, instead of a
+    scan of the whole range.  Every candidate is confirmed on p itself.
     """
     if p.is_zero():
         raise ScalarError("zero polynomial has all roots")
     if p.degree() == 0:
         return set()
-    lead = p.leading()
-    lead_low = max(abs(lead.re), abs(lead.im))
-    top = max(abs(c.re) + abs(c.im) for c in p.coefficients[:-1])
-    bound = math.floor(1 + top / lead_low)
-
-    roots = set()
-    if p(0).is_zero():
-        roots.add(0)
-
     c, im = split_parts(p.coefficients)
     if not any(c):
         c = im
     while not c[-1]:
         c.pop()
-    roots.update(n0 for n0 in _int_zeros(c, 1, bound) if p(n0).is_zero())
-    return roots
+    bound = 1 + max(map(abs, c[:-1]), default=0) // abs(c[-1])
+    return {n0 for n0 in _int_zeros(c, 0, bound) if p(n0).is_zero()}
 
 
 def _ev(c, x: int) -> int:

@@ -643,8 +643,11 @@ def power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
 
 def inverse_unit(a: TruncatedSeries) -> TruncatedSeries:
     """Inverse of a series whose constant term c0 is a unit: 1/c0 times the
-    geometric series in 1 - a/c0."""
+    geometric series in 1 - a/c0.  An ``NPoly`` c0 has no inverse in the
+    coefficient ring, whatever its value."""
     c0 = a.constant_term()
+    if type(c0) is NPoly:
+        raise SeriesError(f"inverse_unit: constant term {c0} is a polynomial in n")
     if c0.is_zero():
         raise SeriesError("inverse_unit: constant term is zero")
     inv0 = c0.inverse()

@@ -294,8 +294,7 @@ def compute_D(M, scan_bound: int | None = None) -> JetAnalysis:
         raise UpsilonError(
             "corner determinant vanishes identically; truncation too small or "
             "input outside the analyzed cases")
-    candidates = {r for r in integer_roots(det_gamma) if r >= 0}
-    candidates.add(0)
+    candidates = integer_roots(det_gamma) | {0}
 
     D, vn_dims, certificates = [], {}, {}
     for n0 in sorted(candidates):

@@ -343,6 +343,13 @@ class TestVerifyReconstruct:
         assert code == EXIT_OK
         assert rep["result"]["status"] == "equal"
 
+    def test_determination_at_a_huge_k_ends_in_its_report(self, capsys, tmp_path, mc_file):
+        mp = linear_map_file(tmp_path, "rot.json", ExactComplex(0, 1), 2, 14)
+        code, rep = run(capsys, "determination", mc_file, mc_file, mp, mp,
+                        "--k", "1000000")
+        assert code == EXIT_OK
+        assert rep["result"] == {"k": 1000000, "status": "equal", "order": 0}
+
     def test_determination_precondition(self, capsys, tmp_path, mc_file):
         m1 = linear_map_file(tmp_path, "a.json", 1, 1, 14)
         m2 = linear_map_file(tmp_path, "b.json", ExactComplex(0, 1), 1, 14)

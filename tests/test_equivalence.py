@@ -1,6 +1,8 @@
 """Equivalence verification, jet extraction, and reconstruction from jets."""
 
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,8 @@ from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
 from crjet.linalg import solve_rational
 from crjet.scalars import EC_I, factorial
 from crjet.series import TruncatedSeries, compose, divide, implicit_solve, kth_root_unit
-from conftest import assert_same_series
+from conftest import assert_same_series, rand_complex, random_series
+from scan_oracle import jet_by_exponent_loop
 
 EPS = ExactComplex(Fraction(3, 5), Fraction(4, 5))  # a rational point on |z| = 1
 
@@ -55,6 +58,31 @@ def pulled_back_by_shear(Mhat, a, degree):
     return validate(implicit_solve(rho, "t"))
 
 
+def random_map(rng, n_f, n_g):
+    """A FormalMap with n_f f and n_g g components of random degrees up to 6:
+    f_0 = eps z + (order >= 2), g_0 = r + (order >= 1), eps and r nonzero."""
+    def part(min_order=0):
+        return random_series(rng, ("z",), rng.randint(max(min_order, 1), 6),
+                             rng.randint(0, 4), min_order)
+
+    def nonzero():
+        c = rand_complex(rng)
+        return c if not c.is_zero() else ExactComplex(1)
+
+    f0 = part(2)
+    f0 = f0 + TruncatedSeries(("z",), f0.degree, {(1,): nonzero()})
+    g0 = part(1)
+    g0 = g0 + TruncatedSeries(("z",), g0.degree, {(0,): nonzero()})
+    return FormalMap([f0] + [part() for _ in range(1, n_f)],
+                     [g0] + [part() for _ in range(1, n_g)])
+
+
+def top_degree(H):
+    """The highest total degree in (z, w) at which f or G = w*g can carry a term."""
+    return max([s.degree + n for n, s in enumerate(H.f_components)]
+               + [s.degree + n + 1 for n, s in enumerate(H.g_components)])
+
+
 class TestFormalMap:
     def test_rejects_degenerate_jets(self):
         zero = TruncatedSeries(("z",), 8, {})
@@ -75,6 +103,21 @@ class TestFormalMap:
         assert jet[("f", 1, 0)] == EPS
         assert jet[("g", 0, 1)] == ExactComplex(2)
         assert ("f", 0, 0) not in jet
+
+    def test_jet_matches_exponent_loop(self, rng):
+        for _ in range(25):
+            H = random_map(rng, rng.randint(1, 4), rng.randint(1, 4))
+            top = top_degree(H)
+            for k in sorted({0, 1, 2, rng.randint(0, top), top, top + 3}):
+                assert H.jet(k) == jet_by_exponent_loop(H, k)
+
+    def test_large_k_jet_is_the_jet_at_the_top_degree(self):
+        H = random_map(random.Random(5), 2, 2)
+        start = time.perf_counter()
+        jet = H.jet(10 ** 6)
+        assert time.perf_counter() - start < 1.0
+        assert jet == H.jet(top_degree(H))
+        assert jet
 
     def test_composition_of_linear_maps(self):
         # H(z,w) = (eps z, 3w) after A(z,w) = (conj(eps) z, 2w)

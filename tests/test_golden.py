@@ -2,7 +2,7 @@
 
 ``tests/data/golden`` holds the inputs (``b0.json``, ``mc.json`` and their
 jet files, built at degree 14 from the map z -> (3/5 + 4/5 i) z, w -> 3w,
-and ``mixed.json``)
+``mixed.json`` and ``excluded.json``)
 and, for each case below, the exact stdout the CLI printed for it.  The
 commands run from inside that directory so the relative input paths
 embedded in the reports match.
@@ -31,6 +31,9 @@ CASES["upsilon_n0_mc_j2"] = ["upsilon", "--family", "mc", "--j", "2", "--n", "0"
 # theta = -1/2 z chi - 1/3 z chi^2 - 1/3 z^2 chi + 2 z^2 chi^2 at degree 11: its
 # symbolic Upsilon mixes ExactComplex and NPoly coefficients
 CASES["upsilon_symbolic_mixed"] = ["upsilon", "mixed.json"]
+# Theta = s (z chi - i z^2 chi^3 + i z^3 chi^2) at degree 11: the root n = 1
+# of det_4 is excluded from D by a rank certificate
+CASES["dset_excluded"] = ["dset", "excluded.json"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

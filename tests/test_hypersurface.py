@@ -9,7 +9,8 @@ from crjet.hypersurface import (THETA_VARS, ValidationError, family_b0,
 from crjet.scalars import EC_I, ExactComplex, factorial
 from crjet.series import TruncatedSeries, compose, implicit_solve
 
-from conftest import assert_same_series, random_hypersurface
+from conftest import assert_same_series, rand_complex, random_hypersurface
+from scan_oracle import invariants_by_support_scan
 from solver_oracle import staged_graph_function
 
 ZC = ("z", "chi")
@@ -212,3 +213,19 @@ class TestInvariantEdgeCases:
                                    (1, 4, 1): ExactComplex(1),
                                    (2, 2, 1): ExactComplex(1)}))
         assert (M2.invariants.L, M2.invariants.K, M2.invariants.T) == (1, 4, 0)
+
+    def test_matches_support_scan(self, rng):
+        seen_T = set()
+        for _ in range(30):
+            M = random_hypersurface(rng, degree=rng.randint(6, 12),
+                                    nterms=rng.randint(1, 8), max_e=rng.randint(1, 4))
+            inv = M.invariants
+            assert (inv.m, inv.r, inv.L, inv.K, inv.T) == invariants_by_support_scan(M.Theta)
+            seen_T.add(inv.T)
+        assert seen_T == {0, 1}
+        for m in (2, 3):
+            c = rand_complex(rng)
+            M = validate(theta_input({(1, 1, m): ExactComplex(1), (2, 1, m + 1): c,
+                                      (1, 2, m + 1): c.conj()}))
+            inv = M.invariants
+            assert (inv.m, inv.r, inv.L, inv.K, inv.T) == invariants_by_support_scan(M.Theta)

@@ -220,6 +220,13 @@ class TestIntegerRoots:
         assert integer_roots(p) == {7, 10 ** 15}
         assert time.perf_counter() - start < 1.0
 
+    def test_bound_from_real_parts_of_lower_degree(self):
+        # (n - 5)(1 + i n): the real parts n - 5 lose the degree of p, so the
+        # bound comes from them; 5 is confirmed on p, and n - 5 + i n^2 has
+        # the same real parts but no root there
+        assert integer_roots(NPoly([-5, ExactComplex(1, -5), EC_I])) == {5}
+        assert integer_roots(NPoly([-5, 1, EC_I])) == set()
+
     @pytest.mark.parametrize("roots", [(9, 10, 57), (9, 10, 11), (3, 4, 5, 6, 40)])
     def test_consecutive_roots(self, roots):
         # a run of consecutive roots can sit inside one monotone stretch

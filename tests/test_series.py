@@ -475,6 +475,11 @@ class TestUnits:
         u = one + a - TruncatedSeries.const(XY, a.degree, a.coeff((0, 0)))
         assert u * inverse_unit(u) == one.truncate(u.degree)
 
+    def test_inverse_unit_refuses_an_npoly_constant_term(self):
+        x = TruncatedSeries.var("x", XY, DEG)
+        with pytest.raises(SeriesError, match="polynomial in n"):
+            inverse_unit(x + NPoly([1, 1]))
+
     def test_divide_exact(self):
         x = TruncatedSeries.var("x", XY, DEG)
         y = TruncatedSeries.var("y", XY, DEG)
@@ -528,6 +533,13 @@ class TestImplicitSolve:
         x = TruncatedSeries.var("x", WV, DEG)
         with pytest.raises(SeriesError):
             implicit_solve(w * w - x, "w")
+
+    def test_npoly_slope_is_refused(self):
+        WV = ("w", "x")
+        w = TruncatedSeries.var("w", WV, DEG)
+        x = TruncatedSeries.var("x", WV, DEG)
+        with pytest.raises(SeriesError, match="polynomial in n"):
+            implicit_solve(w * NPoly([1, 1]) + x, "w")
 
     @settings(max_examples=80, deadline=None)
     @given(implicit_equations())

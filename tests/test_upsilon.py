@@ -246,6 +246,22 @@ class TestExceptionalSet:
         assert analysis.scan_bound >= 8
         assert analysis.vn_dims == {0: 2, 1: 2, 2: 3}
 
+    @pytest.mark.parametrize("degree", [11, 14, 20])
+    def test_root_excluded_by_rank_certificate(self, degree):
+        # Theta = s (z chi - i z^2 chi^3 + i z^3 chi^2): det_4 vanishes at
+        # n = 1, but the jets at n = 1 span C^4, so 1 is not in D
+        Theta = TruncatedSeries(THETA_VARS, degree, {(1, 1, 1): ExactComplex(1),
+                                                     (2, 3, 1): -EC_I,
+                                                     (3, 2, 1): EC_I})
+        analysis = compute_D(validate(Theta))
+        assert analysis.xi_dets[4](1).is_zero()
+        assert analysis.D == [0]
+        assert analysis.k == 1
+        assert analysis.vn_dims == {0: 3, 1: 4}
+        assert analysis.certificates[1] == {
+            "status": "excluded, rank certificate", "rank": 4,
+            "pivots": [[2, 2], [2, 3], [3, 2], [2, 5]]}
+
     def test_bounds_on_randomized_inputs(self, rng):
         for _ in range(20):
             M = random_hypersurface(rng, degree=18, max_e=2)
