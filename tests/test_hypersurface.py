@@ -215,17 +215,13 @@ class TestInvariantEdgeCases:
         assert (M2.invariants.L, M2.invariants.K, M2.invariants.T) == (1, 4, 0)
 
     def test_matches_support_scan(self, rng):
-        seen_T = set()
-        for _ in range(30):
-            M = random_hypersurface(rng, degree=rng.randint(6, 12),
-                                    nterms=rng.randint(1, 8), max_e=rng.randint(1, 4))
-            inv = M.invariants
-            assert (inv.m, inv.r, inv.L, inv.K, inv.T) == invariants_by_support_scan(M.Theta)
-            seen_T.add(inv.T)
-        assert seen_T == {0, 1}
+        cases = [random_hypersurface(rng, degree=rng.randint(6, 12), nterms=rng.randint(1, 8),
+                                     max_e=rng.randint(1, 4)) for _ in range(30)]
         for m in (2, 3):
             c = rand_complex(rng)
-            M = validate(theta_input({(1, 1, m): ExactComplex(1), (2, 1, m + 1): c,
-                                      (1, 2, m + 1): c.conj()}))
+            cases.append(validate(theta_input({(1, 1, m): ExactComplex(1), (2, 1, m + 1): c,
+                                               (1, 2, m + 1): c.conj()})))
+        for M in cases:
             inv = M.invariants
             assert (inv.m, inv.r, inv.L, inv.K, inv.T) == invariants_by_support_scan(M.Theta)
+        assert {M.invariants.T for M in cases} == {0, 1, None}
