@@ -27,8 +27,7 @@ from .hypersurface import Hypersurface
 from .linalg import InconsistentSystem, solve_rational
 from .scalars import (EC_I, EC_ONE, EC_ZERO, ExactComplex, factorial,
                       rational_nth_root, split_parts)
-from .series import (TruncatedSeries, compose, implicit_solve, inverse_unit,
-                     kth_root_unit)
+from .series import TruncatedSeries, compose, implicit_solve, kth_root_unit
 
 ZC = ("z", "chi")
 
@@ -120,6 +119,8 @@ class JetData:
             raise EquivalenceError("b_0^0 must be real for an equivalence")
         self.lambdas = {int(n): tuple(ExactComplex.coerce(c) for c in tup)
                         for n, tup in (lambdas or {}).items()}
+        if any(len(tup) != 4 for tup in self.lambdas.values()):
+            raise EquivalenceError("each lambda_n needs four values")
 
     @property
     def delta(self) -> ExactComplex:
@@ -205,9 +206,9 @@ def forced_mu_sq(M: Hypersurface, Mhat: Hypersurface) -> Fraction:
     return mu_sq
 
 
-def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeries, Fraction]:
-    """The order-0 component f_0(z), plus mu^2 = |a_0^1|^2: zh = f_0(z) solves
-    zh uhat(zh) = (mu^2/a_0^1) z u(z) = conj(a_0^1) z u(z), where
+def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> TruncatedSeries:
+    """The order-0 component f_0(z), for |a_0^1|^2 the ``forced_mu_sq``:
+    zh = f_0(z) solves zh uhat(zh) = conj(a_0^1) z u(z), where
     theta_L = alpha z^K u(z)^K / K! and thetahat_L likewise through uhat."""
     a01 = ExactComplex.coerce(a01)
     mu_sq = forced_mu_sq(M, Mhat)
@@ -216,16 +217,13 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeri
             f"modulus forced by the invariant ratio: need |a_0^1|^2 = {mu_sq}, "
             f"got {a01.norm_sq()}")
     L, K = M.invariants.L, M.invariants.K
-    thL = M.theta_j(L)
-    thLhat = Mhat.theta_j(L)
-    alpha = thL.jet_coeff((K,))
-    alphahat = thLhat.jet_coeff((K,))
 
-    def unit_root(th, const):
-        return kth_root_unit(th.shift("z", K) * (const.inverse() * factorial(K)), K)
+    def unit_root(th):
+        alpha = th.jet_coeff((K,))
+        return kth_root_unit(th.shift("z", K) * (alpha.inverse() * factorial(K)), K)
 
-    u = unit_root(thL, alpha)
-    uhat = unit_root(thLhat, alphahat).rename({"z": "zh"})
+    u = unit_root(M.theta_j(L))
+    uhat = unit_root(Mhat.theta_j(L)).rename({"z": "zh"})
 
     deg = min(u.degree, uhat.degree)
     V = ("zh", "z")
@@ -240,7 +238,7 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeri
     if not (pushed - M.theta.truncate(pushed.degree)).is_zero():
         raise JetRealizationError(
             "jet not realizable: theta does not match thetahat(f0, conj f0)")
-    return f0, mu_sq
+    return f0
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +261,23 @@ def shat_jet_table(Mhat, f0, n_max):
 
 
 class _Frame:
-    """What every order step shares: the slices theta_1 and theta_L, the
-    series 2i theta_(L+1) - 4 delta_(L,1) theta_1^2, f_0', the inverse of
-    the unit theta_L'/z^(K-1), the 1-jet scalars and the Shat table, none of
-    which depends on the order n."""
+    """What every order step shares: M, its slices theta_1 and theta_L, the
+    series 2i theta_(L+1) - 4 delta_(L,1) theta_1^2, f_0', b_0^0, the scalars
+    a_0^1 and a_0^2 read off f_0, and the Shat table, none of which depends
+    on the order n.  Quotients by theta_L' go through M."""
 
-    def __init__(self, M, f0, b00, a01, a02, shat):
+    def __init__(self, M, f0, b00, shat):
         inv = M.invariants
+        self.M = M
         self.L, self.K = inv.L, inv.K
         self.b00 = b00
-        self.a01 = a01
-        self.a02 = a02
+        self.a01 = f0.jet_coeff((1,)).conj()
+        self.a02 = f0.jet_coeff((2,)).conj()
         self.theta1 = M.theta_j(1)
         self.thetaL = M.theta_j(self.L)
         d1L = 1 if self.L == 1 else 0
         self.theta_a_n0 = (M.theta_j(self.L + 1) * (EC_I * 2)
                            - self.theta1 * self.theta1 * (4 * d1L))
-        # theta_L' = z^(K-1) * unit: the inverse of that unit, for every run
-        self.inv_thetaL_unit = inverse_unit(
-            self.thetaL.differentiate("z").shift("z", self.K - 1))
         self.f0_prime = f0.differentiate("z")
         self.shat = shat
 
@@ -329,8 +325,7 @@ class _OrderSolver:
 
         # divisibility by theta_L' needs z-order >= K-1: ``low`` must vanish
         low = [rhs_f.coeff((j,)) for j in range(K - 1)]
-        F = rhs_f.shift("z", K - 1) * fr.inv_thetaL_unit            # f_n / f_0'
-        return fr.f0_prime * F, g_n, low
+        return fr.f0_prime * fr.M.over_thetaL_prime(rhs_f), g_n, low
 
     def _linear(self, f_n, g_n):
         return self.neg_S0_n1 * g_n.embed(ZC) + self.shat_S0_n * f_n.embed(ZC) * self.frame.b00
@@ -412,16 +407,9 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     """
     if order < 0:
         raise EquivalenceError(f"reconstruction order must be nonnegative, got {order}")
-    f0, _ = f0_from_jet(M, Mhat, jet.a01)
-    b00 = jet.b00
-    a01 = jet.a01
-    a02 = f0.jet_coeff((2,)).conj()
-    g0 = TruncatedSeries(("z",), f0.degree, {(0,): b00})
-
+    f0 = f0_from_jet(M, Mhat, jet.a01)
     f_parts = [f0]
-    g_parts = [g0]
-    fbar_parts = [f0.conjugate(rename={"z": "chi"})]
-    gbar_parts = [g0.conjugate(rename={"z": "chi"})]
+    g_parts = [TruncatedSeries(("z",), f0.degree, {(0,): jet.b00})]
     shat = shat_jet_table(Mhat, f0, order)
     S0 = M.S0()
     if not (shat[(0, 0, 0)] - S0.truncate(shat[(0, 0, 0)].degree)).is_zero():
@@ -431,10 +419,10 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     for _ in range(order):
         S0_pow.append(S0_pow[-1] * S0)
 
-    frame = _Frame(M, f0, b00, a01, a02, shat)
+    frame = _Frame(M, f0, jet.b00, shat)
     zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
-        Rn = universal_pn(n, f_parts, g_parts, fbar_parts, gbar_parts, s_jets, shat)
+        Rn = universal_pn(n, f_parts, g_parts, s_jets, shat)
         solver = _OrderSolver(frame, n, Rn, S0_pow[n], S0_pow[n + 1])
         inconsistent = f"jet not realizable: order-{n} system inconsistent"
         if n in D:
@@ -458,8 +446,6 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
             raise JetRealizationError(inconsistent)
         f_parts.append(f_n)
         g_parts.append(g_n)
-        fbar_parts.append(f_n.conjugate(rename={"z": "chi"}))
-        gbar_parts.append(g_n.conjugate(rename={"z": "chi"}))
     return FormalMap(f_parts, g_parts)
 
 

@@ -73,13 +73,13 @@ def _powers(a, x, n, count):
         yield a
 
 
-def universal_pn(n, f, g, fbar, gbar, s_jets, shat):
+def universal_pn(n, f, g, s_jets, shat):
     """The series P_n(z,chi) of known (order < n) contributions at order n.
 
-    f, g: map components f_m, g_m (m < n) as series in z; fbar, gbar: their
-    conjugates as series in chi; s_jets[k] = S_{tau^k}(z,chi,0) for k <= n;
-    shat[(j,k,l)]: the (j,k,l) partial of Shat in (zhat,chihat,tauhat) at
-    (f_0(z), fbar_0(chi), 0), for j + k + l <= n.
+    f, g: map components f_m, g_m (m < n) as series in z, whose conjugates
+    fbar_m, gbar_m in chi are taken here; s_jets[k] = S_{tau^k}(z,chi,0) for
+    k <= n; shat[(j,k,l)]: the (j,k,l) partial of Shat in
+    (zhat,chihat,tauhat) at (f_0(z), fbar_0(chi), 0), for j + k + l <= n.
     """
     V = s_jets[0].variables
     S = [s_jets[k] * Fraction(1, factorial(k)) for k in range(n + 1)]
@@ -91,6 +91,8 @@ def universal_pn(n, f, g, fbar, gbar, s_jets, shat):
             c = Fraction(1, factorial(m))
             _acc(G, power, g[m].embed(V) * c)
             _acc(F, power, f[m].embed(V) * c)
+    fbar = [s.conjugate(rename={"z": "chi"}) for s in f]
+    gbar = [s.conjugate(rename={"z": "chi"}) for s in g]
     Gbar = [gbar[k].embed(V) * Fraction(1, factorial(k)) for k in range(n)] + [None]
     tau_gbar = [None] + Gbar[:n]
     Fbar = ([None] + [fbar[q].embed(V) * Fraction(1, factorial(q)) for q in range(1, n)]

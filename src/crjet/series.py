@@ -155,6 +155,8 @@ class TruncatedSeries:
     # -- structural conversions -------------------------------------------------
     def truncate(self, degree):
         """Forget orders above ``degree``; never extends the certified range."""
+        if degree < 0:
+            raise SeriesError("truncation degree must be nonnegative")
         if degree >= self.degree:
             return self
         return _part(self.variables, degree, self._d, _upto(self._num, degree),

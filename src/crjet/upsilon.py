@@ -25,7 +25,7 @@ from itertools import combinations, count
 
 from .linalg import RankTracker
 from .scalars import EC_I, EC_ZERO, NPoly, integer_roots
-from .series import TruncatedSeries, inverse_unit, power_series
+from .series import TruncatedSeries, power_series
 
 ZC = ("z", "chi")
 
@@ -100,8 +100,8 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     and coefficient type.  Only z-side numerators are divided by theta_L':
     theta_L, theta_(L+1), theta_1^2 and, for K = 1, theta_z.  K = 1 forces
     L = T = 1, so theta_1 = theta_L and Upsilon_4's quotients are these or
-    their mirrors.  theta_L' is z^(K-1) times a unit; each quotient is a
-    ``shift`` by z^(K-1) times the unit's inverse, computed once per build.
+    their mirrors.  Each quotient is ``Hypersurface.over_thetaL_prime``
+    after a check that it is a series.
     """
     if n_mode != SYMBOLIC:
         n = int(n_mode)
@@ -123,16 +123,12 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     one_plus_theta2 = one + theta * theta
 
     thL = M.theta_j(L)                       # series in z, order exactly K
-    thL_prime = thL.differentiate("z")
     d1K, d1L, d1T = _delta1(K), _delta1(L), _delta1(T)
-
-    # theta_L' = z^(K-1) * unit: the unit is inverted once for every quotient
-    inv_unit = inverse_unit(thL_prime.shift("z", K - 1))
 
     def over_thL_prime(num):
         if not num.is_zero() and num.var_order("z") < K - 1:
             raise UpsilonError("Upsilon construction: non-series quotient by theta_L'")
-        return (num.shift("z", K - 1) * inv_unit).embed(ZC)
+        return M.over_thetaL_prime(num).embed(ZC)
 
     ratio_z = over_thL_prime(thL)            # theta_L / theta_L'
     ratio_chi = _mirror(ratio_z)

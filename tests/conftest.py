@@ -20,6 +20,8 @@ def rand_complex(rng: random.Random, span: int = 4) -> ExactComplex:
 
 def random_series(rng: random.Random, variables, degree, nterms,
                   min_order=0, allow_zero=True) -> TruncatedSeries:
+    if min_order > degree:
+        raise ValueError(f"no exponent has order {min_order} at degree {degree}")
     coeffs = {}
     for _ in range(nterms):
         while True:

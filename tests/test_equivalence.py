@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import crjet.equivalence as equivalence
+import crjet.hypersurface as hypersurface
 
 from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    JetRealizationError, compose_maps, compute_D, extract_jet,
@@ -174,6 +175,11 @@ class TestJetData:
         with pytest.raises(EquivalenceError):
             JetData(1, ExactComplex(1, 1))    # b_0^0 must be real
 
+    @pytest.mark.parametrize("tup", [(1, 2), (), (0, 0, 0, 0, 0)])
+    def test_rejects_a_lambda_that_is_not_four_values(self, tup):
+        with pytest.raises(EquivalenceError, match="four values"):
+            JetData(1, 1, {1: tup})
+
     def test_delta_and_mu(self):
         jet = JetData(EPS, 2)
         assert jet.mu_sq == Fraction(1)
@@ -231,15 +237,14 @@ class TestF0FromJet:
             "b0-curved"])
     def test_matches_three_variable_construction(self, source, target, a01):
         M, Mhat = source(), target()
-        f0, _ = f0_from_jet(M, Mhat, a01)
+        f0 = f0_from_jet(M, Mhat, a01)
         assert_same_series(f0, f0_over_three_variables(M, Mhat, a01))
 
     def test_scaling_case(self):
         M1 = family_mc(1, 1, 14)
         M4 = family_mc(4, 1, 14)
         assert forced_mu_sq(M1, M4) == Fraction(1, 4)
-        f0, mu_sq = f0_from_jet(M1, M4, Fraction(1, 2))
-        assert mu_sq == Fraction(1, 4)
+        f0 = f0_from_jet(M1, M4, Fraction(1, 2))
         assert f0 == TruncatedSeries(("z",), f0.degree,
                                      {(1,): ExactComplex(Fraction(1, 2))})
 
@@ -265,8 +270,8 @@ class TestF0FromJet:
     def test_nonlinear_f0_is_recovered(self):
         Mhat = family_mc(1, 1, 16)
         M = pushed_forward(Mhat, {1: 1, 2: 1}, 16)
-        f0, mu_sq = f0_from_jet(M, Mhat, 1)
-        assert mu_sq == Fraction(1)
+        f0 = f0_from_jet(M, Mhat, 1)
+        assert forced_mu_sq(M, Mhat) == Fraction(1)
         assert f0.coeff((1,)) == ExactComplex(1)
         assert f0.coeff((2,)) == ExactComplex(1)
 
@@ -476,23 +481,24 @@ class TestOrderSystem:
 
 
 class TestOrderIndependentWork:
-    def test_theta_L_unit_is_inverted_once_per_reconstruction(self, monkeypatch):
+    def test_theta_L_unit_is_inverted_once_per_hypersurface(self, monkeypatch):
+        # compute_D and reconstruct both divide by theta_L' = z^(K-1) * unit;
+        # M inverts that unit once for all of them, whatever the order
         calls = []
-        original = equivalence.inverse_unit
+        original = hypersurface.inverse_unit
 
         def counted(a):
             calls.append(a)
             return original(a)
 
-        monkeypatch.setattr(equivalence, "inverse_unit", counted)
+        monkeypatch.setattr(hypersurface, "inverse_unit", counted)
         M = family_mc(1, 1, 18)
         A = linear_map(EPS, 2, 18)
-        counts = []
+        D = compute_D(M).D
         for order in (2, 5):
-            calls.clear()
-            assert reconstruct(M, M, extract_jet(A, [0]), order, D=[0]) == A
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            assert reconstruct(M, M, extract_jet(A, D), order, D=D) == A
+        L, K = M.invariants.L, M.invariants.K
+        assert calls == [M.theta_j(L).differentiate("z").shift("z", K - 1)]
 
 
 class TestFiniteDetermination:

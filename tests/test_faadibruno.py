@@ -130,7 +130,7 @@ def assemble_order_n(M, Mhat, f, g, n):
 
     shat = shat_jet_table(Mhat, f[0], n)
     s_jets = [M.s_tau_jet(j) for j in range(n + 1)]
-    Pn = universal_pn(n, f[:n], g[:n], fbar[:n], gbar[:n], s_jets, shat)
+    Pn = universal_pn(n, f[:n], g[:n], s_jets, shat)
     S0 = M.S0()
     gbar0 = gbar[0].embed(ZC)
     rhs = ((S0 ** (n + 1)) * g[n].embed(ZC)
@@ -168,11 +168,9 @@ class TestUniversalPn:
         zero = TruncatedSeries(("z",), M.Q.degree, {})
         f = [f0] + [zero] * n
         g = [TruncatedSeries.const(("z",), M.Q.degree, g0c)] + [zero] * n
-        fbar = [s.conjugate(rename={"z": "chi"}) for s in f]
-        gbar = [s.conjugate(rename={"z": "chi"}) for s in g]
         shat = shat_jet_table(Mhat, f0, n)
         s_jets = [M.s_tau_jet(j) for j in range(n + 1)]
-        Pn = universal_pn(n, f[:n], g[:n], fbar[:n], gbar[:n], s_jets, shat)
+        Pn = universal_pn(n, f[:n], g[:n], s_jets, shat)
         gbar0 = g0c.conj()
         gpow = ExactComplex(1)
         for _ in range(n + 1):
@@ -182,12 +180,13 @@ class TestUniversalPn:
 
 
 def pn_both_ways(M, Mhat, f, g, n):
-    """P_n from the library and from the partition-sum oracle."""
+    """P_n from the library and from the partition-sum oracle, which takes
+    the conjugates of f and g as inputs."""
     fbar = [s.conjugate(rename={"z": "chi"}) for s in f[:n]]
     gbar = [s.conjugate(rename={"z": "chi"}) for s in g[:n]]
     shat = shat_jet_table(Mhat, f[0], n)
     s_jets = [M.s_tau_jet(j) for j in range(n + 1)]
-    return (universal_pn(n, f[:n], g[:n], fbar, gbar, s_jets, shat),
+    return (universal_pn(n, f[:n], g[:n], s_jets, shat),
             partition_pn(n, PnData(f[:n], g[:n], fbar, gbar, s_jets, shat)))
 
 

@@ -231,7 +231,7 @@ def test_rich_graph_function(degree):
 
 
 def test_curved_f0():
-    f0, _ = f0_from_jet(*curved_b0_pullback(16))
+    f0 = f0_from_jet(*curved_b0_pullback(16))
     assert digest([f0]) == CURVED_F0_DIGEST
 
 

@@ -51,6 +51,12 @@ class TestArithmetic:
         assert t.coeff((5, 0)).is_zero()
         assert t.coeff((1, 1)) == ExactComplex(2)
 
+    def test_truncation_refuses_a_negative_degree(self):
+        a = TruncatedSeries(("z",), 5, {(1,): 1, (3,): 2})
+        assert a.truncate(0).is_zero() and a.truncate(0).degree == 0
+        with pytest.raises(SeriesError, match="nonnegative"):
+            a.truncate(-1)
+
     def test_sum_drops_terms_above_the_result_degree(self):
         a = srs({(5, 0): ExactComplex(1), (1, 1): ExactComplex(2)})
         b = srs({(0, 1): EC_I}, degree=3)
@@ -418,6 +424,20 @@ class TestSlicing:
     def test_from_slices_rejects_mixed_variables(self):
         with pytest.raises(SeriesError):
             TruncatedSeries.from_slices("t", [srs({}), srs({}, variables=("y", "x"))], 3)
+
+
+class TestRandomSeries:
+    def test_empty_order_range_is_refused_before_drawing(self):
+        class NoDraws(random.Random):
+            def randint(self, a, b):
+                raise AssertionError("drew an exponent for an empty order range")
+
+        with pytest.raises(ValueError, match="no exponent"):
+            random_series(NoDraws(0), ("z",), 1, 3, min_order=2)
+
+    def test_order_range_of_one_degree(self):
+        s = random_series(random.Random(0), ("z",), 3, 4, min_order=3, allow_zero=False)
+        assert set(s.coeffs) == {(3,)}
 
 
 class TestComposition:
