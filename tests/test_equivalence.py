@@ -481,7 +481,7 @@ class TestOrderSystem:
 
 
 class TestOrderIndependentWork:
-    def test_theta_L_unit_is_inverted_once_per_hypersurface(self, monkeypatch):
+    def test_theta_L_unit_is_inverted_once_per_reconstruction(self, monkeypatch):
         # compute_D and reconstruct both divide by theta_L' = z^(K-1) * unit;
         # M inverts that unit once for all of them, whatever the order
         calls = []

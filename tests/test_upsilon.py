@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from crjet import hypersurface, series
 from crjet.hypersurface import (THETA_VARS, Hypersurface, InvariantTuple, family_b0,
                                 family_mc, family_nb, validate)
 from crjet.scalars import EC_I, ExactComplex, NPoly, factorial
@@ -282,6 +283,21 @@ class TestExceptionalSet:
 
 
 class TestQuotientsByThetaLPrime:
+    def test_theta_L_unit_is_inverted_once_per_build(self, monkeypatch):
+        M = family_b0(14)
+        calls = []
+        original = series.inverse_unit
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        # the name as series (for divide) and hypersurface look it up
+        monkeypatch.setattr(series, "inverse_unit", counted)
+        monkeypatch.setattr(hypersurface, "inverse_unit", counted)
+        build_upsilon(M, SYMBOLIC)
+        assert len(calls) == 1
+
     def test_non_series_quotient_is_refused(self):
         # theta = z^3 chi + z chi^2: L = 1, K = 3, and T = 1 is declared, so
         # theta_2 = 2z, of z-order 1 < K - 1, is divided by theta_1' = 3z^2;
