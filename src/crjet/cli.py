@@ -19,13 +19,9 @@ import hashlib
 import sys
 
 from . import io as cio
-from .equivalence import (EquivalenceError, finite_determination_check,
-                          reconstruct, verify_map)
-from .hypersurface import (Hypersurface, ValidationError, family_b0,
-                           family_mc, family_nb)
-from .io import FormatError
+from .errors import EquivalenceError, FormatError, UpsilonError, ValidationError
+from .hypersurface import Hypersurface, family_b0, family_mc, family_nb
 from .scalars import ExactComplex
-from .upsilon import SYMBOLIC, UpsilonError, build_upsilon, compute_D
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -69,6 +65,7 @@ def _load_json_input(path: str, inputs: dict, role: str):
 
 
 # -- subcommand bodies --------------------------------------------------------
+# each imports the mathematics it runs, so a job loads no module it does not use
 
 def _cmd_validate(args, inputs):
     M = _load_hypersurface(args, inputs)
@@ -81,6 +78,7 @@ def _cmd_invariants(args, inputs):
 
 
 def _cmd_upsilon(args, inputs):
+    from .upsilon import SYMBOLIC, build_upsilon
     M = _load_hypersurface(args, inputs)
     mode = SYMBOLIC if args.n is None else args.n
     U = build_upsilon(M, mode)
@@ -90,18 +88,21 @@ def _cmd_upsilon(args, inputs):
 
 
 def _cmd_dset(args, inputs):
+    from .upsilon import compute_D
     M = _load_hypersurface(args, inputs)
     analysis = compute_D(M, scan_bound=args.scan_bound)
     return {"analysis": analysis.as_dict()}
 
 
 def _cmd_jet_order(args, inputs):
+    from .upsilon import compute_D
     M = _load_hypersurface(args, inputs)
     analysis = compute_D(M, scan_bound=args.scan_bound)
     return {"k": analysis.k, "D": analysis.D}
 
 
 def _cmd_verify(args, inputs):
+    from .equivalence import verify_map
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     H = cio.parse_formal_map(_load_json_input(args.map, inputs, "map"))
@@ -118,6 +119,8 @@ def _cmd_verify(args, inputs):
 
 
 def _cmd_reconstruct(args, inputs):
+    from .equivalence import reconstruct, verify_map
+    from .upsilon import compute_D
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     jet = cio.parse_jet_data(_load_json_input(args.jet, inputs, "jet"))
@@ -133,6 +136,8 @@ def _cmd_reconstruct(args, inputs):
 
 
 def _cmd_determination(args, inputs):
+    from .equivalence import finite_determination_check
+    from .upsilon import compute_D
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     H1 = cio.parse_formal_map(_load_json_input(args.map1, inputs, "map1"))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import EquivalenceError
 from .faadibruno import universal_pn
 from .hypersurface import Hypersurface
 from .linalg import InconsistentSystem, solve_rational
@@ -30,10 +31,6 @@ from .scalars import (EC_I, EC_ONE, EC_ZERO, ExactComplex, factorial,
 from .series import TruncatedSeries, compose, implicit_solve, kth_root_unit
 
 ZC = ("z", "chi")
-
-
-class EquivalenceError(ArithmeticError):
-    pass
 
 
 class JetRealizationError(EquivalenceError):

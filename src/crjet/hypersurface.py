@@ -18,15 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
+from .errors import ValidationError
 from .scalars import EC_I, ExactComplex, factorial
 from .series import TruncatedSeries, implicit_solve, inverse_unit, kth_root_unit
 
 THETA_VARS = ("z", "chi", "s")
 ZC = ("z", "chi")
-
-
-class ValidationError(ValueError):
-    """Input rejected: not a valid in-scope normal-form hypersurface."""
 
 
 class InvariantTuple:

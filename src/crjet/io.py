@@ -12,14 +12,16 @@ import json
 from fractions import Fraction
 from io import BytesIO, TextIOWrapper
 
-from .equivalence import FormalMap, JetData
+from .errors import FormatError
 from .hypersurface import THETA_VARS, Hypersurface, validate
 from .scalars import ExactComplex, NPoly, rational_str
 from .series import TruncatedSeries
 
-
-class FormatError(ValueError):
-    pass
+# true to type checkers only: the parsers import these when they build one,
+# so reading a hypersurface loads no reconstruction code (nor ``typing``)
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .equivalence import FormalMap, JetData
 
 
 # -- rationals ---------------------------------------------------------------
@@ -140,6 +142,7 @@ def formal_map_dict(H: FormalMap) -> dict:
 
 
 def parse_formal_map(obj) -> FormalMap:
+    from .equivalence import FormalMap
     if not isinstance(obj, dict) or not all(
             isinstance(obj.get(k), list) and obj[k] for k in ("f", "g")):
         raise FormatError("formal map must be an object with nonempty f and g lists")
@@ -160,6 +163,7 @@ def jet_data_dict(jet: JetData) -> dict:
 
 
 def parse_jet_data(obj) -> JetData:
+    from .equivalence import JetData
     if not isinstance(obj, dict) or "a01" not in obj or "b00" not in obj:
         raise FormatError("jet data must be an object with a01 and b00")
     raw = obj.get("lambdas")

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, count
 
+from .errors import UpsilonError
 from .linalg import RankTracker
 from .scalars import EC_I, EC_ZERO, NPoly, integer_roots
 from .series import TruncatedSeries, power_series
@@ -30,10 +31,6 @@ from .series import TruncatedSeries, power_series
 ZC = ("z", "chi")
 
 SYMBOLIC = "symbolic"
-
-
-class UpsilonError(ArithmeticError):
-    pass
 
 
 def _delta1(x) -> int:

@@ -92,13 +92,19 @@ def test_no_write_only_attributes():
     assert unread == []
 
 
-def test_benchmark_tracer_names_resolve():
-    """Every function and method the benchmark tracer names exists, so a
-    rename in crjet cannot silently zero a per-layer metric."""
+def load_tracer():
+    """The benchmark's ``bench/tracer.py``, loaded from this checkout."""
     path = SRC.parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every function and method the benchmark tracer names exists, so a
+    rename in crjet cannot silently zero a per-layer metric."""
+    tracer = load_tracer()
     missing = []
     for short, names in tracer.SPANS.items():
         mod = importlib.import_module(f"crjet.{short}")
@@ -110,3 +116,27 @@ def test_benchmark_tracer_names_resolve():
                     if cls is None or meth not in vars(cls)]
     assert set(tracer.SPANS) == set(tracer.MODULES)
     assert missing == []
+
+
+def test_package_names_follow_the_benchmark_tracer():
+    """``crjet.<name>`` is looked up in its home module on every access and
+    never cached in the package, so the tracer's wrappers show through the
+    package while installed and the originals come back after uninstall."""
+    import crjet.equivalence
+    import crjet.upsilon
+    originals = {"compute_D": crjet.upsilon.compute_D,
+                 "reconstruct": crjet.equivalence.reconstruct}
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        for name, original in originals.items():
+            assert getattr(crjet, name) is not original
+        assert crjet.compute_D is crjet.upsilon.compute_D
+        assert crjet.reconstruct is crjet.equivalence.reconstruct
+        crjet.compute_D(crjet.family_mc(1, 1, 12))
+        assert tracer.summary()["upsilon.compute_D"]["calls"] == 1
+    finally:
+        tracer.uninstall()
+    for name, original in originals.items():
+        assert getattr(crjet, name) is original
+        assert name not in vars(crjet)

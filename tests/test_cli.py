@@ -18,7 +18,7 @@ import crjet
 from crjet import (ExactComplex, FormalMap, TruncatedSeries, extract_jet,
                    family_b0, family_mc)
 from crjet import io as cio
-from crjet.cli import EXIT_INVALID, EXIT_IO, EXIT_MATH, EXIT_OK, main
+from crjet.cli import _EXIT_CODES, EXIT_INVALID, EXIT_IO, EXIT_MATH, EXIT_OK, main
 
 
 def run(capsys, *argv):
@@ -33,18 +33,36 @@ def write_json(tmp_path, name, obj):
     return str(p)
 
 
-def run_fresh(*argv):
-    """crjet in a fresh interpreter, importing the package under test."""
+def fresh_interpreter(*args):
+    """A fresh interpreter with ``args``, importing the package under test."""
     src = os.path.dirname(os.path.dirname(crjet.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "crjet.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_fresh(*argv):
+    """crjet in a fresh interpreter, importing the package under test."""
+    return fresh_interpreter("-m", "crjet.cli", *argv)
 
 
 def linear_map_file(tmp_path, name, eps, r, degree):
     f0 = TruncatedSeries(("z",), degree, {(1,): ExactComplex.coerce(eps)})
     g0 = TruncatedSeries(("z",), degree, {(0,): ExactComplex.coerce(r)})
     return write_json(tmp_path, name, cio.formal_map_dict(FormalMap([f0], [g0])))
+
+
+def curved_map_file(tmp_path):
+    """f_0 = z + z^2, g_0 = 1: not a self-map of family_mc(1, 1, 14)."""
+    f0 = TruncatedSeries(("z",), 14, {(1,): ExactComplex(1),
+                                      (2,): ExactComplex(1)})
+    g0 = TruncatedSeries(("z",), 14, {(0,): ExactComplex(1)})
+    return write_json(tmp_path, "bad_map.json",
+                      cio.formal_map_dict(FormalMap([f0], [g0])))
+
+
+# a modulus clash: |a01| = 1 is forced for a self-map
+UNREALIZABLE_JET = {"a01": {"re": "2", "im": "0"}, "b00": {"re": "1", "im": "0"}}
 
 
 @pytest.fixture
@@ -299,11 +317,7 @@ class TestVerifyReconstruct:
         assert rep["result"]["residual_zero"] is True
 
     def test_verify_nonzero_residual_exits_3(self, capsys, tmp_path, mc_file):
-        f0 = TruncatedSeries(("z",), 14, {(1,): ExactComplex(1),
-                                          (2,): ExactComplex(1)})
-        g0 = TruncatedSeries(("z",), 14, {(0,): ExactComplex(1)})
-        mp = write_json(tmp_path, "bad_map.json",
-                        cio.formal_map_dict(FormalMap([f0], [g0])))
+        mp = curved_map_file(tmp_path)
         code, rep = run(capsys, "verify", mc_file, mc_file, mp)
         assert code == EXIT_MATH
         assert rep["result"]["residual_zero"] is False
@@ -328,9 +342,7 @@ class TestVerifyReconstruct:
         assert rebuilt == H
 
     def test_unrealizable_jet_exits_3(self, capsys, tmp_path, mc_file):
-        # modulus clash: |a01| = 1 is forced for a self-map
-        jet_path = write_json(tmp_path, "jet.json", {
-            "a01": {"re": "2", "im": "0"}, "b00": {"re": "1", "im": "0"}})
+        jet_path = write_json(tmp_path, "jet.json", UNREALIZABLE_JET)
         code, rep = run(capsys, "reconstruct", mc_file, mc_file, jet_path,
                         "--order", "2")
         assert code == EXIT_MATH
@@ -357,6 +369,100 @@ class TestVerifyReconstruct:
                         "--k", "2")
         assert code == EXIT_OK
         assert rep["result"]["status"] == "precondition"
+
+
+def imported_crjet(importtime_log):
+    """The crjet modules a ``-X importtime`` run imported."""
+    names = {line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()
+             if line.startswith("import time:")}
+    return {name for name in names if name.split(".")[0] == "crjet"}
+
+
+# the modules beyond parsing and validating a hypersurface
+MATH_MODULES = {"crjet.equivalence", "crjet.faadibruno", "crjet.linalg",
+                "crjet.upsilon"}
+
+
+class TestImportGraph:
+    """Each subcommand imports only the modules it runs, as a fresh
+    interpreter shows through ``-X importtime``."""
+
+    def test_package_import_loads_no_submodule(self):
+        proc = fresh_interpreter("-X", "importtime", "-c", "import crjet")
+        assert proc.returncode == 0
+        assert imported_crjet(proc.stderr) == {"crjet"}
+
+    @pytest.mark.parametrize("argv, absent", [
+        pytest.param(["validate", "--family", "mc"], MATH_MODULES, id="validate"),
+        pytest.param(["invariants", "--family", "mc"], MATH_MODULES, id="invariants"),
+        pytest.param(["dset", "--family", "b0"],
+                     {"crjet.equivalence", "crjet.faadibruno"}, id="dset"),
+    ])
+    def test_subcommand_skips_what_it_does_not_run(self, argv, absent):
+        proc = fresh_interpreter("-X", "importtime", "-m", "crjet.cli", *argv)
+        assert proc.returncode == EXIT_OK
+        loaded = imported_crjet(proc.stderr)
+        assert "crjet.hypersurface" in loaded
+        assert loaded & absent == set()
+
+    def test_reconstruct_loads_all_of_them(self, tmp_path, mc_file):
+        f0 = TruncatedSeries(("z",), 14, {(1,): ExactComplex(Fraction(3, 5),
+                                                             Fraction(4, 5))})
+        g0 = TruncatedSeries(("z",), 14, {(0,): ExactComplex(2)})
+        jet_path = write_json(tmp_path, "jet.json", cio.jet_data_dict(
+            extract_jet(FormalMap([f0], [g0]), [0])))
+        proc = fresh_interpreter("-X", "importtime", "-m", "crjet.cli", "reconstruct",
+                                 mc_file, mc_file, jet_path, "--order", "1")
+        assert proc.returncode == EXIT_OK
+        assert MATH_MODULES <= imported_crjet(proc.stderr)
+
+
+# per class in the exit table: its exit code and a piece of its message
+EXIT_CASES = {
+    "UpsilonError": (EXIT_MATH, "xi matrix needs jets to order 4"),
+    "EquivalenceError": (EXIT_MATH, "modulus forced by the invariant ratio"),
+    "ReportedFailure": (EXIT_MATH, "mapping-identity residual is nonzero"),
+    "ValidationError": (EXIT_INVALID, "family mc needs rational c != 0"),
+    "FormatError": (EXIT_IO, "invalid JSON"),
+    "OSError": (EXIT_IO, "No such file or directory"),
+}
+
+
+def exit_case_argv(raised, tmp_path, mc_file):
+    """A command line whose run raises ``raised`` (or a subclass)."""
+    if raised == "UpsilonError":
+        return ["dset", "--family", "b0", "--degree", "3"]
+    if raised == "EquivalenceError":        # a JetRealizationError
+        jet_path = write_json(tmp_path, "jet.json", UNREALIZABLE_JET)
+        return ["reconstruct", mc_file, mc_file, jet_path, "--order", "2"]
+    if raised == "ReportedFailure":
+        return ["verify", mc_file, mc_file, curved_map_file(tmp_path)]
+    if raised == "ValidationError":
+        return ["validate", "--family", "mc", "--c", "0"]
+    if raised == "FormatError":
+        path = tmp_path / "malformed.json"
+        path.write_text("{")
+        return ["validate", str(path)]
+    return ["validate", str(tmp_path / "missing.json")]
+
+
+class TestFreshExitCodes:
+    """One case per class in the exit table, each in a fresh interpreter, so
+    the table cannot depend on the modules an earlier test imported."""
+
+    def test_every_class_in_the_exit_table_has_a_case(self):
+        assert {cls.__name__ for cls in _EXIT_CODES} == set(EXIT_CASES)
+
+    @pytest.mark.parametrize("raised", sorted(EXIT_CASES))
+    def test_one_report(self, tmp_path, mc_file, raised):
+        expected, error = EXIT_CASES[raised]
+        argv = exit_case_argv(raised, tmp_path, mc_file)
+        proc = run_fresh(*argv)
+        assert proc.returncode == expected
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)      # exactly one JSON document
+        assert rep["command"] == argv[0]
+        assert error in rep["error"]
 
 
 class TestReports:
