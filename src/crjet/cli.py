@@ -137,12 +137,14 @@ def _cmd_reconstruct(args, inputs):
 
 def _cmd_determination(args, inputs):
     from .equivalence import finite_determination_check
-    from .upsilon import compute_D
     M = _load_hypersurface(args, inputs, role="source")
     Mhat = _load_hypersurface(args, inputs, role="target")
     H1 = cio.parse_formal_map(_load_json_input(args.map1, inputs, "map1"))
     H2 = cio.parse_formal_map(_load_json_input(args.map2, inputs, "map2"))
-    k = args.k if args.k is not None else compute_D(M, scan_bound=args.scan_bound).k
+    k = args.k
+    if k is None:
+        from .upsilon import compute_D
+        k = compute_D(M, scan_bound=args.scan_bound).k
     report = finite_determination_check(M, Mhat, H1, H2, k)
     result = {"k": k, "status": report["status"]}
     for key in ("reason", "component", "order"):

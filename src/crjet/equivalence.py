@@ -28,7 +28,7 @@ from .hypersurface import Hypersurface
 from .linalg import InconsistentSystem, solve_rational
 from .scalars import (EC_I, EC_ONE, EC_ZERO, ExactComplex, factorial,
                       rational_nth_root, split_parts)
-from .series import TruncatedSeries, compose, implicit_solve, kth_root_unit
+from .series import TruncatedSeries, compose, implicit_solve, inverse_unit, kth_root_unit
 
 ZC = ("z", "chi")
 
@@ -258,29 +258,38 @@ def shat_jet_table(Mhat, f0, n_max):
 
 
 class _Frame:
-    """What every order step shares: M, its slices theta_1 and theta_L, the
-    series 2i theta_(L+1) - 4 delta_(L,1) theta_1^2, f_0', b_0^0, the scalars
-    a_0^1 and a_0^2 read off f_0, and the Shat table, none of which depends
-    on the order n.  Quotients by theta_L' go through M."""
+    """What every order step shares, none of it depending on n: b_0^0, the
+    Shat table at (f_0(z), conj f_0(chi), 0), and the slices of it that the
+    candidate reads.  In normal coordinates S(z,chi,0) - 1, Shat - 1 and
+    Shat_z have chi-order >= L and Shat_chi has chi-order >= L - 1 (Baouendi,
+    Ebenfelt and Rothschild 1999, Ch. IV).  b00 (Shat_z)_chi^L, which is
+    2i b00 theta_L' / (f_0' L!), is z^(K-1) times a unit; ``inv_unit`` is the
+    inverse of that unit."""
 
-    def __init__(self, M, f0, b00, shat):
-        inv = M.invariants
-        self.M = M
-        self.L, self.K = inv.L, inv.K
+    def __init__(self, L, K, b00, shat):
+        self.L, self.K = L, K
         self.b00 = b00
-        self.a01 = f0.jet_coeff((1,)).conj()
-        self.a02 = f0.jet_coeff((2,)).conj()
-        self.theta1 = M.theta_j(1)
-        self.thetaL = M.theta_j(self.L)
-        d1L = 1 if self.L == 1 else 0
-        self.theta_a_n0 = (M.theta_j(self.L + 1) * (EC_I * 2)
-                           - self.theta1 * self.theta1 * (4 * d1L))
-        self.f0_prime = f0.differentiate("z")
         self.shat = shat
+        shat_chi = shat[(0, 1, 0)]
+        self.shat_chi_0 = shat_chi.slice("chi", 0)
+        self.shat_chi_L = shat_chi.slice("chi", L)
+        self.shat_chi_L1 = shat_chi.slice("chi", L - 1)
+        self.shat_L = shat[(0, 0, 0)].slice("chi", L)
+        self.inv_unit = inverse_unit((shat[(1, 0, 0)].slice("chi", L) * b00).shift("z", K - 1))
 
 
 class _OrderSolver:
     """The order-n step, affine in x = (a_n^0, b_n^0, a_n^1, b_n^L).
+
+    The order-n identity is -S0^(n+1) g_n + Shat_z S0^n f_n b00
+    + Shat gbar_n + Shat_chi fbar_n b00 = Rn, with S0 = S(z,chi,0).  By the
+    chi-orders in ``_Frame`` its chi^0 and chi^L slices (coefficients, no
+    factorials) give the candidate:
+
+        g_n = b_n^0 + b00 (Shat_chi)_chi^0 a_n^0 - (Rn)_chi^0,
+        b00 (Shat_z)_chi^L f_n = (Rn)_chi^L + (S0^(n+1))_chi^L g_n
+            - (Shat)_chi^L b_n^0 - b_n^L / L!
+            - b00 [(Shat_chi)_chi^L a_n^0 + (Shat_chi)_chi^(L-1) a_n^1].
 
     ``run`` evaluates the candidate (f_n, g_n) and every order-n constraint
     at one x.  Without ``Rn`` the candidate, its low part and the
@@ -297,32 +306,22 @@ class _OrderSolver:
         self.n = n
         self.Rn = Rn
         self.neg_S0_n1 = -S0_n1
+        self.S0_n1_L = S0_n1.slice("chi", frame.L)
         self.shat_S0_n = frame.shat[(1, 0, 0)] * S0_n
         self.Rn_chi0 = Rn.slice("chi", 0)
-        self.RnL = Rn.slice("chi", frame.L) * factorial(frame.L)
+        self.RnL = Rn.slice("chi", frame.L)
 
     def _candidate(self, Rn_chi0, RnL, a_n0, b_n0, a_n1, b_nL):
         """(f_n, g_n, low) from the given chi^0 and chi^L slices of Rn."""
-        fr, n = self.frame, self.n
-        L, K = fr.L, fr.K
-        b00, a01, a02 = fr.b00, fr.a01, fr.a02
-        two_i = EC_I * 2
+        fr = self.frame
         one_z = TruncatedSeries.const(("z",), RnL.degree, 1)
-
-        g_n = Rn_chi0 + one_z * b_n0 + fr.theta1 * (two_i * b00 * a01.inverse() * a_n0)
-
-        h1 = (a_n1 * a01 - a_n0 * a02) * (a01 * a01).inverse()
-        E = (RnL
-             + fr.thetaL * g_n * (two_i * (n + 1))
-             - one_z * b_nL
-             - fr.thetaL * (two_i * b_n0)
-             - fr.thetaL * (two_i * L * b00 * h1)
-             - fr.theta_a_n0 * (b00 * a_n0 * a01.inverse()))
-        rhs_f = E * (two_i * b00).inverse()
-
-        # divisibility by theta_L' needs z-order >= K-1: ``low`` must vanish
-        low = [rhs_f.coeff((j,)) for j in range(K - 1)]
-        return fr.f0_prime * fr.M.over_thetaL_prime(rhs_f), g_n, low
+        g_n = one_z * b_n0 + fr.shat_chi_0 * (fr.b00 * a_n0) - Rn_chi0
+        rhs = (RnL + self.S0_n1_L * g_n - fr.shat_L * b_n0
+               - one_z * (b_nL * Fraction(1, factorial(fr.L)))
+               - (fr.shat_chi_L * a_n0 + fr.shat_chi_L1 * a_n1) * fr.b00)
+        # divisibility by (Shat_z)_chi^L needs z-order >= K-1: ``low`` must vanish
+        low = [rhs.coeff((j,)) for j in range(fr.K - 1)]
+        return rhs.shift("z", fr.K - 1) * fr.inv_unit, g_n, low
 
     def _linear(self, f_n, g_n):
         return self.neg_S0_n1 * g_n.embed(ZC) + self.shat_S0_n * f_n.embed(ZC) * self.frame.b00
@@ -407,7 +406,7 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     f0 = f0_from_jet(M, Mhat, jet.a01)
     f_parts = [f0]
     g_parts = [TruncatedSeries(("z",), f0.degree, {(0,): jet.b00})]
-    shat = shat_jet_table(Mhat, f0, order)
+    shat = shat_jet_table(Mhat, f0, max(order, 1))     # _Frame reads Shat_z, Shat_chi
     S0 = M.S0()
     if not (shat[(0, 0, 0)] - S0.truncate(shat[(0, 0, 0)].degree)).is_zero():
         raise JetRealizationError("Shat(f0, conj f0, 0) != S(z,chi,0): jet not realizable")
@@ -416,7 +415,7 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     for _ in range(order):
         S0_pow.append(S0_pow[-1] * S0)
 
-    frame = _Frame(M, f0, jet.b00, shat)
+    frame = _Frame(M.invariants.L, M.invariants.K, jet.b00, shat)
     zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
         Rn = universal_pn(n, f_parts, g_parts, s_jets, shat)

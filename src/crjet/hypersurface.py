@@ -16,11 +16,10 @@ which ``series.implicit_solve`` finds by Newton iteration.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import ValidationError
 from .scalars import EC_I, ExactComplex, factorial
-from .series import TruncatedSeries, implicit_solve, inverse_unit, kth_root_unit
+from .series import TruncatedSeries, implicit_solve, kth_root_unit
 
 THETA_VARS = ("z", "chi", "s")
 ZC = ("z", "chi")
@@ -68,16 +67,6 @@ class Hypersurface:
     def s_tau_jet(self, j: int) -> TruncatedSeries:
         """S_{tau^j}(z,chi,0) = j! * (tau^j slice of S)."""
         return self.S.slice("tau", j) * factorial(j)
-
-    @cached_property
-    def _inv_thetaL_unit(self) -> TruncatedSeries:
-        """The inverse of the unit theta_L'/z^(K-1), built on first use."""
-        inv = self.invariants
-        return inverse_unit(self.theta_j(inv.L).differentiate("z").shift("z", inv.K - 1))
-
-    def over_thetaL_prime(self, num: TruncatedSeries) -> TruncatedSeries:
-        """num / theta_L' = num / (z^(K-1) unit); terms of z-order < K - 1 are dropped."""
-        return num.shift("z", self.invariants.K - 1) * self._inv_thetaL_unit
 
 
 def validate(Theta: TruncatedSeries) -> Hypersurface:

@@ -26,7 +26,7 @@ from itertools import combinations, count
 from .errors import UpsilonError
 from .linalg import RankTracker
 from .scalars import EC_I, EC_ZERO, NPoly, integer_roots
-from .series import TruncatedSeries, power_series
+from .series import TruncatedSeries, inverse_unit, power_series
 
 ZC = ("z", "chi")
 
@@ -97,8 +97,9 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     and coefficient type.  Only z-side numerators are divided by theta_L':
     theta_L, theta_(L+1), theta_1^2 and, for K = 1, theta_z.  K = 1 forces
     L = T = 1, so theta_1 = theta_L and Upsilon_4's quotients are these or
-    their mirrors.  Each quotient is ``Hypersurface.over_thetaL_prime``
-    after a check that it is a series.
+    their mirrors.  theta_L' = z^(K-1) * unit: each quotient shifts by
+    z^(K-1), after a check that it is a series, and multiplies by the
+    unit's inverse, built once per build.
     """
     if n_mode != SYMBOLIC:
         n = int(n_mode)
@@ -122,10 +123,12 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     thL = M.theta_j(L)                       # series in z, order exactly K
     d1K, d1L, d1T = _delta1(K), _delta1(L), _delta1(T)
 
+    inv_unit = inverse_unit(thL.differentiate("z").shift("z", K - 1))
+
     def over_thL_prime(num):
         if not num.is_zero() and num.var_order("z") < K - 1:
             raise UpsilonError("Upsilon construction: non-series quotient by theta_L'")
-        return M.over_thetaL_prime(num).embed(ZC)
+        return (num.shift("z", K - 1) * inv_unit).embed(ZC)
 
     ratio_z = over_thL_prime(thL)            # theta_L / theta_L'
     ratio_chi = _mirror(ratio_z)

@@ -416,6 +416,20 @@ class TestImportGraph:
         assert proc.returncode == EXIT_OK
         assert MATH_MODULES <= imported_crjet(proc.stderr)
 
+    def test_determination_with_k_skips_upsilon(self, tmp_path, mc_file):
+        # a given --k replaces compute_D, so upsilon is never needed
+        f0 = TruncatedSeries(("z",), 14, {(1,): ExactComplex(Fraction(3, 5),
+                                                             Fraction(4, 5))})
+        g0 = TruncatedSeries(("z",), 14, {(0,): ExactComplex(2)})
+        map_path = write_json(tmp_path, "map.json",
+                              cio.formal_map_dict(FormalMap([f0], [g0])))
+        proc = fresh_interpreter("-X", "importtime", "-m", "crjet.cli", "determination",
+                                 mc_file, mc_file, map_path, map_path, "--k", "1")
+        assert proc.returncode == EXIT_OK
+        loaded = imported_crjet(proc.stderr)
+        assert "crjet.equivalence" in loaded
+        assert "crjet.upsilon" not in loaded
+
 
 # per class in the exit table: its exit code and a piece of its message
 EXIT_CASES = {

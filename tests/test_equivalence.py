@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import crjet.equivalence as equivalence
-import crjet.hypersurface as hypersurface
 
 from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    JetRealizationError, compose_maps, compute_D, extract_jet,
@@ -345,7 +344,9 @@ class TestReconstruct:
         assert reconstruct(B, B, extract_jet(H, D), 6, D=D) == H
 
     def test_unrealizable_exceptional_pin_is_rejected(self):
-        # B0 admits no equivalence whose order-1 exceptional data is this value
+        # B0 admits this order-1 exceptional data (see
+        # test_exceptional_pins_with_nonzero_f_n_at_0), but no equivalence
+        # with it has zero order-2 data
         B = family_b0(20)
         jet = JetData(1, 1, lambdas={
             1: (ExactComplex(0, Fraction(-1, 2)), 0, 0, 1), 2: (0, 0, 0, 0)})
@@ -358,6 +359,12 @@ class TestReconstruct:
         A = linear_map(1, 1, 12)
         with pytest.raises(EquivalenceError, match="truncation degree"):
             reconstruct(M, M, extract_jet(A, [0]), 6, D=[0])
+
+    def test_order_zero_is_f0_and_b00(self):
+        M = family_mc(1, 1, 14)
+        A = linear_map(EPS, 2, 14)
+        H = reconstruct(M, M, extract_jet(A, [0]), 0, D=[0])
+        assert H.order == 0 and H == A
 
     def test_negative_order_is_rejected(self):
         M = family_mc(1, 1, 12)
@@ -373,6 +380,39 @@ class TestReconstruct:
         with pytest.raises(JetRealizationError) as info:
             reconstruct(B, B, jet, 2, D=[0, 1, 2])
         assert str(info.value) == "jet not realizable: order-2 system inconsistent"
+
+    def test_exceptional_pins_with_nonzero_f_n_at_0(self):
+        # the order-1 data of test_inconsistent_pin_message, with order-2
+        # data that B0 does admit: a_1^0 = conj f_1(0) != 0, so from order 2
+        # on the slice (Rn)_chi^0 is nonzero and its sign matters
+        B = family_b0(26)
+        half_i = ExactComplex(0, Fraction(1, 2))
+        D = [0, 1, 2]
+        jet = JetData(1, 1, lambdas={1: (-half_i, 0, 0, 1),
+                                     2: (0, -half_i, -3 * half_i, 0)})
+        for order in (2, 4):
+            assert reconstruct(B, B, jet, order, D=D).order == order
+        H = reconstruct(B, B, jet, 6, D=D)
+        assert [H.a(n, 0) for n in (1, 3, 5)] == [
+            -half_i, ExactComplex(Fraction(-3, 4)), ExactComplex(0, Fraction(45, 8))]
+        assert reconstruct(B, B, extract_jet(H, D), 6, D=D) == H
+        # the identity S g(z, tau S) = gbar Shat(f(z, tau S), fbar, tau gbar)
+        # over (z, chi, tau), here with Shat = S, composed directly: H solves
+        # it through tau^6 and, being cut at order 6, not at tau^7
+        deg = 14
+        V3 = ("z", "chi", "tau")
+        S = B.S.truncate(deg)
+        fzw, gzw = H.as_two_variable(deg)
+        conj = {"z": "chi", "w": "tau"}
+        fbar = fzw.conjugate(rename=conj).embed(V3)
+        gbar = gzw.conjugate(rename=conj).embed(V3)
+        tau = TruncatedSeries.var("tau", V3, deg)
+        w = tau * S
+        identity = (S * compose(gzw, {"w": w})
+                    - gbar * compose(S, {"z": compose(fzw, {"w": w}), "chi": fbar,
+                                         "tau": tau * gbar}))
+        assert all(identity.slice("tau", j).is_zero() for j in range(7))
+        assert not identity.slice("tau", 7).is_zero()
 
     def test_starved_truncation_message(self):
         M = family_mc(1, 1, 12)
@@ -482,23 +522,24 @@ class TestOrderSystem:
 
 class TestOrderIndependentWork:
     def test_theta_L_unit_is_inverted_once_per_reconstruction(self, monkeypatch):
-        # compute_D and reconstruct both divide by theta_L' = z^(K-1) * unit;
-        # M inverts that unit once for all of them, whatever the order
+        # every order divides by (Shat_z)_chi^L = 2i theta_L' / (f_0' L!), which
+        # is z^(K-1) times a unit; reconstruct inverts that unit once,
+        # whatever the order
         calls = []
-        original = hypersurface.inverse_unit
+        original = equivalence.inverse_unit
 
         def counted(a):
             calls.append(a)
             return original(a)
 
-        monkeypatch.setattr(hypersurface, "inverse_unit", counted)
+        monkeypatch.setattr(equivalence, "inverse_unit", counted)
         M = family_mc(1, 1, 18)
         A = linear_map(EPS, 2, 18)
         D = compute_D(M).D
         for order in (2, 5):
+            calls.clear()
             assert reconstruct(M, M, extract_jet(A, D), order, D=D) == A
-        L, K = M.invariants.L, M.invariants.K
-        assert calls == [M.theta_j(L).differentiate("z").shift("z", K - 1)]
+            assert len(calls) == 1
 
 
 class TestFiniteDetermination:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crjet import hypersurface, series
+from crjet import upsilon
 from crjet.hypersurface import (THETA_VARS, Hypersurface, InvariantTuple, family_b0,
                                 family_mc, family_nb, validate)
 from crjet.scalars import EC_I, ExactComplex, NPoly, factorial
@@ -286,15 +286,14 @@ class TestQuotientsByThetaLPrime:
     def test_theta_L_unit_is_inverted_once_per_build(self, monkeypatch):
         M = family_b0(14)
         calls = []
-        original = series.inverse_unit
+        original = upsilon.inverse_unit
 
         def counted(a):
             calls.append(a)
             return original(a)
 
-        # the name as series (for divide) and hypersurface look it up
-        monkeypatch.setattr(series, "inverse_unit", counted)
-        monkeypatch.setattr(hypersurface, "inverse_unit", counted)
+        # every quotient by theta_L' = z^(K-1) * unit shares one inverse
+        monkeypatch.setattr(upsilon, "inverse_unit", counted)
         build_upsilon(M, SYMBOLIC)
         assert len(calls) == 1
 
