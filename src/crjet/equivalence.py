@@ -192,9 +192,8 @@ def forced_mu_sq(M: Hypersurface, Mhat: Hypersurface) -> Fraction:
             f"invariants differ: (L,K)={(inv.L, inv.K)} vs {(invh.L, invh.K)}; "
             "no equivalence exists")
     L, K = inv.L, inv.K
-    alpha = M.theta_j(L).jet_coeff((K,))
-    alphahat = Mhat.theta_j(L).jet_coeff((K,))
-    ratio = alpha.norm_sq() / alphahat.norm_sq()
+    # theta's z^K chi^L coefficients are alpha and alphahat over K! L!
+    ratio = M.theta.coeff((K, L)).norm_sq() / Mhat.theta.coeff((K, L)).norm_sq()
     mu_sq = rational_nth_root(ratio, L + K)
     if mu_sq is None:
         raise JetRealizationError(
@@ -205,8 +204,8 @@ def forced_mu_sq(M: Hypersurface, Mhat: Hypersurface) -> Fraction:
 
 def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> TruncatedSeries:
     """The order-0 component f_0(z), for |a_0^1|^2 the ``forced_mu_sq``:
-    zh = f_0(z) solves zh uhat(zh) = conj(a_0^1) z u(z), where
-    theta_L = alpha z^K u(z)^K / K! and thetahat_L likewise through uhat."""
+    zh = f_0(z) solves zh uhat(zh) = conj(a_0^1) z u(z), where theta's chi^L
+    slice is c z^K u(z)^K, c its z^K chi^L coefficient, and uhat likewise."""
     a01 = ExactComplex.coerce(a01)
     mu_sq = forced_mu_sq(M, Mhat)
     if a01.norm_sq() != mu_sq:
@@ -215,12 +214,12 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> TruncatedSeries:
             f"got {a01.norm_sq()}")
     L, K = M.invariants.L, M.invariants.K
 
-    def unit_root(th):
-        alpha = th.jet_coeff((K,))
-        return kth_root_unit(th.shift("z", K) * (alpha.inverse() * factorial(K)), K)
+    def unit_root(theta):
+        return kth_root_unit(theta.slice("chi", L).shift("z", K)
+                             * theta.coeff((K, L)).inverse(), K)
 
-    u = unit_root(M.theta_j(L))
-    uhat = unit_root(Mhat.theta_j(L)).rename({"z": "zh"})
+    u = unit_root(M.theta)
+    uhat = unit_root(Mhat.theta).rename({"z": "zh"})
 
     deg = min(u.degree, uhat.degree)
     V = ("zh", "z")
@@ -406,11 +405,11 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     f0 = f0_from_jet(M, Mhat, jet.a01)
     f_parts = [f0]
     g_parts = [TruncatedSeries(("z",), f0.degree, {(0,): jet.b00})]
-    shat = shat_jet_table(Mhat, f0, max(order, 1))     # _Frame reads Shat_z, Shat_chi
-    S0 = M.S0()
-    if not (shat[(0, 0, 0)] - S0.truncate(shat[(0, 0, 0)].degree)).is_zero():
-        raise JetRealizationError("Shat(f0, conj f0, 0) != S(z,chi,0): jet not realizable")
-    s_jets = [M.s_tau_jet(j) for j in range(order + 1)]
+    if order == 0:
+        return FormalMap(f_parts, g_parts)
+    shat = shat_jet_table(Mhat, f0, order)
+    s_slices = [M.S.slice("tau", k) for k in range(order + 1)]
+    S0 = s_slices[0]
     S0_pow = [None, S0]                    # S0_pow[j] = S(z,chi,0)^j
     for _ in range(order):
         S0_pow.append(S0_pow[-1] * S0)
@@ -418,7 +417,7 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     frame = _Frame(M.invariants.L, M.invariants.K, jet.b00, shat)
     zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
-        Rn = universal_pn(n, f_parts, g_parts, s_jets, shat)
+        Rn = universal_pn(n, f_parts, g_parts, s_slices, shat)
         solver = _OrderSolver(frame, n, Rn, S0_pow[n], S0_pow[n + 1])
         inconsistent = f"jet not realizable: order-{n} system inconsistent"
         if n in D:

@@ -18,7 +18,7 @@ The expansion is tau-graded: every factor is a list, indexed by the power
 of tau from 0 to n, of series in (z, chi), and None marks a power at which
 the factor has no term.  With
 
-    tau S    = sum_{1<=q<=n} S_{tau^(q-1)} tau^q / (q-1)!,
+    tau S    = sum_{1<=q<=n} S_(q-1) tau^q,     S_k = [tau^k] S,
     F        = f(z, tau S) - f_0       = sum_{1<=m<n} f_m (tau S)^m / m!,
     Fbar     = fbar(chi, tau) - fbar_0 = sum_{1<=q<n} fbar_q tau^q / q!,
     tau Gbar = sum_{1<=q<=n} gbar_(q-1) tau^q / (q-1)!,
@@ -73,17 +73,16 @@ def _powers(a, x, n, count):
         yield a
 
 
-def universal_pn(n, f, g, s_jets, shat):
+def universal_pn(n, f, g, s_slices, shat):
     """The series P_n(z,chi) of known (order < n) contributions at order n.
 
     f, g: map components f_m, g_m (m < n) as series in z, whose conjugates
-    fbar_m, gbar_m in chi are taken here; s_jets[k] = S_{tau^k}(z,chi,0) for
-    k <= n; shat[(j,k,l)]: the (j,k,l) partial of Shat in
-    (zhat,chihat,tauhat) at (f_0(z), fbar_0(chi), 0), for j + k + l <= n.
+    fbar_m, gbar_m in chi are taken here; s_slices[k] = S_k(z,chi), the
+    tau^k coefficient of S, for k <= n; shat[(j,k,l)]: the (j,k,l) partial of
+    Shat in (zhat,chihat,tauhat) at (f_0(z), fbar_0(chi), 0), for j+k+l <= n.
     """
-    V = s_jets[0].variables
-    S = [s_jets[k] * Fraction(1, factorial(k)) for k in range(n + 1)]
-    tau_s = [None] + S[:n]
+    V = s_slices[0].variables
+    tau_s = [None] + s_slices[:n]
     G = [g[0].embed(V)] + [None] * n
     F = [None] * (n + 1)
     for m, power in enumerate(_powers(None, tau_s, n, n - 1)):   # (tau S)^m
@@ -91,12 +90,15 @@ def universal_pn(n, f, g, s_jets, shat):
             c = Fraction(1, factorial(m))
             _acc(G, power, g[m].embed(V) * c)
             _acc(F, power, f[m].embed(V) * c)
-    fbar = [s.conjugate(rename={"z": "chi"}) for s in f]
-    gbar = [s.conjugate(rename={"z": "chi"}) for s in g]
-    Gbar = [gbar[k].embed(V) * Fraction(1, factorial(k)) for k in range(n)] + [None]
+
+    def bar(parts, q):
+        """conj(parts[q]) in chi, over q!"""
+        return parts[q].conjugate(rename={"z": "chi"}).embed(V) * Fraction(1, factorial(q))
+
+    # P_n meets only gbar_0 .. gbar_(n-1) and fbar_1 .. fbar_(n-1)
+    Gbar = [bar(g, k) for k in range(n)] + [None]
     tau_gbar = [None] + Gbar[:n]
-    Fbar = ([None] + [fbar[q].embed(V) * Fraction(1, factorial(q)) for q in range(1, n)]
-            + [None])
+    Fbar = [None] + [bar(f, q) for q in range(1, n)] + [None]
 
     # the tau-expansion of Shat(f, fbar, tau gbar) minus its constant term,
     # which meets only the unknown gbar_n
@@ -109,6 +111,6 @@ def universal_pn(n, f, g, s_jets, shat):
                     _acc(hat, Z, shat[(j, k, l)] * Fraction(1, denom))
 
     # [tau^n] of S G and of Gbar hat; Gbar stops below the unknown gbar_n
-    left = [S[k] * G[n - k] for k in range(n + 1) if G[n - k] is not None]
+    left = [s_slices[k] * G[n - k] for k in range(n + 1) if G[n - k] is not None]
     right = [Gbar[k] * hat[n - k] for k in range(n) if hat[n - k] is not None]
     return (sum(left[1:], left[0]) - sum(right[1:], right[0])) * factorial(n)

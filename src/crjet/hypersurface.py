@@ -142,17 +142,15 @@ def _cross_check(M: Hypersurface):
         raise ValidationError(
             f"inconsistent type: m={inv.m} from Theta but tau-order {m_from_q} of Q - tau")
     if inv.m == 1:
-        # Q_tau(z,chi,0) = (1 + i theta)/(1 - i theta)
-        # compare Q_tau(z,chi,0)*(1-i theta) with (1+i theta): avoids inversion
-        one = TruncatedSeries.const(ZC, M.theta.degree, 1)
-        lhs = M.Q.slice("tau", 1) * (one - M.theta * EC_I)
-        if not (lhs - (one + M.theta * EC_I)).is_zero():
-            raise ValidationError("S(z,chi,0) does not match (1+i theta)/(1-i theta)")
-        # S_{chi^L}(z,0,0) = 2i theta_L(z)
-        L = inv.L
+        # S(z,chi,0) = Q_tau(z,chi,0) = (1 + i theta)/(1 - i theta)
+        # compare S(z,chi,0)*(1-i theta) with (1+i theta): avoids inversion
         s0 = M.S0()
-        slice_L = s0.slice("chi", L) * factorial(L)
-        if not (slice_L - M.theta_j(L) * (EC_I * 2)).is_zero():
+        one = TruncatedSeries.const(ZC, M.theta.degree, 1)
+        if not (s0 * (one - M.theta * EC_I) - (one + M.theta * EC_I)).is_zero():
+            raise ValidationError("S(z,chi,0) does not match (1+i theta)/(1-i theta)")
+        # S_{chi^L}(z,0,0) = 2i theta_L(z); both chi^L slices carry the same 1/L!
+        L = inv.L
+        if not (s0.slice("chi", L) - M.theta.slice("chi", L) * (EC_I * 2)).is_zero():
             raise ValidationError("S_(chi^L)(z,0,0) != 2i theta_L(z)")
 
 

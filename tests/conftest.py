@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from crjet.hypersurface import THETA_VARS, Hypersurface, validate
-from crjet.scalars import ExactComplex, NPoly, factorial
+from crjet.scalars import EC_I, ExactComplex, NPoly, factorial
 from crjet.series import TruncatedSeries
 
 
@@ -65,6 +65,16 @@ def random_hypersurface(rng: random.Random, degree=10, nterms=5,
         fixed[(1, 1, 1)] = ExactComplex(1)
     Theta = TruncatedSeries(THETA_VARS, degree, fixed)
     return validate(Theta)
+
+
+def inconsistent_pair(degree=12):
+    """Theta = z chi s and Thetahat = z chi s + i z chi^2 s^2 - i z^2 chi s^2:
+    the same invariants and D = [0], but with a_0^1 = b_0^0 = 1 the order-1
+    reconstruction system has no solution."""
+    M = validate(TruncatedSeries(THETA_VARS, degree, {(1, 1, 1): ExactComplex(1)}))
+    Mhat = validate(TruncatedSeries(THETA_VARS, degree, {
+        (1, 1, 1): ExactComplex(1), (1, 2, 2): EC_I, (2, 1, 2): -EC_I}))
+    return M, Mhat
 
 
 def assert_same_series(a: TruncatedSeries, b: TruncatedSeries):

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crjet
-from crjet import (ExactComplex, FormalMap, TruncatedSeries, extract_jet,
-                   family_b0, family_mc)
+from crjet import (ExactComplex, FormalMap, JetData, TruncatedSeries,
+                   extract_jet, family_b0, family_mc)
 from crjet import io as cio
 from crjet.cli import _EXIT_CODES, EXIT_INVALID, EXIT_IO, EXIT_MATH, EXIT_OK, main
+from conftest import inconsistent_pair
 
 
 def run(capsys, *argv):
@@ -347,6 +348,18 @@ class TestVerifyReconstruct:
                         "--order", "2")
         assert code == EXIT_MATH
         assert "error" in rep
+
+    def test_inconsistent_order_system_exits_3(self, capsys, tmp_path):
+        M, Mhat = inconsistent_pair()
+        paths = [write_json(tmp_path, "source.json", cio.hypersurface_dict(M)),
+                 write_json(tmp_path, "target.json", cio.hypersurface_dict(Mhat)),
+                 write_json(tmp_path, "jet.json", cio.jet_data_dict(JetData(1, 1)))]
+        code = main(["reconstruct", *paths, "--order", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_MATH
+        assert json.loads(captured.out)["error"] == (
+            "jet not realizable: order-1 system inconsistent")
+        assert captured.err == ""
 
     def test_determination_equal(self, capsys, tmp_path, mc_file):
         mp = linear_map_file(tmp_path, "rot.json", ExactComplex(0, 1), 2, 14)

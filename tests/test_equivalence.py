@@ -14,10 +14,11 @@ from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    f0_from_jet, family_b0, family_mc, family_nb,
                    finite_determination_check, forced_mu_sq, reconstruct,
                    validate, verify_map)
-from crjet.linalg import solve_rational
+from crjet.linalg import InconsistentSystem, solve_rational
 from crjet.scalars import EC_I, factorial
 from crjet.series import TruncatedSeries, compose, divide, implicit_solve, kth_root_unit
-from conftest import assert_same_series, rand_complex, random_series
+from conftest import (assert_same_series, inconsistent_pair, rand_complex,
+                      random_series)
 from scan_oracle import jet_by_exponent_loop
 
 EPS = ExactComplex(Fraction(3, 5), Fraction(4, 5))  # a rational point on |z| = 1
@@ -365,6 +366,26 @@ class TestReconstruct:
         A = linear_map(EPS, 2, 14)
         H = reconstruct(M, M, extract_jet(A, [0]), 0, D=[0])
         assert H.order == 0 and H == A
+
+    @pytest.mark.parametrize("source, a01", [
+        (lambda: family_mc(1, 2, 6), EPS),
+        (lambda: family_nb(ExactComplex(1, 2), 3, 6), 1),
+    ], ids=["mc2", "nb3"])
+    def test_order_zero_needs_no_order_n_frame(self, source, a01):
+        # at degree 6 the quotient by (Shat_z)_chi^L cannot be formed; order 0
+        # reads nothing of it
+        M = source()
+        f0 = f0_from_jet(M, M, a01)
+        g0 = TruncatedSeries(("z",), f0.degree, {(0,): ExactComplex(2)})
+        H = reconstruct(M, M, JetData(a01, 2), 0, D=[0])
+        assert H.order == 0 and H == FormalMap([f0], [g0])
+
+    def test_inconsistent_order_system_is_reported(self):
+        M, Mhat = inconsistent_pair()
+        with pytest.raises(JetRealizationError) as info:
+            reconstruct(M, Mhat, JetData(1, 1), 1, D=[0])
+        assert str(info.value) == "jet not realizable: order-1 system inconsistent"
+        assert isinstance(info.value.__cause__, InconsistentSystem)
 
     def test_negative_order_is_rejected(self):
         M = family_mc(1, 1, 12)

@@ -129,8 +129,8 @@ def assemble_order_n(M, Mhat, f, g, n):
     lhs = T.slice("tau", n) * factorial(n)
 
     shat = shat_jet_table(Mhat, f[0], n)
-    s_jets = [M.s_tau_jet(j) for j in range(n + 1)]
-    Pn = universal_pn(n, f[:n], g[:n], s_jets, shat)
+    s_slices = [M.S.slice("tau", j) for j in range(n + 1)]
+    Pn = universal_pn(n, f[:n], g[:n], s_slices, shat)
     S0 = M.S0()
     gbar0 = gbar[0].embed(ZC)
     rhs = ((S0 ** (n + 1)) * g[n].embed(ZC)
@@ -170,7 +170,7 @@ class TestUniversalPn:
         g = [TruncatedSeries.const(("z",), M.Q.degree, g0c)] + [zero] * n
         shat = shat_jet_table(Mhat, f0, n)
         s_jets = [M.s_tau_jet(j) for j in range(n + 1)]
-        Pn = universal_pn(n, f[:n], g[:n], s_jets, shat)
+        Pn = universal_pn(n, f[:n], g[:n], [M.S.slice("tau", j) for j in range(n + 1)], shat)
         gbar0 = g0c.conj()
         gpow = ExactComplex(1)
         for _ in range(n + 1):
@@ -186,7 +186,7 @@ def pn_both_ways(M, Mhat, f, g, n):
     gbar = [s.conjugate(rename={"z": "chi"}) for s in g[:n]]
     shat = shat_jet_table(Mhat, f[0], n)
     s_jets = [M.s_tau_jet(j) for j in range(n + 1)]
-    return (universal_pn(n, f[:n], g[:n], s_jets, shat),
+    return (universal_pn(n, f[:n], g[:n], [M.S.slice("tau", j) for j in range(n + 1)], shat),
             partition_pn(n, PnData(f[:n], g[:n], fbar, gbar, s_jets, shat)))
 
 

@@ -227,6 +227,11 @@ class TestIntegerRoots:
         assert integer_roots(NPoly([-5, ExactComplex(1, -5), EC_I])) == {5}
         assert integer_roots(NPoly([-5, 1, EC_I])) == set()
 
+    def test_purely_imaginary_coefficients(self):
+        # no real part: the roots come from the imaginary parts
+        assert integer_roots(NPoly([10 * EC_I, -7 * EC_I, EC_I])) == {2, 5}
+        assert integer_roots(NPoly([3 * EC_I, -EC_I])) == {3}
+
     @pytest.mark.parametrize("roots", [(9, 10, 57), (9, 10, 11), (3, 4, 5, 6, 40)])
     def test_consecutive_roots(self, roots):
         # a run of consecutive roots can sit inside one monotone stretch
@@ -238,6 +243,11 @@ class TestIntegerRoots:
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         n = sympy.Symbol("n")
+
+        def over_qq(values):
+            return sympy.Poly(sum(sympy.Rational(x.numerator, x.denominator) * n ** k
+                                  for k, x in enumerate(values)), n, domain="QQ")
+
         rng = random.Random(4)
         for _ in range(60):
             p = NPoly([ExactComplex(rng.randint(1, 5), rng.randint(-5, 5))])
@@ -247,14 +257,14 @@ class TestIntegerRoots:
             p = p * NPoly([ExactComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                            for _ in range(rng.randint(1, 4))])
-            if p.is_zero():
-                continue
-            re = sympy.Poly(sum(sympy.Rational(c.re.numerator, c.re.denominator) * n ** k
-                                for k, c in enumerate(p.coefficients)), n, domain="QQ")
-            im = sympy.Poly(sum(sympy.Rational(c.im.numerator, c.im.denominator) * n ** k
-                                for k, c in enumerate(p.coefficients)), n, domain="QQ")
-            want = {int(r) for r in re.gcd(im).ground_roots() if r.is_integer and r >= 0}
-            assert integer_roots(p) == want
+            # i p swaps the real and imaginary parts; i Re(p) has no real part
+            for q in (p, p * EC_I, NPoly([c.re for c in p.coefficients]) * EC_I):
+                if q.is_zero():
+                    continue
+                re = over_qq([c.re for c in q.coefficients])
+                im = over_qq([c.im for c in q.coefficients])
+                want = {int(r) for r in re.gcd(im).ground_roots() if r.is_integer and r >= 0}
+                assert integer_roots(q) == want
 
 
 class TestRationalNthRoot:
