@@ -243,17 +243,22 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> TruncatedSeries:
 
 def shat_jet_table(Mhat, f0, n_max):
     """(j,k,l) -> Shat_{z^j chi^k tau^l}(f0(z), conj f0(chi), 0) for j+k+l <= n_max."""
+    table = {}
+    for n in range(n_max + 1):
+        _add_shat_layer(table, Mhat, f0, n)
+    return table
+
+
+def _add_shat_layer(table, Mhat, f0, n):
+    """Add the entries of ``shat_jet_table`` with j + k + l = n."""
     f0zc = f0.embed(ZC)
     f0bar = f0.conjugate(rename={"z": "chi"}).embed(ZC)
-    table = {}
-    for l in range(n_max + 1):
+    for l in range(n + 1):
         s_l = Mhat.s_tau_jet(l)            # Shat_{tau^l}(z, chi, 0)
-        for j in range(n_max + 1 - l):
-            dz = s_l.differentiate("z", j)
-            for k in range(n_max + 1 - l - j):
-                table[(j, k, l)] = compose(dz.differentiate("chi", k),
-                                           {"z": f0zc, "chi": f0bar})
-    return table
+        for j in range(n + 1 - l):
+            k = n - l - j
+            table[(j, k, l)] = compose(s_l.differentiate("z", j).differentiate("chi", k),
+                                       {"z": f0zc, "chi": f0bar})
 
 
 class _Frame:
@@ -407,18 +412,20 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     g_parts = [TruncatedSeries(("z",), f0.degree, {(0,): jet.b00})]
     if order == 0:
         return FormalMap(f_parts, g_parts)
-    shat = shat_jet_table(Mhat, f0, order)
-    s_slices = [M.S.slice("tau", k) for k in range(order + 1)]
-    S0 = s_slices[0]
-    S0_pow = [None, S0]                    # S0_pow[j] = S(z,chi,0)^j
-    for _ in range(order):
-        S0_pow.append(S0_pow[-1] * S0)
-
+    # the Shat table, the tau-slices of S and the powers of S(z,chi,0) grow
+    # with the orders reached, so a large ``order`` costs nothing up front
+    shat = shat_jet_table(Mhat, f0, 1)
     frame = _Frame(M.invariants.L, M.invariants.K, jet.b00, shat)
+    s_slices = [M.S.slice("tau", 0)]
+    S0 = S0_n = s_slices[0]                # S0_n = S(z,chi,0)^n
     zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
+        if n > 1:
+            _add_shat_layer(shat, Mhat, f0, n)
+        s_slices.append(M.S.slice("tau", n))
+        S0_n1 = S0_n * S0
         Rn = universal_pn(n, f_parts, g_parts, s_slices, shat)
-        solver = _OrderSolver(frame, n, Rn, S0_pow[n], S0_pow[n + 1])
+        solver = _OrderSolver(frame, n, Rn, S0_n, S0_n1)
         inconsistent = f"jet not realizable: order-{n} system inconsistent"
         if n in D:
             x = jet.lambdas.get(n, zero4)
@@ -441,6 +448,7 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
             raise JetRealizationError(inconsistent)
         f_parts.append(f_n)
         g_parts.append(g_n)
+        S0_n = S0_n1
     return FormalMap(f_parts, g_parts)
 
 

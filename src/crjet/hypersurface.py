@@ -60,10 +60,6 @@ class Hypersurface:
         """theta_j(z) with theta(z,chi) = sum theta_j(z) chi^j / j!."""
         return self.theta.slice("chi", j) * factorial(j)
 
-    def S0(self) -> TruncatedSeries:
-        """S(z,chi,0) as a series in (z,chi)."""
-        return self.S.slice("tau", 0)
-
     def s_tau_jet(self, j: int) -> TruncatedSeries:
         """S_{tau^j}(z,chi,0) = j! * (tau^j slice of S)."""
         return self.S.slice("tau", j) * factorial(j)
@@ -132,7 +128,10 @@ def _invariants(theta, m, D) -> InvariantTuple:
 
 
 def _cross_check(M: Hypersurface):
-    """Independent characterizations of m and the S slices must agree."""
+    """Two characterizations of m must agree; for m = 1, S(z,chi,0) =
+    (1 + i theta)/(1 - i theta) to theta's degree.  That also gives S's chi^L
+    slice as 2i times theta's: theta has chi-order L, so every theta^k with
+    k >= 2 starts at chi^(2L)."""
     inv = M.invariants
     Qtau = M.Q - TruncatedSeries.var("tau", M.Q.variables, M.Q.degree)
     m_from_q = Qtau.var_order("tau")
@@ -144,14 +143,10 @@ def _cross_check(M: Hypersurface):
     if inv.m == 1:
         # S(z,chi,0) = Q_tau(z,chi,0) = (1 + i theta)/(1 - i theta)
         # compare S(z,chi,0)*(1-i theta) with (1+i theta): avoids inversion
-        s0 = M.S0()
+        s0 = M.S.slice("tau", 0)
         one = TruncatedSeries.const(ZC, M.theta.degree, 1)
         if not (s0 * (one - M.theta * EC_I) - (one + M.theta * EC_I)).is_zero():
             raise ValidationError("S(z,chi,0) does not match (1+i theta)/(1-i theta)")
-        # S_{chi^L}(z,0,0) = 2i theta_L(z); both chi^L slices carry the same 1/L!
-        L = inv.L
-        if not (s0.slice("chi", L) - M.theta.slice("chi", L) * (EC_I * 2)).is_zero():
-            raise ValidationError("S_(chi^L)(z,0,0) != 2i theta_L(z)")
 
 
 # ---------------------------------------------------------------------------

@@ -116,11 +116,7 @@ class ExactComplex:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ExactComplex(other)
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _canonical(self._a - other._a, self._b - other._b, d1)
-        return _canonical(self._a * d2 - other._a * d1,
-                          self._b * d2 - other._b * d1, d1 * d2)
+        return self + _raw(-other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         return ExactComplex.coerce(other) - self

@@ -159,8 +159,8 @@ class TruncatedSeries:
             raise SeriesError("truncation degree must be nonnegative")
         if degree >= self.degree:
             return self
-        return _part(self.variables, degree, self._d, _upto(self._num, degree),
-                     self._npoly)
+        return _reduced(self.variables, degree, self._d, _upto(self._num, degree),
+                        self._npoly)
 
     def lift(self, degree):
         """The same terms, declared to ``degree`` >= the current degree.
@@ -201,21 +201,21 @@ class TruncatedSeries:
         when deg m <= D - j.
         """
         idx = self.variables.index(var)
-        return _part(self.variables[:idx] + self.variables[idx + 1:],
-                     max(self.degree - j, 0), self._d,
-                     {k[:idx] + k[idx + 1:]: v
-                      for k, v in self._num.items() if k[idx] == j},
-                     self._npoly)
+        return _reduced(self.variables[:idx] + self.variables[idx + 1:],
+                        max(self.degree - j, 0), self._d,
+                        {k[:idx] + k[idx + 1:]: v
+                         for k, v in self._num.items() if k[idx] == j},
+                        self._npoly)
 
     def shift(self, var, k):
         """The terms of ``var``-order >= k divided by var^k, certified to D - k."""
         if k > self.degree:
             raise SeriesError(f"shift by {var}^{k} below truncation degree {self.degree}")
         idx = self.variables.index(var)
-        return _part(self.variables, self.degree - k, self._d,
-                     {key[:idx] + (key[idx] - k,) + key[idx + 1:]: v
-                      for key, v in self._num.items() if key[idx] >= k},
-                     self._npoly)
+        return _reduced(self.variables, self.degree - k, self._d,
+                        {key[:idx] + (key[idx] - k,) + key[idx + 1:]: v
+                         for key, v in self._num.items() if key[idx] >= k},
+                        self._npoly)
 
     @classmethod
     def from_slices(cls, var, parts, degree):
@@ -236,8 +236,8 @@ class TruncatedSeries:
             for k, (re, im) in part._num.items():
                 if sum(k[:-2]) + j <= degree:
                     num[k[:-2] + (j,) + k[-2:]] = (re * m, im * m)
-        return _part(rest + (var,), degree, d, num,
-                     any(part._npoly for part in parts))
+        return _reduced(rest + (var,), degree, d, num,
+                        any(part._npoly for part in parts))
 
     def rename(self, mapping):
         return _relabelled(self, tuple(mapping.get(v, v) for v in self.variables),
@@ -366,8 +366,8 @@ class TruncatedSeries:
                 continue
             m = math.perm(e, times)
             num[k[:idx] + (e - times,) + k[idx + 1:]] = (re * m, im * m)
-        return _part(self.variables, max(self.degree - times, 0), self._d, num,
-                     self._npoly)
+        return _reduced(self.variables, max(self.degree - times, 0), self._d, num,
+                        self._npoly)
 
     def jet_coeff(self, exps):
         """Derivative-at-zero convention: prod(e_i!) times the coefficient."""
@@ -447,7 +447,8 @@ def _rows(s):
 
 def _reduced(variables, degree, d, num, npoly) -> TruncatedSeries:
     """``_new`` for rows with no zero row that may share a factor with
-    ``d``: one gcd pass divides it out."""
+    ``d``: one gcd pass divides it out.  ``npoly`` says whether the rows
+    may hold p = 1 ones; the flag is set when some kept row does."""
     if d != 1:
         g = d
         for re, im in num.values():
@@ -457,13 +458,7 @@ def _reduced(variables, degree, d, num, npoly) -> TruncatedSeries:
         if g != 1:
             d //= g
             num = {k: (re // g, im // g) for k, (re, im) in num.items()}
-    return _new(variables, degree, d, num, npoly)
-
-
-def _part(variables, degree, d, num, npoly) -> TruncatedSeries:
-    """``_reduced`` for a subset of the rows of one series, whose ``npoly``
-    flag is given."""
-    return _reduced(variables, degree, d, num, npoly and any(k[-1] for k in num))
+    return _new(variables, degree, d, num, npoly and any(k[-1] for k in num))
 
 
 def _poly_reduced(variables, degree, d, acc) -> TruncatedSeries:
@@ -484,8 +479,7 @@ def _poly_reduced(variables, degree, d, acc) -> TruncatedSeries:
                 re += cur[0]
                 im += cur[1]
         num[k] = (re, im)
-    num = _nonzero(num)
-    return _reduced(variables, degree, d, num, any(k[-1] for k in num))
+    return _reduced(variables, degree, d, _nonzero(num), True)
 
 
 def _nonzero(acc):
@@ -627,7 +621,7 @@ def compose(h: TruncatedSeries, args) -> TruncatedSeries:
         for i, e in zip(subbed, key):
             if e:
                 term = power(i, e) if term is None else term * power(i, e)
-        part = _part(union, degree, h._d, num, h._npoly)
+        part = _reduced(union, degree, h._d, num, h._npoly)
         terms.append(part if term is None else part * term)
     return _sum(union, terms or [TruncatedSeries.zero(union, degree)])
 

@@ -375,6 +375,18 @@ class TestVerifyReconstruct:
         assert code == EXIT_OK
         assert rep["result"] == {"k": 1000000, "status": "equal", "order": 0}
 
+    def test_determination_fail_exits_3(self, capsys, tmp_path, mc_file):
+        # equal (empty) 0-jets, different maps: a report, not a traceback
+        m1 = linear_map_file(tmp_path, "id.json", 1, 1, 14)
+        m2 = linear_map_file(tmp_path, "rot.json", ExactComplex(0, 1), 1, 14)
+        code = main(["determination", mc_file, mc_file, m1, m2, "--k", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_MATH
+        rep = json.loads(captured.out)
+        assert rep["result"] == {"component": ["f", 0], "k": 0, "status": "fail"}
+        assert rep["error"] == "maps with equal jets differ"
+        assert captured.err == ""
+
     def test_determination_precondition(self, capsys, tmp_path, mc_file):
         m1 = linear_map_file(tmp_path, "a.json", 1, 1, 14)
         m2 = linear_map_file(tmp_path, "b.json", ExactComplex(0, 1), 1, 14)

@@ -1,9 +1,11 @@
 """Equivalence verification, jet extraction, and reconstruction from jets."""
 
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    f0_from_jet, family_b0, family_mc, family_nb,
                    finite_determination_check, forced_mu_sq, reconstruct,
                    validate, verify_map)
+from crjet.io import parse_hypersurface, parse_jet_data
 from crjet.linalg import InconsistentSystem, solve_rational
 from crjet.scalars import EC_I, factorial
 from crjet.series import TruncatedSeries, compose, divide, implicit_solve, kth_root_unit
@@ -562,6 +565,27 @@ class TestOrderIndependentWork:
             assert reconstruct(M, M, extract_jet(A, D), order, D=D) == A
             assert len(calls) == 1
 
+    def test_shat_table_grows_with_the_orders_reached(self, monkeypatch):
+        # the golden mc pair, at degree 14, stops at order 6 with unforced
+        # scalars; reconstruct composes only the Shat layers j + k + l <= 6
+        # (84 entries) and f_0's postcondition, whatever order was asked for
+        calls = []
+        original = equivalence.compose
+
+        def counted(h, args):
+            calls.append(h)
+            return original(h, args)
+
+        monkeypatch.setattr(equivalence, "compose", counted)
+        golden = Path(__file__).parent / "data" / "golden"
+        M = parse_hypersurface(json.loads((golden / "mc.json").read_text()))
+        jet = parse_jet_data(json.loads((golden / "mc_jet.json").read_text()))
+        for order in (6, 40):
+            calls.clear()
+            with pytest.raises(EquivalenceError, match="order-6 scalars not forced"):
+                reconstruct(M, M, jet, order, D=[0])
+            assert len(calls) == 85
+
 
 class TestFiniteDetermination:
     def test_equal_maps_agree(self):
@@ -578,6 +602,18 @@ class TestFiniteDetermination:
         H2 = linear_map(ExactComplex(0, 1), 1, 14)
         result = finite_determination_check(M, M, H1, H2, 2)
         assert result["status"] == "precondition"
+
+    def test_equal_jets_with_differing_maps_fail(self):
+        # (z, w) and (iz, w) are both self-maps; their 0-jets are both empty,
+        # so k = 0 is below the jet order and the check names f_0
+        M = family_mc(1, 1, 14)
+        H1 = linear_map(1, 1, 14)
+        H2 = linear_map(ExactComplex(0, 1), 1, 14)
+        result = finite_determination_check(M, M, H1, H2, 0)
+        assert result["status"] == "fail"
+        assert result["component"] == ("f", 0)
+        result = finite_determination_check(M, M, H1, H2, 1)
+        assert result == {"status": "precondition", "reason": "1-jets differ"}
 
     def test_unverified_map_is_a_precondition_failure(self):
         M = family_mc(1, 1, 14)

@@ -131,7 +131,7 @@ def assemble_order_n(M, Mhat, f, g, n):
     shat = shat_jet_table(Mhat, f[0], n)
     s_slices = [M.S.slice("tau", j) for j in range(n + 1)]
     Pn = universal_pn(n, f[:n], g[:n], s_slices, shat)
-    S0 = M.S0()
+    S0 = M.S.slice("tau", 0)
     gbar0 = gbar[0].embed(ZC)
     rhs = ((S0 ** (n + 1)) * g[n].embed(ZC)
            - shat[(0, 0, 0)] * gbar[n].embed(ZC)

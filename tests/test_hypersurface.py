@@ -103,7 +103,7 @@ class TestGraphSeries:
         for _ in range(5):
             M = random_hypersurface(rng, degree=9)
             L = M.invariants.L
-            s0 = M.S0()
+            s0 = M.S.slice("tau", 0)
             # chi^0 slice of S(z,chi,0) is 1; slices between 1 and L-1 vanish
             for exps, c in s0.coeffs.items():
                 cidx = s0.variables.index("chi")
