@@ -381,8 +381,9 @@ def _order_system(solver, base):
             cons[j] -= u.conj()
             # the residual also carries -Rn: it is certified no further
             cols.append((resid.truncate(resid0.degree), [u * c for c in low], cons))
-    keys = sorted(set(resid0.coeffs).union(*(col[0].coeffs for col in cols)))
-    complex_rows = [[col[0].coeff(k) for col in cols] + [resid0.coeff(k)] for k in keys]
+    series = [col[0].coeffs for col in cols] + [resid0.coeffs]
+    keys = sorted(set().union(*series))
+    complex_rows = [[cs.get(k, EC_ZERO) for cs in series] for k in keys]
     complex_rows += [[col[1][i] for col in cols] + [c] for i, c in enumerate(low0)]
     complex_rows += [[col[2][i] for col in cols] + [c] for i, c in enumerate(cons0)]
     rows, rhs = [], []

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
-from .scalars import EC_I, ExactComplex, factorial
+from .scalars import EC_I, EC_ZERO, ExactComplex, factorial
 from .series import TruncatedSeries, implicit_solve, kth_root_unit
 
 THETA_VARS = ("z", "chi", "s")
@@ -82,7 +82,8 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
         raise ValidationError("flat: out of scope (Theta is identically zero)")
 
     # normality: no pure (z,s) or pure (chi,s) terms
-    for exps, c in Theta.coeffs.items():
+    coeffs = Theta.coeffs
+    for exps, c in coeffs.items():
         a, b, _ = exps
         if a == 0 or b == 0:
             raise ValidationError(
@@ -90,8 +91,8 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
                 f"coefficient {c}, but Theta(z,0,s) = Theta(0,chi,s) = 0 is required")
 
     # reality: coeff(z^a chi^b s^c) = conj(coeff(z^b chi^a s^c))
-    for (a, b, c), coeff in Theta.coeffs.items():
-        mirror = Theta.coeff((b, a, c))
+    for (a, b, c), coeff in coeffs.items():
+        mirror = coeffs.get((b, a, c), EC_ZERO)
         if not (coeff - mirror.conj()).is_zero():
             raise ValidationError(
                 f"reality violation at exponents (z^{a} chi^{b} s^{c}) vs (z^{b} chi^{a} s^{c}): "

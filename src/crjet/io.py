@@ -57,8 +57,7 @@ def npoly_dict(p: NPoly) -> dict:
 
 def series_dict(s: TruncatedSeries) -> dict:
     terms = []
-    for exps in sorted(s.coeffs):
-        c = s.coeffs[exps]
+    for exps, c in sorted(s.coeffs.items()):
         entry = {"exponents": list(exps)}
         entry.update(npoly_dict(c) if isinstance(c, NPoly) else complex_dict(c))
         terms.append(entry)

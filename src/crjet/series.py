@@ -20,12 +20,13 @@ Arithmetic runs on the rows alone.  A product convolves the operands' rows
 one gcd at the end; sums add integers over the lcm of the denominators;
 negation, conjugation, scalar products, ``differentiate``, ``slice``,
 ``shift``, ``embed``, ``rename`` and ``truncate`` are one pass each.
-``ExactComplex`` and ``NPoly`` objects are built only when a caller reads
-them through ``coeffs``, ``coeff`` or ``jet_coeff``, and ``coeffs`` is built
-at most once per series.  A power series sum_j c_j x^j of a series x with
-zero constant term is one ``compose`` of sum_j c_j t^j at x (Brent and Kung,
-1978), built by ``power_series``: the geometric series of ``inverse_unit``,
-the binomial series of ``kth_root_unit`` and ``upsilon.pn_series``.
+The rows are the only stored form: ``ExactComplex`` and ``NPoly`` objects
+are built from them on each read through ``coeffs``, ``coeff`` or
+``jet_coeff``, and never kept.  A power series sum_j c_j x^j of a series x
+with zero constant term is one ``compose`` of sum_j c_j t^j at x (Brent and
+Kung, 1978), built by ``power_series``: the geometric series of
+``inverse_unit``, the binomial series of ``kth_root_unit`` and
+``upsilon.pn_series``.
 ``implicit_solve`` finds the root of an implicit series equation by Newton
 iteration with precision doubling.  Every operation is exact modulo
 truncation; operations that genuinely lose orders (``differentiate``,
@@ -59,7 +60,7 @@ def _is_scalar(c):
 
 
 class TruncatedSeries:
-    __slots__ = ("variables", "degree", "_d", "_num", "_npoly", "_rows", "_coeffs")
+    __slots__ = ("variables", "degree", "_d", "_num", "_npoly", "_rows")
 
     def __init__(self, variables, degree, coeffs=None):
         variables = tuple(variables)
@@ -79,8 +80,6 @@ class TruncatedSeries:
                 npoly = npoly or type(c) is NPoly
         d, num = numerator_rows(clean)
         _init(self, variables, degree, d, num, npoly)
-        if clean:
-            _set_coeffs(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -106,15 +105,9 @@ class TruncatedSeries:
     # -- inspection ------------------------------------------------------------
     @property
     def coeffs(self):
-        """The coefficients as a read-only dict from exponent tuples to
-        ``ExactComplex`` or ``NPoly``, built on first read and kept."""
-        coeffs = self._coeffs
-        if coeffs is None:
-            if not self._num:
-                return {}
-            coeffs = from_numerators(self._num, self._d)
-            _set_coeffs(self, coeffs)
-        return coeffs
+        """The coefficients as a new dict from exponent tuples to
+        ``ExactComplex`` or ``NPoly``, built from the rows on each read."""
+        return from_numerators(self._num, self._d)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -122,11 +115,15 @@ class TruncatedSeries:
     def coeff(self, exps):
         """The stored coefficient, or ``EC_ZERO`` for any missing term."""
         exps = tuple(exps)
-        if self._coeffs is None and not self._npoly:
-            key = exps + (0, 0)
-            v = self._num.get(key)
-            return EC_ZERO if v is None else from_numerators({key: v}, self._d)[exps]
-        return self.coeffs.get(exps, EC_ZERO)
+        key = exps + (0, 0)
+        v = self._num.get(key)
+        if v is not None:
+            return from_numerators({key: v}, self._d)[exps]
+        if not self._npoly:
+            return EC_ZERO
+        # canonical form: no p = 0 row here, so the p = 1 rows are the NPoly
+        rows = {k: v for k, v in self._num.items() if k[:-2] == exps}
+        return from_numerators(rows, self._d)[exps] if rows else EC_ZERO
 
     def constant_term(self):
         return self.coeff((0,) * len(self.variables))
@@ -397,11 +394,10 @@ _set_d = TruncatedSeries._d.__set__
 _set_num = TruncatedSeries._num.__set__
 _set_npoly = TruncatedSeries._npoly.__set__
 _set_rows = TruncatedSeries._rows.__set__
-_set_coeffs = TruncatedSeries._coeffs.__set__
 
 
 # every zero series shares this empty row dict, which no code writes to, and
-# caches neither rows nor coefficients, so the many zero series stay small
+# caches no sorted rows, so the many zero series stay small
 _NO_ROWS = {}
 
 
@@ -412,7 +408,6 @@ def _init(s, variables, degree, d, num, npoly):
     _set_num(s, num or _NO_ROWS)
     _set_npoly(s, npoly)
     _set_rows(s, None)
-    _set_coeffs(s, None)
 
 
 def _new(variables, degree, d, num, npoly) -> TruncatedSeries:
@@ -426,10 +421,10 @@ def _new(variables, degree, d, num, npoly) -> TruncatedSeries:
 
 def _relabelled(s, variables, degree) -> TruncatedSeries:
     """The terms of ``s`` over renamed variables or to a larger degree,
-    sharing its rows and whatever it has cached from them."""
+    sharing its rows and their sorted cache; coefficient objects are built
+    on each read, so none are shared."""
     out = _new(variables, degree, s._d, s._num, s._npoly)
     _set_rows(out, s._rows)
-    _set_coeffs(out, s._coeffs)
     return out
 
 
@@ -564,11 +559,6 @@ def _sum(variables, parts) -> TruncatedSeries:
     return _reduced(variables, degree, d, out, False)
 
 
-def _has_term(s, exps) -> bool:
-    num = s._num
-    return exps + (0, 0) in num or (s._npoly and any(k[:-2] == exps for k in num))
-
-
 def compose(h: TruncatedSeries, args) -> TruncatedSeries:
     """Substitute series with zero constant term for some variables of h.
 
@@ -589,7 +579,7 @@ def compose(h: TruncatedSeries, args) -> TruncatedSeries:
                 union.append(v)
             continue
         a = args[v]
-        if _has_term(a, (0,) * len(a.variables)):
+        if not a.constant_term().is_zero():
             raise SeriesError(f"compose argument for {v!r} has nonzero constant term")
         degree = min(degree, a.degree)
         union += [u for u in a.variables if u not in union]
@@ -662,7 +652,7 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
         raise SeriesError("division by zero series")
     a, b, _ = num._aligned(den)
     base = tuple(min(k[i] for k in b._num) for i in range(len(a.variables)))
-    if not _has_term(b, base):
+    if b.coeff(base).is_zero():
         raise SeriesError(
             f"denominator is not monomial*unit: no term with exponents {base}")
     for k in a._num:

@@ -25,7 +25,7 @@ from itertools import combinations, count
 
 from .errors import UpsilonError
 from .linalg import RankTracker
-from .scalars import EC_I, EC_ZERO, NPoly, integer_roots
+from .scalars import EC_I, NPoly, integer_roots
 from .series import TruncatedSeries, inverse_unit, power_series
 
 ZC = ("z", "chi")
@@ -194,11 +194,10 @@ def dim_Vn(U: UpsilonFamily, scan_bound: int):
         raise UpsilonError("dim_Vn scans a fixed-n family; evaluate it with eval_n")
     tracker = RankTracker()
     deg = U.degree
-    coeffs = [c.coeffs for c in U.components]
     for total in range(0, min(2 * scan_bound, deg) + 1):
         for s in range(max(0, total - scan_bound), min(total, scan_bound) + 1):
             key = (s, total - s)
-            tracker.add_row([cs.get(key, EC_ZERO) for cs in coeffs], label=key)
+            tracker.add_row([c.coeff(key) for c in U.components], label=key)
         if tracker.rank == 4:
             break
     return tracker.rank, list(tracker.labels)

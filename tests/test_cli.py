@@ -199,6 +199,22 @@ MALFORMED = [
      EXIT_IO, "unrecognized arguments: --bogus"),
     ("dset-j-not-an-int", "dset", {}, ["--family", "mc", "--j", "abc"],
      EXIT_IO, "argument --j: invalid int value: 'abc'"),
+    ("term-missing-exponents", "validate", {"theta": {"terms": [{"re": "1"}]}}, [],
+     EXIT_IO, "term #0: missing exponents"),
+    ("wrong-theta-variables", "validate", {"theta": {"variables": ["x", "y", "s"]}}, [],
+     EXIT_IO, "expected variables"),
+    ("float-coefficient", "validate",
+     {"theta": {"terms": [{"exponents": [1, 1, 1], "re": 1.5}]}}, [],
+     EXIT_IO, "expected a rational string, got float"),
+    ("jet-a01-not-an-object", "reconstruct", {"jet": {"a01": 5}}, [],
+     EXIT_IO, "expected {re, im}, got int"),
+    ("lambda-key-not-an-integer", "reconstruct", {"jet": {"lambdas": {"x": []}}}, [],
+     EXIT_IO, "lambda key 'x' is not an integer"),
+    ("lambda-three-values", "reconstruct",
+     {"jet": {"lambdas": {"1": [{"re": "1", "im": "0"}] * 3}}}, [],
+     EXIT_IO, "lambdas[1] must be a list of 4 complex values"),
+    ("file-and-family", "validate", {}, ["--family", "mc"],
+     EXIT_IO, "give either an input file or --family, not both"),
 ] + [
     (f"n-coeffs-theta-{command}", command,
      {"theta": {"terms": [{"exponents": [1, 1, 1], "n_coeffs": N_COEFFS}]}}, [],
@@ -242,18 +258,24 @@ class TestMalformedInput:
         assert error in rep["error"]
         assert "result" not in rep
 
-    @pytest.mark.parametrize("argv, command, error", [
-        pytest.param([], None, "the following arguments are required: command",
+    @pytest.mark.parametrize("argv, command, expected, error", [
+        pytest.param([], None, EXIT_IO, "the following arguments are required: command",
                      id="no-command"),
-        pytest.param(["bogus"], None, "invalid choice: 'bogus'",
+        pytest.param(["bogus"], None, EXIT_IO, "invalid choice: 'bogus'",
                      id="unknown-subcommand"),
-        pytest.param(["verify", "a.json", "b.json"], "verify",
+        pytest.param(["verify", "a.json", "b.json"], "verify", EXIT_IO,
                      "the following arguments are required: map",
                      id="missing-positional"),
+        pytest.param(["validate"], "validate", EXIT_IO,
+                     "missing input hypersurface (file path or --family)",
+                     id="no-input"),
+        pytest.param(["validate", "--family", "nb", "--b-re", "0"], "validate",
+                     EXIT_INVALID, "family nb needs a nonzero coefficient b",
+                     id="nb-zero-b"),
     ])
-    def test_usage_error_is_one_report(self, argv, command, error):
+    def test_usage_error_is_one_report(self, argv, command, expected, error):
         proc = run_fresh(*argv)
-        assert proc.returncode == EXIT_IO
+        assert proc.returncode == expected
         assert "Traceback" not in proc.stderr
         rep = json.loads(proc.stdout)      # exactly one JSON document
         assert rep["command"] == command

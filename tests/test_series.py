@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crjet import io as cio
 from crjet import series
-from crjet.scalars import EC_I, ExactComplex, NPoly
+from crjet.scalars import EC_I, EC_ZERO, ExactComplex, NPoly
 from crjet.series import (SeriesError, TruncatedSeries, compose, divide,
                           implicit_solve, inverse_unit, kth_root_unit)
 
@@ -122,6 +124,16 @@ def assert_matches(s, variables, degree, coeffs):
     assert s.coeffs == coeffs
     assert {e: type(c) for e, c in s.coeffs.items()} == \
         {e: type(c) for e, c in coeffs.items()}
+    # coeff reads the rows at one key: every stored key and one absent one,
+    # unless the series has no variables and a constant term
+    expected = dict(coeffs)
+    for e in product(range(degree + 2), repeat=len(variables)):
+        if e not in coeffs:
+            expected[e] = EC_ZERO
+            break
+    for e, c in expected.items():
+        got = s.coeff(e)
+        assert got == c and type(got) is type(c)
 
 
 class TestProductKernel:
@@ -361,6 +373,26 @@ class TestRowOperations:
         p = srs({(1, 0): NPoly([2])}) * srs({(0, 1): NPoly([0, 3])})
         assert_matches(p, XY, DEG, {(1, 1): NPoly([0, 6])})
         assert type(p.coeff((1, 1))) is NPoly
+
+    def test_writing_into_coeffs_changes_no_series(self):
+        # coeffs is built from the rows on each read, so a write into the
+        # dict it returns reaches neither s nor a series sharing s's rows
+        s = srs({(1, 0): ExactComplex(2), (0, 1): NPoly([0, 1])})
+        renamed, lifted = s.rename({"x": "chi"}), s.lift(DEG + 2)
+        want = {(1, 0): ExactComplex(2), (0, 1): NPoly([0, 1])}
+        d = s.coeffs
+        d[(1, 0)] = ExactComplex(5)
+        d[(0, 1)] = NPoly([7])
+        d[(2, 2)] = ExactComplex(1)
+        for t in (s, renamed, lifted):
+            assert t.coeffs == want
+            assert t.coeff((1, 0)) == ExactComplex(2)
+            assert t.coeff((0, 1)) == NPoly([0, 1])
+            assert t.coeff((2, 2)).is_zero()
+        assert cio.series_dict(s)["terms"] == [
+            {"exponents": [0, 1], "n_coeffs": [cio.complex_dict(EC_ZERO),
+                                               cio.complex_dict(ExactComplex(1))]},
+            {"exponents": [1, 0], **cio.complex_dict(ExactComplex(2))}]
 
     def test_missing_coefficient_of_an_npoly_product_is_exact_zero(self):
         s = srs({(1, 0): NPoly([0, 1]), (0, 1): ExactComplex(2)})
