@@ -15,11 +15,11 @@ reached it: a product, a sum or a scalar product gives an ``NPoly`` wherever
 one of its operands had one at a contributing term, even when the value
 that results is a constant, and drops the term only when it is zero.
 
-Arithmetic runs on the rows alone.  A product convolves the operands' rows
-(sorted by total degree and cached on the immutable series) and divides out
-one gcd at the end; sums add integers over the lcm of the denominators;
-negation, conjugation, scalar products, ``differentiate``, ``slice``,
-``shift``, ``embed``, ``rename`` and ``truncate`` are one pass each.
+Arithmetic runs on the rows alone.  A product sorts each operand's rows by
+total degree, convolves them and divides out one gcd at the end; sums add
+integers over the lcm of the denominators; negation, conjugation, scalar
+products, ``differentiate``, ``slice``, ``shift``, ``embed``, ``rename`` and
+``truncate`` are one pass each.
 The rows are the only stored form: ``ExactComplex`` and ``NPoly`` objects
 are built from them on each read through ``coeffs``, ``coeff`` or
 ``jet_coeff``, and never kept.  A power series sum_j c_j x^j of a series x
@@ -60,7 +60,7 @@ def _is_scalar(c):
 
 
 class TruncatedSeries:
-    __slots__ = ("variables", "degree", "_d", "_num", "_npoly", "_rows")
+    __slots__ = ("variables", "degree", "_d", "_num", "_npoly")
 
     def __init__(self, variables, degree, coeffs=None):
         variables = tuple(variables)
@@ -170,7 +170,7 @@ class TruncatedSeries:
         """
         if degree < self.degree:
             raise SeriesError(f"lift to degree {degree} below {self.degree}; use truncate")
-        return _relabelled(self, self.variables, degree)
+        return _new(self.variables, degree, self._d, self._num, self._npoly)
 
     def embed(self, variables):
         """Reinterpret over a superset (or reordering) of the variables."""
@@ -237,8 +237,8 @@ class TruncatedSeries:
                         any(part._npoly for part in parts))
 
     def rename(self, mapping):
-        return _relabelled(self, tuple(mapping.get(v, v) for v in self.variables),
-                           self.degree)
+        return _new(tuple(mapping.get(v, v) for v in self.variables), self.degree,
+                    self._d, self._num, self._npoly)
 
     def eval_n(self, n0):
         """Evaluate NPoly coefficients at a rational n0."""
@@ -313,9 +313,9 @@ class TruncatedSeries:
             c = _exact_constant(y)
             if c is not None:
                 return _scaled(x.truncate(degree), *c, y._d)
-        # otherwise one integer convolution of the operands' cached rows; the
-        # right rows are sorted by total degree, so each inner loop stops at
-        # the truncation instead of testing every pair
+        # otherwise one integer convolution of the operands' rows, each
+        # sorted by total degree, so each inner loop stops at the truncation
+        # instead of testing every pair
         rows2 = _rows(b)
         acc = {}
         get = acc.get
@@ -393,11 +393,10 @@ _set_degree = TruncatedSeries.degree.__set__
 _set_d = TruncatedSeries._d.__set__
 _set_num = TruncatedSeries._num.__set__
 _set_npoly = TruncatedSeries._npoly.__set__
-_set_rows = TruncatedSeries._rows.__set__
 
 
-# every zero series shares this empty row dict, which no code writes to, and
-# caches no sorted rows, so the many zero series stay small
+# every zero series shares this empty row dict, which no code writes to, so
+# the many zero series stay small
 _NO_ROWS = {}
 
 
@@ -407,7 +406,6 @@ def _init(s, variables, degree, d, num, npoly):
     _set_d(s, d)
     _set_num(s, num or _NO_ROWS)
     _set_npoly(s, npoly)
-    _set_rows(s, None)
 
 
 def _new(variables, degree, d, num, npoly) -> TruncatedSeries:
@@ -419,25 +417,10 @@ def _new(variables, degree, d, num, npoly) -> TruncatedSeries:
     return s
 
 
-def _relabelled(s, variables, degree) -> TruncatedSeries:
-    """The terms of ``s`` over renamed variables or to a larger degree,
-    sharing its rows and their sorted cache; coefficient objects are built
-    on each read, so none are shared."""
-    out = _new(variables, degree, s._d, s._num, s._npoly)
-    _set_rows(out, s._rows)
-    return out
-
-
 def _rows(s):
     """The rows (key, total degree, re, im) of ``s``, sorted by total degree."""
-    rows = s._rows
-    if rows is None:
-        if not s._num:
-            return ()
-        rows = sorted(((k, sum(k[:-2]), re, im) for k, (re, im) in s._num.items()),
-                      key=itemgetter(1))
-        _set_rows(s, rows)
-    return rows
+    return sorted(((k, sum(k[:-2]), re, im) for k, (re, im) in s._num.items()),
+                  key=itemgetter(1))
 
 
 def _reduced(variables, degree, d, num, npoly) -> TruncatedSeries:

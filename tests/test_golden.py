@@ -2,7 +2,9 @@
 
 ``tests/data/golden`` holds the inputs (``b0.json``, ``mc.json`` and their
 jet files, built at degree 14 from the map z -> (3/5 + 4/5 i) z, w -> 3w,
-``mixed.json`` and ``excluded.json``)
+``mixed.json``, ``excluded.json``, and at degree 32 ``mc2.json`` (family mc
+with c = 1, j = 2), ``mc2_curved.json`` (its pull-back by
+z -> (3/5 + 4/5 i) z + z^2, w -> 3w) and that map's jet ``mc2_curved_jet.json``)
 and, for each case below, the exact stdout the CLI printed for it.  The
 commands run from inside that directory so the relative input paths
 embedded in the reports match.
@@ -34,6 +36,9 @@ CASES["upsilon_symbolic_mixed"] = ["upsilon", "mixed.json"]
 # Theta = s (z chi - i z^2 chi^3 + i z^3 chi^2) at degree 11: the root n = 1
 # of det_4 is excluded from D by a rank certificate
 CASES["dset_excluded"] = ["dset", "excluded.json"]
+# L = K = 2 with a curved f_0, through order 4
+CASES["reconstruct_mc2_curved"] = ["reconstruct", "mc2_curved.json", "mc2.json",
+                                   "mc2_curved_jet.json", "--order", "4"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
