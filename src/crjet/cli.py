@@ -69,6 +69,7 @@ def _load_json_input(path: str, inputs: dict, role: str):
 
 def _cmd_validate(args, inputs):
     M = _load_hypersurface(args, inputs)
+    M.S  # derive Q and S, with their cross-check, before certifying the input
     return {"valid": True, "invariants": M.invariants.as_dict()}
 
 

@@ -4,18 +4,19 @@ A hypersurface germ in C^2 is given in normal coordinates as
 
     Im w = Theta(z, zbar, Re w),    Theta(z,0,s) = Theta(0,chi,s) = 0,
 
-with Theta a real truncated series in (z, chi, s).  From it we derive the
-graph form w = Q(z, chi, tau), its 1-infinite-type factor S = Q/tau, the
-slice theta = Theta_s(z,chi,0) with chi-components theta_j(z), and the
-invariant tuple (m, r, L, K, T).
-
-Q = 2 s - tau for the root s = (Q + tau)/2 of -i(s - tau) - Theta(z, chi, s),
-which ``series.implicit_solve`` finds by Newton iteration.
+with Theta a real truncated series in (z, chi, s).  ``validate`` checks it
+and derives the slice theta = Theta_s(z,chi,0), with chi-components
+theta_j(z), and the invariant tuple (m, r, L, K, T).  The graph form
+w = Q(z, chi, tau) and its 1-infinite-type factor S = Q/tau are derived on
+first read: Q = 2 s - tau for the root s = (Q + tau)/2 of
+-i(s - tau) - Theta(z, chi, s), which ``series.implicit_solve`` finds by
+Newton iteration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ValidationError
 from .scalars import EC_I, EC_ZERO, ExactComplex, factorial
@@ -46,14 +47,38 @@ class InvariantTuple:
 
 
 class Hypersurface:
-    """Validated normal-form data plus everything derived from it."""
+    """Validated normal-form data plus everything derived from it.
 
-    def __init__(self, Theta, Q, S, theta, invariants):
+    Q and S are derived on first read: one ``implicit_solve`` whose result
+    ``_cross_check`` proves before either is returned, then kept.
+    """
+
+    def __init__(self, Theta, theta, invariants):
         self.Theta = Theta
-        self.Q = Q
-        self.S = S
         self.theta = theta
         self.invariants = invariants
+
+    @cached_property
+    def _graph(self):
+        """(Q, S): with s = (w + tau)/2 the graph equation (w - tau)/2i =
+        Theta(z, chi, s) reads -i(s - tau) - Theta(z, chi, s) = 0, a plain
+        series over (z, chi, s, tau) whose root s(z, chi, tau)
+        ``implicit_solve`` gives.  Then Q = 2s - tau, with tau over
+        (z, chi, tau) as the s^0 slice of the variable tau, and S = Q/tau."""
+        Theta, V = self.Theta, THETA_VARS + ("tau",)
+        s, tau = (TruncatedSeries.var(v, V, Theta.degree) for v in ("s", "tau"))
+        Q = implicit_solve((tau - s) * EC_I - Theta.embed(V), "s") * 2 - tau.slice("s", 0)
+        S = Q.shift("tau", 1)
+        _cross_check(Q, S, self.theta, self.invariants.m)
+        return Q, S
+
+    @property
+    def Q(self) -> TruncatedSeries:
+        return self._graph[0]
+
+    @property
+    def S(self) -> TruncatedSeries:
+        return self._graph[1]
 
     # convenient views -----------------------------------------------------------
     def theta_j(self, j: int) -> TruncatedSeries:
@@ -66,17 +91,13 @@ class Hypersurface:
 
 
 def validate(Theta: TruncatedSeries) -> Hypersurface:
-    """Check normality/reality, derive Q and S, compute invariants.
-
-    With s = (w + tau)/2 the graph equation (w - tau)/2i = Theta(z, chi, s)
-    reads -i(s - tau) - Theta(z, chi, s) = 0, a plain series over
-    (z, chi, s, tau) whose root s(z, chi, tau) ``implicit_solve`` gives.
-    Then Q = 2s - tau, with tau over (z, chi, tau) as the s^0 slice of the
-    variable tau, and S = Q/tau.
-    """
+    """Check flatness, normality, reality and type; compute theta and the
+    invariants.  Q and S are not solved for here: the returned
+    Hypersurface derives and cross-checks them on first read, so compute_D
+    and everything else that reads only theta and the invariants never
+    runs the solve."""
     if tuple(Theta.variables) != THETA_VARS:
         Theta = Theta.embed(THETA_VARS)
-    D = Theta.degree
 
     if Theta.is_zero():
         raise ValidationError("flat: out of scope (Theta is identically zero)")
@@ -103,17 +124,8 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
     if m == 0:
         raise ValidationError("finite type: out of scope (Theta(z,chi,0) != 0)")
 
-    V = THETA_VARS + ("tau",)
-    s, tau = (TruncatedSeries.var(v, V, D) for v in ("s", "tau"))
-    Q = implicit_solve((tau - s) * EC_I - Theta.embed(V), "s") * 2 - tau.slice("s", 0)
-    S = Q.shift("tau", 1)
-
     theta = Theta.slice("s", 1)  # Theta_s(z,chi,0); for m = 1 this is theta
-
-    invariants = _invariants(theta, m, D)
-    M = Hypersurface(Theta, Q, S, theta, invariants)
-    _cross_check(M)
-    return M
+    return Hypersurface(Theta, theta, _invariants(theta, m, Theta.degree))
 
 
 def _invariants(theta, m, D) -> InvariantTuple:
@@ -128,25 +140,24 @@ def _invariants(theta, m, D) -> InvariantTuple:
     return InvariantTuple(m, theta.order(), L, K, T, D)
 
 
-def _cross_check(M: Hypersurface):
+def _cross_check(Q, S, theta, m):
     """Two characterizations of m must agree; for m = 1, S(z,chi,0) =
     (1 + i theta)/(1 - i theta) to theta's degree.  That also gives S's chi^L
     slice as 2i times theta's: theta has chi-order L, so every theta^k with
     k >= 2 starts at chi^(2L)."""
-    inv = M.invariants
-    Qtau = M.Q - TruncatedSeries.var("tau", M.Q.variables, M.Q.degree)
+    Qtau = Q - TruncatedSeries.var("tau", Q.variables, Q.degree)
     m_from_q = Qtau.var_order("tau")
     if m_from_q is None:
         raise ValidationError("flat: out of scope (Q = tau identically)")
-    if m_from_q != inv.m:
+    if m_from_q != m:
         raise ValidationError(
-            f"inconsistent type: m={inv.m} from Theta but tau-order {m_from_q} of Q - tau")
-    if inv.m == 1:
+            f"inconsistent type: m={m} from Theta but tau-order {m_from_q} of Q - tau")
+    if m == 1:
         # S(z,chi,0) = Q_tau(z,chi,0) = (1 + i theta)/(1 - i theta)
         # compare S(z,chi,0)*(1-i theta) with (1+i theta): avoids inversion
-        s0 = M.S.slice("tau", 0)
-        one = TruncatedSeries.const(ZC, M.theta.degree, 1)
-        if not (s0 * (one - M.theta * EC_I) - (one + M.theta * EC_I)).is_zero():
+        s0 = S.slice("tau", 0)
+        one = TruncatedSeries.const(ZC, theta.degree, 1)
+        if not (s0 * (one - theta * EC_I) - (one + theta * EC_I)).is_zero():
             raise ValidationError("S(z,chi,0) does not match (1+i theta)/(1-i theta)")
 
 

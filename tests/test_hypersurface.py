@@ -1,13 +1,18 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from crjet import hypersurface
+from crjet import io as cio
+from crjet.cli import EXIT_INVALID, EXIT_OK, main
 from crjet.hypersurface import (THETA_VARS, ValidationError, family_b0,
                                 family_mc, family_nb, validate)
 from crjet.scalars import EC_I, ExactComplex, factorial
 from crjet.series import TruncatedSeries, compose, implicit_solve
+from crjet.upsilon import compute_D
 
 from conftest import assert_same_series, rand_complex, random_hypersurface
 from scan_oracle import invariants_by_support_scan
@@ -121,9 +126,10 @@ class TestGraphSeries:
                     assert sliceL.get(k, ExactComplex(0)) == c
 
     def test_m_cross_check_randomized(self, rng):
-        # validate() raises if the two characterizations of m disagree
+        # reading Q raises if the two characterizations of m disagree
         for _ in range(20):
             M = random_hypersurface(rng, degree=8)
+            M.Q
             assert M.invariants.m == 1
 
     def test_tau_slice(self):
@@ -131,6 +137,61 @@ class TestGraphSeries:
         sl = s.slice("tau", 2)
         assert sl.coeff((1,)) == ExactComplex(5)
         assert s.slice("tau", 1).is_zero()
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The calls that deriving Q makes to implicit_solve."""
+    calls = []
+    original = hypersurface.implicit_solve
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hypersurface, "implicit_solve", counted)
+    return calls
+
+
+class TestDerivedOnFirstRead:
+    """validate and compute_D never solve for Q; the first read of Q or S
+    solves once and cross-checks before returning either."""
+
+    def test_compute_d_makes_no_solve(self, solves):
+        random_input = random_hypersurface(random.Random(5), degree=10)
+        for M in (family_b0(14),
+                  cio.parse_hypersurface(cio.hypersurface_dict(random_input))):
+            compute_D(M)
+        assert solves == []
+
+    def test_first_read_solves_once(self, solves):
+        M = family_b0(14)
+        assert solves == []
+        S = M.S
+        assert len(solves) == 1
+        assert M.Q is M.Q and M.S is S
+        assert len(solves) == 1
+
+    def test_cli_validate_solves_and_dset_does_not(self, solves):
+        assert main(["dset", "--family", "b0"]) == EXIT_OK
+        assert solves == []
+        assert main(["validate", "--family", "b0"]) == EXIT_OK
+        assert len(solves) == 1
+
+    def test_cross_check_runs_on_first_read(self, monkeypatch, capsys):
+        message = "S(z,chi,0) does not match (1+i theta)/(1-i theta)"
+
+        def refuse(*args):
+            raise ValidationError(message)
+
+        monkeypatch.setattr(hypersurface, "_cross_check", refuse)
+        M = family_mc(1, 1, 14)
+        with pytest.raises(ValidationError) as exc:
+            M.S
+        assert str(exc.value) == message
+        assert main(["validate", "--family", "mc"]) == EXIT_INVALID
+        assert json.loads(capsys.readouterr().out)["error"] == message
+        assert main(["dset", "--family", "mc"]) == EXIT_OK
 
 
 def q_by_implicit_solve(Theta):

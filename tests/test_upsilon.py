@@ -303,7 +303,7 @@ class TestQuotientsByThetaLPrime:
         # build_upsilon reads only theta and the invariants
         theta = TruncatedSeries(("z", "chi"), 10, {(3, 1): ExactComplex(1),
                                                    (1, 2): ExactComplex(1)})
-        M = Hypersurface(None, None, None, theta, InvariantTuple(1, 2, 1, 3, 1, 10))
+        M = Hypersurface(None, theta, InvariantTuple(1, 2, 1, 3, 1, 10))
         with pytest.raises(UpsilonError, match="non-series quotient"):
             build_upsilon(M, SYMBOLIC)
 
