@@ -388,7 +388,7 @@ def _order_system(solver, base):
     complex_rows += [[col[2][i] for col in cols] + [c] for i, c in enumerate(cons0)]
     rows, rhs = [], []
     for values in complex_rows:
-        for part in split_parts(values):
+        for part in split_parts(values)[1:]:
             rows.append(part[:-1])
             rhs.append(-part[-1])
     return rows, rhs

@@ -1,20 +1,23 @@
-"""Exact linear algebra over the rationals and Gaussian rationals."""
+"""Exact linear algebra over the rationals and the Gaussian integers."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .scalars import ExactComplex
-
 
 class RankTracker:
-    """Incremental row reduction over ExactComplex.
+    """Incremental fraction-free row reduction over the Gaussian integers.
 
-    A row is reduced against the stored rows in insertion order; each is zero
-    at the pivots stored before it, so one pass clears every pivot.  A row
-    that adds new rank is kept together with its label (used for pivot
-    certificates).
+    A row is a list of (re, im) integer pairs.  It is reduced against the
+    stored rows in insertion order: a stored row with pivot p at column j
+    sets v <- p*v - v[j]*row, which clears column j.  Each stored row is
+    zero at the pivots stored before it, so one pass clears every pivot.
+    Every step scales v by a nonzero p, so the reduced row is a nonzero
+    multiple of the one elimination over the Gaussian rationals gives, with
+    the same zeros: the rank and the rows that add it are the same.  A row
+    that adds new rank is kept, divided by the gcd of its integers, together
+    with its label (used for pivot certificates).
     """
 
     def __init__(self):
@@ -26,15 +29,19 @@ class RankTracker:
         return len(self.rows)
 
     def add_row(self, vec, label=None) -> bool:
-        vec = list(ExactComplex.coerce(c) for c in vec)
-        for pivot_col, row in self.rows:
-            c = vec[pivot_col]
-            if not c.is_zero():
-                vec = [a - c * b for a, b in zip(vec, row)]
-        for j, c in enumerate(vec):
-            if not c.is_zero():
-                inv = c.inverse()
-                self.rows.append((j, [a * inv for a in vec]))
+        for j, row in self.rows:
+            ca, cb = vec[j]
+            if ca or cb:
+                pa, pb = row[j]
+                vec = [(pa * a - pb * b - ca * ra + cb * rb,
+                        pa * b + pb * a - ca * rb - cb * ra)
+                       for (a, b), (ra, rb) in zip(vec, row)]
+        for j, (a, b) in enumerate(vec):
+            if a or b:
+                g = math.gcd(*(x for pair in vec for x in pair))
+                if g != 1:
+                    vec = [(a // g, b // g) for a, b in vec]
+                self.rows.append((j, list(vec)))
                 self.labels.append(label)
                 return True
         return False

@@ -395,10 +395,11 @@ def from_numerators(rows, d: int) -> dict:
 
 
 def split_parts(values):
-    """The real and the imaginary parts of ``ExactComplex`` values as two
-    integer lists over one shared denominator, the lcm of theirs.
+    """``(d, re, im)``: the real and the imaginary parts of ``ExactComplex``
+    values as two integer lists over their shared denominator d, the lcm of
+    theirs (1 for no values).
 
-    Each list is a positive multiple of the parts; no ``Fraction`` is built.
+    Each list is d times the parts; no ``Fraction`` is built.
     """
     d = math.lcm(*(v._d for v in values))
     re, im = [], []
@@ -406,7 +407,7 @@ def split_parts(values):
         m = d // v._d
         re.append(v._a * m)
         im.append(v._b * m)
-    return re, im
+    return d, re, im
 
 
 factorial = math.factorial
@@ -429,7 +430,7 @@ def integer_roots(p: NPoly) -> set[int]:
         raise ScalarError("zero polynomial has all roots")
     if p.degree() == 0:
         return set()
-    c, im = split_parts(p.coefficients)
+    _, c, im = split_parts(p.coefficients)
     if not any(c):
         c = im
     while not c[-1]:

@@ -25,8 +25,11 @@ are built from them on each read through ``coeffs``, ``coeff`` or
 ``jet_coeff``, and never kept.  A power series sum_j c_j x^j of a series x
 with zero constant term is one ``compose`` of sum_j c_j t^j at x (Brent and
 Kung, 1978), built by ``power_series``: the geometric series of
-``inverse_unit``, the binomial series of ``kth_root_unit`` and
-``upsilon.pn_series``.
+``inverse_unit``, the binomial series of ``kth_root_unit`` and the logarithm
+of ``upsilon.pn_series``.  ``n_graded`` assembles sum_m n^m * parts[m] from
+series without ``NPoly`` coefficients in one pass.
+``numerators`` reads such a series' integer rows without building a
+coefficient object.
 ``implicit_solve`` finds the root of an implicit series equation by Newton
 iteration with precision doubling.  Every operation is exact modulo
 truncation; operations that genuinely lose orders (``differentiate``,
@@ -124,6 +127,15 @@ class TruncatedSeries:
         # canonical form: no p = 0 row here, so the p = 1 rows are the NPoly
         rows = {k: v for k, v in self._num.items() if k[:-2] == exps}
         return from_numerators(rows, self._d)[exps] if rows else EC_ZERO
+
+    def numerators(self):
+        """``(d, {exps: (re, im)})``: every stored coefficient as the integer
+        numerators (re + im*i) over the shared denominator d, read without
+        building a coefficient object; refused for a series with ``NPoly``
+        coefficients."""
+        if self._npoly:
+            raise SeriesError("numerators: the series has NPoly coefficients")
+        return self._d, {k[:-2]: v for k, v in self._num.items()}
 
     def constant_term(self):
         return self.coeff((0,) * len(self.variables))
@@ -499,7 +511,7 @@ def _sum(variables, parts) -> TruncatedSeries:
     ``+`` adds them: a coefficient that cancels to zero is dropped before
     the next part comes, and a later ``ExactComplex`` there stays one.
     ``compose`` adds its groups here, so a power series with ``NPoly``
-    coefficients (``upsilon.pn_series``) takes this branch.
+    coefficients takes this branch.
     """
     npoly = False
     degree = parts[0].degree
@@ -608,6 +620,30 @@ def power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
     top = x.degree // order if order else 0
     h = TruncatedSeries(("t",), x.degree, {(j,): c for j, c in zip(range(top + 1), coeffs)})
     return compose(h, {"t": x})
+
+
+def n_graded(parts) -> TruncatedSeries:
+    """sum_m n^m * parts[m] for series over one variable tuple without
+    ``NPoly`` coefficients, certified to the least of their degrees.
+
+    Every coefficient of the result is an ``NPoly``, its n^m coefficient
+    that of parts[m]: one pass puts each row of parts[m] at power m, over
+    the lcm of the denominators.
+    """
+    variables = parts[0].variables
+    degree = min(part.degree for part in parts)
+    d = math.lcm(*(part._d for part in parts))
+    num = {}
+    for m, part in enumerate(parts):
+        if part.variables != variables:
+            raise SeriesError(f"part {m} is over {part.variables}, not {variables}")
+        if part._npoly:
+            raise SeriesError(f"part {m} has NPoly coefficients")
+        f = d // part._d
+        for k, (re, im) in part._num.items():
+            if sum(k[:-2]) <= degree:
+                num[k[:-2] + (m, 1)] = (re * f, im * f)
+    return _reduced(variables, degree, d, num, True)
 
 
 def inverse_unit(a: TruncatedSeries) -> TruncatedSeries:

@@ -9,24 +9,32 @@ coefficient is a polynomial in n (NPoly).  The span V^n of the jet vectors
 has dimension < gamma := 2 + d1K + d1L*d1T exactly for n in the exceptional
 set D, which is finite; the jet order k is read off from D.
 
-The family is built from P^n = ((1 + i theta)/(1 - i theta))^n by the
-recurrence of its coefficient polynomials in n; the leading minors of the xi
-matrix come from one shared-minor expansion.  The family at a fixed n, asked
-for directly or by the rank scan that settles each candidate n, is the
-symbolic family evaluated there (``eval_n``).  theta is real, so every
-chi-side factor of Upsilon is the mirror of a z-side one (z and chi
-swapped, coefficients conjugated), and only the z side is divided.
+The family is built from P^n = ((1 + i theta)/(1 - i theta))^n, written as
+exp(n a) with a = 2 artanh(i theta): the n^m part of P is a^m / m!, so only
+products of series with ``ExactComplex`` coefficients are taken.  The family
+at a fixed n, asked for directly or by the rank scan that settles each
+candidate n, is the symbolic family evaluated there (``eval_n``).  theta is
+real, so every chi-side factor of Upsilon is the mirror of a z-side one (z
+and chi swapped, coefficients conjugated), and only the z side is divided.
+
+The leading minors of the xi matrix come from one shared-minor expansion
+over Z[i][n], each row's denominators cleared once, and the rank scan
+reduces the components' integer numerators over Z[i] without building a
+coefficient object (``RankTracker``): both are exact, and both give what
+the same steps over the Gaussian rationals give.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, islice
 
 from .errors import UpsilonError
 from .linalg import RankTracker
-from .scalars import EC_I, NPoly, integer_roots
-from .series import TruncatedSeries, inverse_unit, power_series
+from .scalars import (EC_I, NPoly, factorial, from_numerators, integer_roots,
+                      split_parts)
+from .series import TruncatedSeries, inverse_unit, n_graded, power_series
 
 ZC = ("z", "chi")
 
@@ -62,24 +70,21 @@ class UpsilonFamily:
 def pn_series(theta: TruncatedSeries) -> TruncatedSeries:
     """((1 + i theta)/(1 - i theta))^n as a series in (z, chi), symbolic in n.
 
-    Write x = i theta and P = sum_k g_k(n) x^k.  From (1 - x^2) P' = 2n P
-    (Bateman's recurrence for the Mittag-Leffler polynomials) g_0 = 1,
-    g_1 = 2n and k g_k = 2n g_(k-1) + (k-2) g_(k-2), so P is the
-    ``power_series`` of these g_k at x; every coefficient of P is an
-    ``NPoly``.
+    Write x = i theta.  Then P = exp(n a) with a = log((1 + x)/(1 - x)) =
+    sum over odd k of 2 x^k / k, the ``power_series`` of these coefficients
+    at x.  a^m has order m * ord(x), so P = sum_m n^m a^m / m! over
+    m <= D // ord(x), where D is theta's degree.  ``n_graded`` assembles
+    the sum in one pass.  Every coefficient of P is an ``NPoly``, and every
+    product on the way has ``ExactComplex`` coefficients.
     """
     if theta.is_zero():
         raise UpsilonError("theta vanishes identically")
-    return power_series(theta * EC_I, _mittag_leffler_coefficients())
-
-
-def _mittag_leffler_coefficients():
-    """g_0, g_1, ... of ``pn_series``, from g_(-1) = 0 and g_0 = 1."""
-    two_n = NPoly([0, 2])
-    g_prev, g = NPoly(), NPoly.const(1)
-    for k in count(1):
-        yield g
-        g_prev, g = g, (two_n * g + g_prev * (k - 2)) * Fraction(1, k)
+    x = theta * EC_I
+    a = power_series(x, (Fraction(2, k) if k % 2 else 0 for k in count()))
+    parts = [TruncatedSeries.const(x.variables, x.degree, 1)]
+    for m in range(1, x.degree // x.order() + 1):
+        parts.append(parts[-1] * a * Fraction(1, m))      # a^m / m!
+    return n_graded(parts)
 
 
 def _mirror(s: TruncatedSeries) -> TruncatedSeries:
@@ -186,57 +191,110 @@ def dim_Vn(U: UpsilonFamily, scan_bound: int):
     """(rank, pivot (s,t) list) of the jet vectors with s, t <= scan_bound,
     for a family at a fixed n.
 
-    A row is the coefficient vector without the s! t! of the jet convention;
-    scaling a row by a nonzero constant changes neither the rank nor which
-    rows add rank, so the pivot labels are those of the jet vectors.
+    Row (s, t) holds the integer numerators of the components at (s, t),
+    read by ``numerators``: entry c is d_c times the coefficient of
+    component c, where d_c is that component's denominator, and the s! t!
+    of the jet convention is left out.  Scaling a row by a nonzero constant,
+    or column c by d_c, changes neither the rank of any set of rows nor
+    which rows add rank, so the rank and the pivot labels are those of the
+    jet vectors.
     """
     if U.n_mode == SYMBOLIC:
         raise UpsilonError("dim_Vn scans a fixed-n family; evaluate it with eval_n")
+    columns = [c.numerators()[1] for c in U.components]
     tracker = RankTracker()
     deg = U.degree
     for total in range(0, min(2 * scan_bound, deg) + 1):
         for s in range(max(0, total - scan_bound), min(total, scan_bound) + 1):
             key = (s, total - s)
-            tracker.add_row([c.coeff(key) for c in U.components], label=key)
+            tracker.add_row([col.get(key, (0, 0)) for col in columns], label=key)
         if tracker.rank == 4:
             break
     return tracker.rank, list(tracker.labels)
 
 
-def xi_rows(U: UpsilonFamily):
-    """Rows upsilon_{2K,2L}, upsilon_{3K,3L}, upsilon_{3K,2L}, upsilon_{2K,3L}."""
+def _xi_keys(U: UpsilonFamily):
+    """The (s, t) of the xi rows, each checked to lie within U's degree."""
     L, K = U.L, U.K
-    idx = [(2 * K, 2 * L), (3 * K, 3 * L), (3 * K, 2 * L), (2 * K, 3 * L)]
-    rows = []
-    for (s, t) in idx:
+    keys = [(2 * K, 2 * L), (3 * K, 3 * L), (3 * K, 2 * L), (2 * K, 3 * L)]
+    for s, t in keys:
         if s + t > U.degree:
             raise UpsilonError(
                 f"xi matrix needs jets to order {s + t}, certified only to {U.degree}")
-        rows.append([c.jet_coeff((s, t)) for c in U.components])
-    return rows
+    return keys
+
+
+def xi_rows(U: UpsilonFamily):
+    """Rows upsilon_{2K,2L}, upsilon_{3K,3L}, upsilon_{3K,2L}, upsilon_{2K,3L}."""
+    return [[c.jet_coeff(key) for c in U.components] for key in _xi_keys(U)]
 
 
 def xi_determinants(U: UpsilonFamily):
     """det of the upper-left j x j submatrix of xi(n), j = 2, 3, 4, as NPoly.
 
-    One Laplace expansion along the rows shares every minor: the minor on
-    rows 0..r and a column set S of size r + 1 expands along row r, with
-    sign (-1)^(r+q) at the q-th column of S, into minors on rows 0..r-1.
-    The 15 minors over the column subsets of {0, 1, 2, 3} give det_2,
-    det_3 and det_4 together.
+    Row r of xi is s_r! t_r! times the coefficients at its (s_r, t_r).
+    ``split_parts`` clears the denominators of their n-coefficients to one
+    d_r, which makes the row a row over Z[i][n], so det_j is the integer
+    determinant times prod_{r<j} s_r! t_r! / d_r.  One Laplace expansion
+    along the rows shares every minor: the minor on rows 0..r and a column
+    set S of size r + 1 expands along row r, with sign (-1)^(r+q) at the
+    q-th column of S, into minors on rows 0..r-1.  The 15 minors over the
+    column subsets of {0, 1, 2, 3} give det_2, det_3 and det_4 together,
+    and each becomes an ``NPoly`` once, at the end.
     """
     if U.n_mode != SYMBOLIC:
         raise UpsilonError("xi_determinants requires a symbolic family")
-    rows = [[NPoly.coerce(c) for c in r] for r in xi_rows(U)]
+    rows, scales = [], []
+    for key in _xi_keys(U):
+        polys = [NPoly.coerce(c.coeff(key)).coefficients for c in U.components]
+        d, re, im = split_parts([x for p in polys for x in p])
+        pairs = iter(zip(re, im))
+        rows.append([list(islice(pairs, len(p))) for p in polys])
+        scales.append((math.prod(map(factorial, key)), d))
     minor = {(c,): rows[0][c] for c in range(4)}
     for r in range(1, 4):
         for cols in combinations(range(4), r + 1):
-            acc = NPoly()
+            terms = []
             for q, c in enumerate(cols):
-                term = rows[r][c] * minor[cols[:q] + cols[q + 1:]]
-                acc = acc - term if (r + q) % 2 else acc + term
-            minor[cols] = acc
-    return {j: minor[tuple(range(j))] for j in (2, 3, 4)}
+                term = _gaussian_product(rows[r][c], minor[cols[:q] + cols[q + 1:]])
+                terms.append([(-a, -b) for a, b in term] if (r + q) % 2 else term)
+            minor[cols] = _gaussian_sum(terms)
+    dets = {}
+    num = den = 1
+    for j, (f, d) in enumerate(scales, 1):
+        num *= f
+        den *= d
+        if j > 1:
+            # the coefficient of n^k as a numerator row at no exponents
+            coeffs = {(k, 1): (a * num, b * num)
+                      for k, (a, b) in enumerate(minor[tuple(range(j))]) if a or b}
+            dets[j] = from_numerators(coeffs, den).get((), NPoly())
+    return dets
+
+
+def _gaussian_product(p, q):
+    """The product of polynomials over Z[i], as lists of (re, im) pairs."""
+    if not p or not q:
+        return []
+    re = [0] * (len(p) + len(q) - 1)
+    im = list(re)
+    for j, (a, b) in enumerate(p):
+        if a or b:
+            for k, (c, e) in enumerate(q):
+                re[j + k] += a * c - b * e
+                im[j + k] += a * e + b * c
+    return list(zip(re, im))
+
+
+def _gaussian_sum(polys):
+    """The sum of polynomials over Z[i], as lists of (re, im) pairs."""
+    re = [0] * max(map(len, polys))
+    im = list(re)
+    for p in polys:
+        for k, (a, b) in enumerate(p):
+            re[k] += a
+            im[k] += b
+    return list(zip(re, im))
 
 
 class JetAnalysis:

@@ -30,6 +30,9 @@ for fam in ("b0", "mc"):
 CASES["upsilon_n3_nb_j2"] = ["upsilon", "--family", "nb", "--j", "2",
                              "--b-re", "1", "--b-im", "2", "--n", "3"]
 CASES["upsilon_n0_mc_j2"] = ["upsilon", "--family", "mc", "--j", "2", "--n", "0"]
+# K = 2: L = 2 for mc, and L = 1 for nb, whose det_3 is nonzero up to n^6
+CASES["dset_mc_j2"] = ["dset", "--family", "mc", "--j", "2"]
+CASES["dset_nb_j2"] = ["dset", "--family", "nb", "--j", "2", "--b-re", "1", "--b-im", "2"]
 # theta = -1/2 z chi - 1/3 z chi^2 - 1/3 z^2 chi + 2 z^2 chi^2 at degree 11: its
 # symbolic Upsilon mixes ExactComplex and NPoly coefficients
 CASES["upsilon_symbolic_mixed"] = ["upsilon", "mixed.json"]

@@ -1,12 +1,13 @@
 """solve_rational and RankTracker against the eliminations they replaced."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crjet.linalg import InconsistentSystem, RankTracker, solve_rational
-from crjet.scalars import ExactComplex
+from crjet.scalars import ExactComplex, split_parts
 
 
 def gauss_jordan(rows: list[list[Fraction]], rhs: list[Fraction]):
@@ -186,15 +187,60 @@ def complex_rows(draw):
     return rows
 
 
+def gaussian_row(row):
+    """A row of ExactComplex as (re, im) integer pairs, its denominators
+    cleared by ``split_parts``: a positive multiple of the row."""
+    _, re, im = split_parts(row)
+    return list(zip(re, im))
+
+
 class TestRankTracker:
+    """RankTracker on the rows with their denominators cleared agrees with
+    the fully reduced tracker over ExactComplex on the rows themselves."""
+
+    def assert_agrees(self, rows):
+        new, old = RankTracker(), ReducedRankTracker()
+        for k, row in enumerate(rows):
+            assert new.add_row(gaussian_row(row), label=k) == old.add_row(row, label=k)
+            assert (new.rank, new.labels) == (old.rank, old.labels)
+        assert [pc for pc, _ in new.rows] == [pc for pc, _ in old.rows]
+        return new
+
     @settings(max_examples=100, deadline=None)
     @given(complex_rows())
     def test_matches_fully_reduced_tracker(self, rows):
-        new, old = RankTracker(), ReducedRankTracker()
-        for k, row in enumerate(rows):
-            assert new.add_row(row, label=k) == old.add_row(row, label=k)
-            assert (new.rank, new.labels) == (old.rank, old.labels)
-        assert [pc for pc, _ in new.rows] == [pc for pc, _ in old.rows]
+        self.assert_agrees(rows)
+
+    def test_zero_row_adds_no_rank(self):
+        zero = [ExactComplex(0)] * 3
+        row = [ExactComplex(1, 2), ExactComplex(0), ExactComplex(3)]
+        tracker = self.assert_agrees([zero, row, zero])
+        assert (tracker.rank, tracker.labels) == (1, [1])
+
+    def test_multiple_of_a_stored_row_adds_no_rank(self):
+        row = [ExactComplex(0), ExactComplex(Fraction(2, 3), -1),
+               ExactComplex(5, Fraction(1, 7))]
+        unit = ExactComplex(Fraction(-3, 4), Fraction(5, 2))
+        other = [ExactComplex(1), ExactComplex(0), ExactComplex(0, 1)]
+        tracker = self.assert_agrees([row, other, [unit * c for c in row]])
+        assert (tracker.rank, tracker.labels) == (2, [0, 1])
+
+    def test_entries_above_2_to_the_200(self):
+        big = 2 ** 200 + 3
+        rows = [
+            [ExactComplex(big, 1), ExactComplex(Fraction(1, big)), ExactComplex(0, big)],
+            [ExactComplex(big + 1), ExactComplex(big, -big), ExactComplex(7)],
+            # twice the first row
+            [ExactComplex(2 * big, 2), ExactComplex(Fraction(2, big)),
+             ExactComplex(0, 2 * big)],
+            [ExactComplex(1), ExactComplex(0, big * big), ExactComplex(Fraction(big, 3))],
+        ]
+        tracker = self.assert_agrees(rows)
+        assert (tracker.rank, tracker.labels) == (3, [0, 1, 3])
+        # each stored row is divided by the gcd of its integers
+        for _, row in tracker.rows:
+            assert math.gcd(*(x for pair in row for x in pair)) == 1
+
 
 class TestAgainstSympy:
     CASES = [

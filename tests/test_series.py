@@ -394,6 +394,35 @@ class TestRowOperations:
                                                cio.complex_dict(ExactComplex(1))]},
             {"exponents": [1, 0], **cio.complex_dict(ExactComplex(2))}]
 
+    @given(st.lists(series_of(exact), min_size=1, max_size=4))
+    def test_n_graded(self, parts):
+        variables = ()
+        for part in parts:
+            variables += tuple(v for v in part.variables if v not in variables)
+        parts = [part.embed(variables) for part in parts]
+        degree = min(part.degree for part in parts)
+        want = {}
+        for part in parts:
+            for e in part.coeffs:
+                want[e] = NPoly([p.coeff(e) for p in parts])
+        assert_matches(series.n_graded(parts), variables, degree, nonzero(want, degree))
+
+    def test_n_graded_refuses_npoly_and_mismatched_parts(self):
+        with pytest.raises(SeriesError, match="NPoly"):
+            series.n_graded([srs({(0, 0): 1}), srs({(1, 0): NPoly([0, 1])})])
+        with pytest.raises(SeriesError, match="over"):
+            series.n_graded([srs({(1, 0): 1}), srs({(1,): 1}, variables=("x",))])
+
+    @given(series_of(exact))
+    def test_numerators(self, a):
+        d, num = a.numerators()
+        assert {e: ExactComplex(Fraction(re, d), Fraction(im, d))
+                for e, (re, im) in num.items()} == a.coeffs
+
+    def test_numerators_refuse_npoly_coefficients(self):
+        with pytest.raises(SeriesError, match="NPoly"):
+            srs({(1, 0): NPoly([0, 1]), (0, 1): ExactComplex(2)}).numerators()
+
     def test_missing_coefficient_of_an_npoly_product_is_exact_zero(self):
         s = srs({(1, 0): NPoly([0, 1]), (0, 1): ExactComplex(2)})
         p = s * s

@@ -1,13 +1,15 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from crjet import upsilon
+from crjet import io as cio, upsilon
 from crjet.hypersurface import (THETA_VARS, Hypersurface, InvariantTuple, family_b0,
                                 family_mc, family_nb, validate)
-from crjet.scalars import EC_I, ExactComplex, NPoly, factorial
+from crjet.scalars import EC_I, ExactComplex, NPoly, factorial, integer_roots
 from crjet.series import TruncatedSeries
 from crjet.upsilon import (SYMBOLIC, UpsilonError, _mirror, build_upsilon,
                            compute_D, dim_Vn, gamma_threshold, pn_series,
@@ -154,6 +156,100 @@ class TestRankScan:
     def test_negative_n_is_refused(self):
         with pytest.raises(UpsilonError, match="nonnegative"):
             build_upsilon(family_b0(12), -1)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+ORACLE_INPUTS = {
+    "mc1": lambda: family_mc(1, 1, 14),
+    "mc2": lambda: family_mc(1, 2, 19),
+    "nb1": lambda: family_nb(ExactComplex(1), 1, 14),
+    "nb2": lambda: family_nb(ExactComplex(1, 2), 2, 15),
+    "b0": lambda: family_b0(14),
+    "excluded": lambda: cio.parse_hypersurface(
+        json.loads((GOLDEN / "excluded.json").read_text(encoding="utf-8"))),
+}
+
+
+class TestAgainstExactOracle:
+    """The determinants and the rank scan over the Gaussian integers give
+    what the oracle's NPoly expansion and ExactComplex scan give."""
+
+    def check(self, U):
+        dets = xi_determinants(U)
+        want = upsilon_oracle.xi_determinants(U)
+        for j in (2, 3, 4):
+            assert dets[j].coefficients == want[j].coefficients, j
+        # every candidate of compute_D, and values that scan until rank 4
+        det_gamma = dets[gamma_threshold(U.L, U.K, U.T)]
+        n0s = {0, 1, 3, 5}
+        if not det_gamma.is_zero():
+            n0s |= integer_roots(det_gamma)
+        bound = 3 * U.K + 3 * U.L + 2
+        for n0 in sorted(n0s):
+            fixed = U.eval_n(n0)
+            assert dim_Vn(fixed, bound) == upsilon_oracle.dim_Vn(fixed, bound), n0
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_named_inputs(self, name):
+        self.check(build_upsilon(ORACLE_INPUTS[name](), SYMBOLIC))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.randoms(use_true_random=False).map(
+        lambda r: random_hypersurface(r, degree=14, max_e=2)))
+    def test_random_inputs(self, M):
+        U = build_upsilon(M, SYMBOLIC)
+        assume(3 * (U.K + U.L) <= U.degree)       # the xi rows are certified
+        self.check(U)
+
+
+def counter(monkeypatch, cls, names, counts=lambda *args: True):
+    """Wrap the methods ``names`` of ``cls``; returns the list of the
+    argument tuples of the calls that ``counts`` accepts."""
+    calls = []
+    for name in names:
+        original = getattr(cls, name)
+
+        def wrapped(*args, original=original):
+            if counts(*args):
+                calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, wrapped)
+    return calls
+
+
+def has_npoly(x):
+    if isinstance(x, TruncatedSeries):
+        return any(type(c) is NPoly for c in x.coeffs.values())
+    return isinstance(x, NPoly)
+
+
+class TestWorkOnIntegerRows:
+    """compute_D's heavy stages run on integer rows: the rank scan reads no
+    coefficient object, the determinants multiply no NPoly, and P^n takes
+    no series product with an NPoly operand."""
+
+    def test_dim_vn_reads_no_coefficient(self, monkeypatch):
+        U = build_upsilon(family_b0(14), SYMBOLIC)
+        fixed = [U.eval_n(n0) for n0 in (0, 1, 2, 3)]
+        calls = counter(monkeypatch, TruncatedSeries, ("coeff",))
+        assert [dim_Vn(F, 8)[0] for F in fixed] == [2, 2, 3, 4]
+        assert calls == []
+
+    def test_xi_determinants_multiply_no_npoly(self, monkeypatch):
+        for M in (family_b0(14), family_nb(ExactComplex(1, 2), 2, 15)):
+            U = build_upsilon(M, SYMBOLIC)
+            calls = counter(monkeypatch, NPoly, ("__mul__", "__rmul__"))
+            xi_determinants(U)
+            assert calls == []
+
+    def test_pn_series_takes_no_npoly_product(self, monkeypatch):
+        calls = counter(monkeypatch, TruncatedSeries, ("__mul__", "__rmul__"),
+                        lambda a, b: has_npoly(a) or has_npoly(b))
+        for M in (family_b0(14), family_mc(1, 2, 19)):
+            assert any(type(c) is NPoly for c in pn_series(M.theta).coeffs.values())
+        assert calls == []
 
 
 class TestXiDeterminants:

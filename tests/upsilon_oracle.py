@@ -10,14 +10,21 @@ At a fixed integer n this oracle builds the family directly over
 ``ExactComplex``, with P^n the n-th power of (1 + i theta)/(1 - i theta),
 while ``crjet`` evaluates its symbolic family at n: the independent fixed-n
 reference of acceptance criterion 10 and of the rank-scan tests.
+
+``xi_determinants`` and ``dim_Vn`` here are the determinants and the rank
+scan over ``ExactComplex`` and ``NPoly`` coefficients, as they were first
+written; ``crjet`` runs both over the Gaussian integers, and
+``test_upsilon.py`` checks that the answers agree.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from crjet import upsilon
 from crjet.scalars import EC_I, ExactComplex, NPoly
 from crjet.series import SeriesError, TruncatedSeries, divide, inverse_unit
-from crjet.upsilon import SYMBOLIC, UpsilonError, UpsilonFamily
+from crjet.upsilon import SYMBOLIC, UpsilonError, UpsilonFamily, xi_rows
 
 ZC = ("z", "chi")
 
@@ -130,3 +137,64 @@ def build_upsilon(M, n_mode):
         U4 = zero
 
     return UpsilonFamily(n_mode, [U1, U2, U3, U4], L, K, T)
+
+
+def xi_determinants(U):
+    """det of the upper-left j x j submatrix of xi(n), j = 2, 3, 4, by the
+    shared-minor Laplace expansion on ``NPoly`` entries."""
+    if U.n_mode != SYMBOLIC:
+        raise UpsilonError("xi_determinants requires a symbolic family")
+    rows = [[NPoly.coerce(c) for c in r] for r in xi_rows(U)]
+    minor = {(c,): rows[0][c] for c in range(4)}
+    for r in range(1, 4):
+        for cols in combinations(range(4), r + 1):
+            acc = NPoly()
+            for q, c in enumerate(cols):
+                term = rows[r][c] * minor[cols[:q] + cols[q + 1:]]
+                acc = acc - term if (r + q) % 2 else acc + term
+            minor[cols] = acc
+    return {j: minor[tuple(range(j))] for j in (2, 3, 4)}
+
+
+class ExactRankTracker:
+    """Incremental row reduction over ExactComplex, each stored row scaled
+    to pivot 1."""
+
+    def __init__(self):
+        self.rows = []      # echelon rows: (pivot_col, row)
+        self.labels = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add_row(self, vec, label=None) -> bool:
+        vec = list(ExactComplex.coerce(c) for c in vec)
+        for pivot_col, row in self.rows:
+            c = vec[pivot_col]
+            if not c.is_zero():
+                vec = [a - c * b for a, b in zip(vec, row)]
+        for j, c in enumerate(vec):
+            if not c.is_zero():
+                inv = c.inverse()
+                self.rows.append((j, [a * inv for a in vec]))
+                self.labels.append(label)
+                return True
+        return False
+
+
+def dim_Vn(U, scan_bound: int):
+    """(rank, pivot (s,t) list) of the coefficient vectors with
+    s, t <= scan_bound of a fixed-n family, read coefficient by coefficient
+    and reduced over ExactComplex."""
+    if U.n_mode == SYMBOLIC:
+        raise UpsilonError("dim_Vn scans a fixed-n family; evaluate it with eval_n")
+    tracker = ExactRankTracker()
+    deg = U.degree
+    for total in range(0, min(2 * scan_bound, deg) + 1):
+        for s in range(max(0, total - scan_bound), min(total, scan_bound) + 1):
+            key = (s, total - s)
+            tracker.add_row([c.coeff(key) for c in U.components], label=key)
+        if tracker.rank == 4:
+            break
+    return tracker.rank, list(tracker.labels)
