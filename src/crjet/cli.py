@@ -9,7 +9,7 @@ Every run but ``-h`` ends in one report, and ``main`` is its only way out.
 Exit codes: 0 success; 1 I/O or parse error, including a command line that
 does not parse; 2 validation rejection (flat / finite-type / reality
 violations, an out-of-range option value); 3 mathematical inconsistency
-(failed verification, unrealizable jet, violated bound).
+(failed verification, unrealizable jet, violated bound, starved truncation).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import hashlib
 import sys
 
 from . import io as cio
-from .errors import EquivalenceError, FormatError, UpsilonError, ValidationError
+from .errors import EquivalenceError, FormatError, SeriesError, UpsilonError, ValidationError
 from .hypersurface import Hypersurface, family_b0, family_mc, family_nb
 from .scalars import ExactComplex
 
@@ -295,7 +295,7 @@ _LEAST = {"n": 0, "order": 0, "k": 0, "degree": 1}
 # the exit code of each reported exception class; the most derived class wins
 _EXIT_CODES = {ReportedFailure: EXIT_MATH, ValidationError: EXIT_INVALID,
                EquivalenceError: EXIT_MATH, UpsilonError: EXIT_MATH,
-               FormatError: EXIT_IO, OSError: EXIT_IO}
+               SeriesError: EXIT_MATH, FormatError: EXIT_IO, OSError: EXIT_IO}
 
 
 def _check_bounds(args):

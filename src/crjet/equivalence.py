@@ -304,10 +304,9 @@ class _OrderSolver:
     moved by the linear part times u and the antilinear part times conj(u).
     """
 
-    def __init__(self, frame, n, Rn, S0_n, S0_n1):
+    def __init__(self, frame, Rn, S0_n, S0_n1):
         """``S0_n`` and ``S0_n1`` are S(z,chi,0)^n and S(z,chi,0)^(n+1)."""
         self.frame = frame
-        self.n = n
         self.Rn = Rn
         self.neg_S0_n1 = -S0_n1
         self.S0_n1_L = S0_n1.slice("chi", frame.L)
@@ -426,7 +425,7 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
         s_slices.append(M.S.slice("tau", n))
         S0_n1 = S0_n * S0
         Rn = universal_pn(n, f_parts, g_parts, s_slices, shat)
-        solver = _OrderSolver(frame, n, Rn, S0_n, S0_n1)
+        solver = _OrderSolver(frame, Rn, S0_n, S0_n1)
         inconsistent = f"jet not realizable: order-{n} system inconsistent"
         if n in D:
             x = jet.lambdas.get(n, zero4)

@@ -13,6 +13,10 @@ class ValidationError(ValueError):
     """Input rejected: not a valid in-scope normal-form hypersurface."""
 
 
+class SeriesError(ArithmeticError):
+    """A series operation outside its domain."""
+
+
 class UpsilonError(ArithmeticError):
     pass
 

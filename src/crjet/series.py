@@ -28,8 +28,8 @@ Kung, 1978), built by ``power_series``: the geometric series of
 ``inverse_unit``, the binomial series of ``kth_root_unit`` and the logarithm
 of ``upsilon.pn_series``.  ``n_graded`` assembles sum_m n^m * parts[m] from
 series without ``NPoly`` coefficients in one pass.
-``numerators`` reads such a series' integer rows without building a
-coefficient object.
+``numerators`` is the one integer view of any series: its rows keyed
+``exps + (k,)``, without building a coefficient object.
 ``implicit_solve`` finds the root of an implicit series equation by Newton
 iteration with precision doubling.  Every operation is exact modulo
 truncation; operations that genuinely lose orders (``differentiate``,
@@ -44,12 +44,9 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, itemgetter
 
+from .errors import SeriesError
 from .scalars import (EC_ZERO, ExactComplex, NPoly, factorial, from_numerators,
                       numerator_rows)
-
-
-class SeriesError(ArithmeticError):
-    pass
 
 
 def _coerce_coeff(c):
@@ -129,13 +126,11 @@ class TruncatedSeries:
         return from_numerators(rows, self._d)[exps] if rows else EC_ZERO
 
     def numerators(self):
-        """``(d, {exps: (re, im)})``: every stored coefficient as the integer
-        numerators (re + im*i) over the shared denominator d, read without
-        building a coefficient object; refused for a series with ``NPoly``
-        coefficients."""
-        if self._npoly:
-            raise SeriesError("numerators: the series has NPoly coefficients")
-        return self._d, {k[:-2]: v for k, v in self._num.items()}
+        """``(d, {exps + (k,): (re, im)})``: every stored term as the integer
+        numerators of (re + im*i)/d * n^k, read without building a
+        coefficient object.  An ``ExactComplex`` coefficient reads as k = 0,
+        an ``NPoly`` one as one entry per nonzero power of n."""
+        return self._d, {key[:-1]: v for key, v in self._num.items()}
 
     def constant_term(self):
         return self.coeff((0,) * len(self.variables))

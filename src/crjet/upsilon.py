@@ -17,23 +17,22 @@ candidate n, is the symbolic family evaluated there (``eval_n``).  theta is
 real, so every chi-side factor of Upsilon is the mirror of a z-side one (z
 and chi swapped, coefficients conjugated), and only the z side is divided.
 
-The leading minors of the xi matrix come from one shared-minor expansion
-over Z[i][n], each row's denominators cleared once, and the rank scan
-reduces the components' integer numerators over Z[i] without building a
-coefficient object (``RankTracker``): both are exact, and both give what
-the same steps over the Gaussian rationals give.
+Both integer readers take the components' rows from ``numerators``, keyed
+(s, t, k) for n^k, without building a coefficient object: the leading
+minors of the xi matrix come from one shared-minor expansion over Z[i][n],
+and the rank scan reduces over Z[i] (``RankTracker``).  Both are exact and
+give what the same steps over the Gaussian rationals give.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, count, islice
+from itertools import combinations, count
 
 from .errors import UpsilonError
 from .linalg import RankTracker
-from .scalars import (EC_I, NPoly, factorial, from_numerators, integer_roots,
-                      split_parts)
+from .scalars import EC_I, EC_ZERO, ExactComplex, NPoly, factorial, integer_roots
 from .series import TruncatedSeries, inverse_unit, n_graded, power_series
 
 ZC = ("z", "chi")
@@ -192,12 +191,12 @@ def dim_Vn(U: UpsilonFamily, scan_bound: int):
     for a family at a fixed n.
 
     Row (s, t) holds the integer numerators of the components at (s, t),
-    read by ``numerators``: entry c is d_c times the coefficient of
-    component c, where d_c is that component's denominator, and the s! t!
-    of the jet convention is left out.  Scaling a row by a nonzero constant,
-    or column c by d_c, changes neither the rank of any set of rows nor
-    which rows add rank, so the rank and the pivot labels are those of the
-    jet vectors.
+    read by ``numerators`` at the power n^0: entry c is d_c times the
+    coefficient of component c, where d_c is that component's denominator,
+    and the s! t! of the jet convention is left out.  Scaling a row by a
+    nonzero constant, or column c by d_c, changes neither the rank of any
+    set of rows nor which rows add rank, so the rank and the pivot labels
+    are those of the jet vectors.
     """
     if U.n_mode == SYMBOLIC:
         raise UpsilonError("dim_Vn scans a fixed-n family; evaluate it with eval_n")
@@ -207,7 +206,7 @@ def dim_Vn(U: UpsilonFamily, scan_bound: int):
     for total in range(0, min(2 * scan_bound, deg) + 1):
         for s in range(max(0, total - scan_bound), min(total, scan_bound) + 1):
             key = (s, total - s)
-            tracker.add_row([col.get(key, (0, 0)) for col in columns], label=key)
+            tracker.add_row([col.get(key + (0,), (0, 0)) for col in columns], label=key)
         if tracker.rank == 4:
             break
     return tracker.rank, list(tracker.labels)
@@ -224,33 +223,35 @@ def _xi_keys(U: UpsilonFamily):
     return keys
 
 
-def xi_rows(U: UpsilonFamily):
-    """Rows upsilon_{2K,2L}, upsilon_{3K,3L}, upsilon_{3K,2L}, upsilon_{2K,3L}."""
-    return [[c.jet_coeff(key) for c in U.components] for key in _xi_keys(U)]
-
-
 def xi_determinants(U: UpsilonFamily):
     """det of the upper-left j x j submatrix of xi(n), j = 2, 3, 4, as NPoly.
 
     Row r of xi is s_r! t_r! times the coefficients at its (s_r, t_r).
-    ``split_parts`` clears the denominators of their n-coefficients to one
-    d_r, which makes the row a row over Z[i][n], so det_j is the integer
-    determinant times prod_{r<j} s_r! t_r! / d_r.  One Laplace expansion
-    along the rows shares every minor: the minor on rows 0..r and a column
-    set S of size r + 1 expands along row r, with sign (-1)^(r+q) at the
-    q-th column of S, into minors on rows 0..r-1.  The 15 minors over the
-    column subsets of {0, 1, 2, 3} give det_2, det_3 and det_4 together,
-    and each becomes an ``NPoly`` once, at the end.
+    ``numerators`` reads each component once: entry (r, c) is d_c times
+    component c's polynomial in n at (s_r, t_r), over Z[i] and listed to
+    its own top power, d_c the component's denominator.  So det_j is the
+    integer determinant times prod_{r<j} s_r! t_r! / prod_{c<j} d_c.  One
+    Laplace expansion along the rows shares every minor: the minor on rows
+    0..r and a column set S of size r + 1 expands along row r, with sign
+    (-1)^(r+q) at the q-th column of S, into minors on rows 0..r-1.  The 15
+    minors over the column subsets of {0, 1, 2, 3} give det_2, det_3 and
+    det_4 together, and each becomes an ``NPoly`` once, at the end.
     """
     if U.n_mode != SYMBOLIC:
         raise UpsilonError("xi_determinants requires a symbolic family")
-    rows, scales = [], []
-    for key in _xi_keys(U):
-        polys = [NPoly.coerce(c.coeff(key)).coefficients for c in U.components]
-        d, re, im = split_parts([x for p in polys for x in p])
-        pairs = iter(zip(re, im))
-        rows.append([list(islice(pairs, len(p))) for p in polys])
-        scales.append((math.prod(map(factorial, key)), d))
+    keys = _xi_keys(U)
+    rows = [[] for _ in keys]
+    dens = []
+    for comp in U.components:
+        d, num = comp.numerators()
+        dens.append(d)
+        powers = {key: {} for key in keys}
+        for key, v in num.items():
+            if key[:-1] in powers:
+                powers[key[:-1]][key[-1]] = v
+        for row, key in zip(rows, keys):
+            entry = powers[key]
+            row.append([entry.get(k, (0, 0)) for k in range(max(entry, default=-1) + 1)])
     minor = {(c,): rows[0][c] for c in range(4)}
     for r in range(1, 4):
         for cols in combinations(range(4), r + 1):
@@ -260,15 +261,14 @@ def xi_determinants(U: UpsilonFamily):
                 terms.append([(-a, -b) for a, b in term] if (r + q) % 2 else term)
             minor[cols] = _gaussian_sum(terms)
     dets = {}
-    num = den = 1
-    for j, (f, d) in enumerate(scales, 1):
-        num *= f
+    f = den = 1
+    for j, (key, d) in enumerate(zip(keys, dens), 1):
+        f *= math.prod(map(factorial, key))
         den *= d
         if j > 1:
-            # the coefficient of n^k as a numerator row at no exponents
-            coeffs = {(k, 1): (a * num, b * num)
-                      for k, (a, b) in enumerate(minor[tuple(range(j))]) if a or b}
-            dets[j] = from_numerators(coeffs, den).get((), NPoly())
+            # zero coefficients share EC_ZERO, so a kept det holds no copies
+            dets[j] = NPoly([ExactComplex(Fraction(a * f, den), Fraction(b * f, den))
+                             if a or b else EC_ZERO for a, b in minor[tuple(range(j))]])
     return dets
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,8 @@ def curved_map_file(tmp_path):
     return write_json(tmp_path, "bad_map.json",
                       cio.formal_map_dict(FormalMap([f0], [g0])))
 
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 # a modulus clash: |a01| = 1 is forced for a self-map
 UNREALIZABLE_JET = {"a01": {"re": "2", "im": "0"}, "b00": {"re": "1", "im": "0"}}
@@ -483,6 +486,7 @@ EXIT_CASES = {
     "UpsilonError": (EXIT_MATH, "xi matrix needs jets to order 4"),
     "EquivalenceError": (EXIT_MATH, "modulus forced by the invariant ratio"),
     "ReportedFailure": (EXIT_MATH, "mapping-identity residual is nonzero"),
+    "SeriesError": (EXIT_MATH, "shift by z^1 below truncation degree 0"),
     "ValidationError": (EXIT_INVALID, "family mc needs rational c != 0"),
     "FormatError": (EXIT_IO, "invalid JSON"),
     "OSError": (EXIT_IO, "No such file or directory"),
@@ -498,6 +502,13 @@ def exit_case_argv(raised, tmp_path, mc_file):
         return ["reconstruct", mc_file, mc_file, jet_path, "--order", "2"]
     if raised == "ReportedFailure":
         return ["verify", mc_file, mc_file, curved_map_file(tmp_path)]
+    if raised == "SeriesError":             # a target too short for the frame
+        target = write_json(tmp_path, "mc2_deg6.json",
+                            cio.hypersurface_dict(family_mc(1, 2, 6)))
+        jet_path = write_json(tmp_path, "jet.json",
+                              {"a01": {"re": "1"}, "b00": {"re": "1"}})
+        return ["reconstruct", str(GOLDEN / "mc2.json"), target, jet_path,
+                "--order", "1"]
     if raised == "ValidationError":
         return ["validate", "--family", "mc", "--c", "0"]
     if raised == "FormatError":

@@ -413,15 +413,23 @@ class TestRowOperations:
         with pytest.raises(SeriesError, match="over"):
             series.n_graded([srs({(1, 0): 1}), srs({(1,): 1}, variables=("x",))])
 
-    @given(series_of(exact))
-    def test_numerators(self, a):
-        d, num = a.numerators()
-        assert {e: ExactComplex(Fraction(re, d), Fraction(im, d))
-                for e, (re, im) in num.items()} == a.coeffs
-
-    def test_numerators_refuse_npoly_coefficients(self):
-        with pytest.raises(SeriesError, match="NPoly"):
-            srs({(1, 0): NPoly([0, 1]), (0, 1): ExactComplex(2)}).numerators()
+    @given(data=st.data())
+    def test_numerators(self, data):
+        # each exps's powers of n rebuild its coefficient as a polynomial in
+        # n; an ExactComplex coefficient has only the power 0
+        for kind in ("exact", "npoly", "mixed"):
+            a = data.draw(series_of(COEFFS[kind]))
+            d, num = a.numerators()
+            powers = {}
+            for key, (re, im) in num.items():
+                powers.setdefault(key[:-1], {})[key[-1]] = \
+                    ExactComplex(Fraction(re, d), Fraction(im, d))
+            assert powers.keys() == a.coeffs.keys()
+            for e, c in a.coeffs.items():
+                p = powers[e]
+                assert NPoly([p.get(k, EC_ZERO) for k in range(max(p) + 1)]) == \
+                    NPoly.coerce(c)
+                assert type(c) is NPoly or list(p) == [0]
 
     def test_missing_coefficient_of_an_npoly_product_is_exact_zero(self):
         s = srs({(1, 0): NPoly([0, 1]), (0, 1): ExactComplex(2)})

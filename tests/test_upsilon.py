@@ -13,9 +13,10 @@ from crjet.scalars import EC_I, ExactComplex, NPoly, factorial, integer_roots
 from crjet.series import TruncatedSeries
 from crjet.upsilon import (SYMBOLIC, UpsilonError, _mirror, build_upsilon,
                            compute_D, dim_Vn, gamma_threshold, pn_series,
-                           xi_determinants, xi_rows)
+                           xi_determinants)
 
 import upsilon_oracle
+from upsilon_oracle import xi_rows
 from conftest import (assert_same_series, falling_binomial, random_hypersurface,
                       rising_binomial)
 
@@ -226,9 +227,9 @@ def has_npoly(x):
 
 
 class TestWorkOnIntegerRows:
-    """compute_D's heavy stages run on integer rows: the rank scan reads no
-    coefficient object, the determinants multiply no NPoly, and P^n takes
-    no series product with an NPoly operand."""
+    """compute_D's heavy stages run on integer rows: the rank scan and the
+    determinants read no coefficient object, the determinants multiply no
+    NPoly, and P^n takes no series product with an NPoly operand."""
 
     def test_dim_vn_reads_no_coefficient(self, monkeypatch):
         U = build_upsilon(family_b0(14), SYMBOLIC)
@@ -236,6 +237,13 @@ class TestWorkOnIntegerRows:
         calls = counter(monkeypatch, TruncatedSeries, ("coeff",))
         assert [dim_Vn(F, 8)[0] for F in fixed] == [2, 2, 3, 4]
         assert calls == []
+
+    def test_xi_determinants_read_no_coefficient(self, monkeypatch):
+        for M in (family_b0(14), family_nb(ExactComplex(1, 2), 2, 15)):
+            U = build_upsilon(M, SYMBOLIC)
+            calls = counter(monkeypatch, TruncatedSeries, ("coeff",))
+            xi_determinants(U)
+            assert calls == []
 
     def test_xi_determinants_multiply_no_npoly(self, monkeypatch):
         for M in (family_b0(14), family_nb(ExactComplex(1, 2), 2, 15)):

@@ -13,8 +13,9 @@ reference of acceptance criterion 10 and of the rank-scan tests.
 
 ``xi_determinants`` and ``dim_Vn`` here are the determinants and the rank
 scan over ``ExactComplex`` and ``NPoly`` coefficients, as they were first
-written; ``crjet`` runs both over the Gaussian integers, and
-``test_upsilon.py`` checks that the answers agree.
+written, the xi matrix read by ``xi_rows`` through ``jet_coeff``; ``crjet``
+runs both over the Gaussian integers, and ``test_upsilon.py`` checks that
+the answers agree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import combinations
 from crjet import upsilon
 from crjet.scalars import EC_I, ExactComplex, NPoly
 from crjet.series import SeriesError, TruncatedSeries, divide, inverse_unit
-from crjet.upsilon import SYMBOLIC, UpsilonError, UpsilonFamily, xi_rows
+from crjet.upsilon import SYMBOLIC, UpsilonError, UpsilonFamily, _xi_keys
 
 ZC = ("z", "chi")
 
@@ -137,6 +138,11 @@ def build_upsilon(M, n_mode):
         U4 = zero
 
     return UpsilonFamily(n_mode, [U1, U2, U3, U4], L, K, T)
+
+
+def xi_rows(U):
+    """Rows upsilon_{2K,2L}, upsilon_{3K,3L}, upsilon_{3K,2L}, upsilon_{2K,3L}."""
+    return [[c.jet_coeff(key) for c in U.components] for key in _xi_keys(U)]
 
 
 def xi_determinants(U):
