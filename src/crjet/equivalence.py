@@ -28,7 +28,8 @@ from .hypersurface import Hypersurface
 from .linalg import InconsistentSystem, solve_rational
 from .scalars import (EC_I, EC_ONE, EC_ZERO, ExactComplex, factorial,
                       rational_nth_root, split_parts)
-from .series import TruncatedSeries, compose, implicit_solve, inverse_unit, kth_root_unit
+from .series import (Substitution, TruncatedSeries, compose, implicit_solve, inverse_unit,
+                     kth_root_unit)
 
 ZC = ("z", "chi")
 
@@ -243,22 +244,29 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> TruncatedSeries:
 
 def shat_jet_table(Mhat, f0, n_max):
     """(j,k,l) -> Shat_{z^j chi^k tau^l}(f0(z), conj f0(chi), 0) for j+k+l <= n_max."""
+    at_f0 = _at_f0(f0)
     table = {}
     for n in range(n_max + 1):
-        _add_shat_layer(table, Mhat, f0, n)
+        _add_shat_layer(table, Mhat, at_f0, n)
     return table
 
 
-def _add_shat_layer(table, Mhat, f0, n):
-    """Add the entries of ``shat_jet_table`` with j + k + l = n."""
+def _at_f0(f0):
+    """The substitution (z, chi) -> (f0(z), conj f0(chi)) that composes every
+    entry of the Shat table, sharing the powers of f0 and conj f0."""
     f0zc = f0.embed(ZC)
     f0bar = f0.conjugate(rename={"z": "chi"}).embed(ZC)
+    return Substitution(ZC, {"z": f0zc, "chi": f0bar}, f0.degree)
+
+
+def _add_shat_layer(table, Mhat, at_f0, n):
+    """Add the entries of ``shat_jet_table`` with j + k + l = n, composed
+    through the shared substitution ``at_f0``."""
     for l in range(n + 1):
         s_l = Mhat.s_tau_jet(l)            # Shat_{tau^l}(z, chi, 0)
         for j in range(n + 1 - l):
             k = n - l - j
-            table[(j, k, l)] = compose(s_l.differentiate("z", j).differentiate("chi", k),
-                                       {"z": f0zc, "chi": f0bar})
+            table[(j, k, l)] = at_f0(s_l.differentiate("z", j).differentiate("chi", k))
 
 
 class _Frame:
@@ -414,14 +422,17 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
         return FormalMap(f_parts, g_parts)
     # the Shat table, the tau-slices of S and the powers of S(z,chi,0) grow
     # with the orders reached, so a large ``order`` costs nothing up front
-    shat = shat_jet_table(Mhat, f0, 1)
+    at_f0 = _at_f0(f0)
+    shat = {}
+    for n in (0, 1):
+        _add_shat_layer(shat, Mhat, at_f0, n)
     frame = _Frame(M.invariants.L, M.invariants.K, jet.b00, shat)
     s_slices = [M.S.slice("tau", 0)]
     S0 = S0_n = s_slices[0]                # S0_n = S(z,chi,0)^n
     zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
         if n > 1:
-            _add_shat_layer(shat, Mhat, f0, n)
+            _add_shat_layer(shat, Mhat, at_f0, n)
         s_slices.append(M.S.slice("tau", n))
         S0_n1 = S0_n * S0
         Rn = universal_pn(n, f_parts, g_parts, s_slices, shat)

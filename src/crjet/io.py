@@ -26,12 +26,23 @@ if TYPE_CHECKING:
 
 # -- rationals ---------------------------------------------------------------
 
+# the largest decimal exponent a rational string may carry: CPython's default
+# limit on the digits of an int read from a string, so that "1e10000000" is
+# refused at once instead of building a ten-million-digit integer
+_MAX_EXPONENT = 4300
+
+
 def parse_frac(s) -> Fraction:
     if isinstance(s, bool):
         raise FormatError(f"expected a rational, got {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
+        _, e, exp = s.lower().rpartition("e")
+        digits = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
+            raise FormatError(f"bad rational {s!r}: decimal exponent beyond "
+                              f"{_MAX_EXPONENT} in magnitude")
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
@@ -88,6 +99,7 @@ def parse_series(obj, expect_variables=None) -> TruncatedSeries:
     if not isinstance(raw_terms, list):
         raise FormatError("terms must be a list")
     coeffs = {}
+    seen = set()
     for i, term in enumerate(raw_terms):
         if not isinstance(term, dict) or "exponents" not in term:
             raise FormatError(f"term #{i}: missing exponents")
@@ -103,8 +115,9 @@ def parse_series(obj, expect_variables=None) -> TruncatedSeries:
         else:
             c = ExactComplex(parse_frac(term.get("re", 0)),
                              parse_frac(term.get("im", 0)))
-        if exps in coeffs:
+        if exps in seen:
             raise FormatError(f"term #{i}: duplicate exponents {list(exps)}")
+        seen.add(exps)
         if sum(exps) <= degree and not c.is_zero():
             coeffs[exps] = c
     return TruncatedSeries(variables, degree, coeffs)

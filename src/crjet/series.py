@@ -19,10 +19,16 @@ Arithmetic runs on the rows alone.  A product sorts each operand's rows by
 total degree, convolves them and divides out one gcd at the end; sums add
 integers over the lcm of the denominators; negation, conjugation, scalar
 products, ``differentiate``, ``slice``, ``shift``, ``embed``, ``rename`` and
-``truncate`` are one pass each.
+``truncate`` are one pass each.  A zero operand does no work: a product or
+scalar product with one is the zero series, and a sum skips its zero parts,
+but each still certifies its result only to the least degree, since a zero
+series is zero only to its degree.
 The rows are the only stored form: ``ExactComplex`` and ``NPoly`` objects
 are built from them on each read through ``coeffs``, ``coeff`` or
-``jet_coeff``, and never kept.  A power series sum_j c_j x^j of a series x
+``jet_coeff``, and never kept.  ``Substitution`` is the one substitution
+routine: it keeps every power of its arguments, and every product of powers
+that a substituted monomial maps to, for all the series it is applied to;
+``compose`` is its one-shot use.  A power series sum_j c_j x^j of a series x
 with zero constant term is one ``compose`` of sum_j c_j t^j at x (Brent and
 Kung, 1978), built by ``power_series``: the geometric series of
 ``inverse_unit``, the binomial series of ``kth_root_unit`` and the logarithm
@@ -309,12 +315,17 @@ class TruncatedSeries:
     def __mul__(self, other):
         if _is_scalar(other):
             other = _coerce_coeff(other)
-            if type(other) is ExactComplex and not other.is_zero():
+            if not self._num or other.is_zero():
+                return _zero(self.variables, self.degree)
+            if type(other) is ExactComplex:
                 # a scalar factor goes into rows as the constructor puts it
                 d0, num0 = numerator_rows({(): other})
                 return _scaled(self, *num0[(0, 0)], d0)
             other = TruncatedSeries.const(self.variables, self.degree, other)
         a, b, degree = self._aligned(other)
+        # a zero factor gives zero, certified to the least degree
+        if not a._num or not b._num:
+            return _zero(a.variables, degree)
         # an ExactComplex constant scales the rows of the other factor
         for x, y in ((a, b), (b, a)):
             c = _exact_constant(y)
@@ -424,6 +435,10 @@ def _new(variables, degree, d, num, npoly) -> TruncatedSeries:
     return s
 
 
+def _zero(variables, degree) -> TruncatedSeries:
+    return _new(variables, degree, 1, _NO_ROWS, False)
+
+
 def _rows(s):
     """The rows (key, total degree, re, im) of ``s``, sorted by total degree."""
     return sorted(((k, sum(k[:-2]), re, im) for k, (re, im) in s._num.items()),
@@ -506,21 +521,21 @@ def _sum(variables, parts) -> TruncatedSeries:
     ``+`` adds them: a coefficient that cancels to zero is dropped before
     the next part comes, and a later ``ExactComplex`` there stays one.
     ``compose`` adds its groups here, so a power series with ``NPoly``
-    coefficients takes this branch.
+    coefficients takes this branch.  Zero parts count only for the degree.
     """
-    npoly = False
-    degree = parts[0].degree
-    dens = []
-    for p in parts:
-        npoly = npoly or p._npoly
-        degree = min(degree, p.degree)
-        dens.append(p._d)
+    degree = min(p.degree for p in parts)
+    parts = [p for p in parts if p._num]
+    if len(parts) < 2:
+        if parts:
+            return parts[0].truncate(degree)
+        return _zero(variables, degree)
+    npoly = any(p._npoly for p in parts)
     if npoly and len(parts) > 2:
         acc = parts[0]
         for p in parts[1:]:
             acc = _sum(variables, (acc, p))
-        return acc
-    d = math.lcm(*dens)
+        return acc.truncate(degree)
+    d = math.lcm(*(p._d for p in parts))
     out = None
     for p in parts:
         m = d // p._d
@@ -549,61 +564,93 @@ def _sum(variables, parts) -> TruncatedSeries:
     return _reduced(variables, degree, d, out, False)
 
 
-def compose(h: TruncatedSeries, args) -> TruncatedSeries:
-    """Substitute series with zero constant term for some variables of h.
+class Substitution:
+    """Series with zero constant term substituted for some of ``variables``,
+    at most to ``degree``: one object for many series over ``variables``.
 
-    ``args`` maps any subset of h's variables to replacement series; the
-    other variables pass through unchanged.  The result is over h's
-    variables in order, each substituted variable replaced by the variables
-    of its argument not already present, and is certified to the least of
-    the degrees of h and the arguments.
+    ``args`` maps any subset of the variables to replacement series; the
+    other variables pass through unchanged.  A result is over the variables
+    in order, each substituted variable replaced by the variables of its
+    argument not already present (``union``).  Each power of an argument,
+    and each product of powers (the image of one substituted monomial), is
+    built once, at the least of ``degree`` and the arguments' degrees, and
+    kept for every later call.
     """
-    unknown = set(args) - set(h.variables)
-    if unknown:
-        raise SeriesError(f"compose: {sorted(unknown)} not among the variables {h.variables}")
-    union = []
-    degree = h.degree
-    for v in h.variables:
-        if v not in args:
-            if v not in union:
-                union.append(v)
-            continue
-        a = args[v]
-        if not a.constant_term().is_zero():
-            raise SeriesError(f"compose argument for {v!r} has nonzero constant term")
-        degree = min(degree, a.degree)
-        union += [u for u in a.variables if u not in union]
-    union = tuple(union)
-    subbed = [i for i, v in enumerate(h.variables) if v in args]
-    kept = [(i, union.index(v)) for i, v in enumerate(h.variables) if v not in args]
-    powers = {i: [None, args[h.variables[i]].embed(union).truncate(degree)]
-              for i in subbed}
 
-    def power(i, e):
-        tab = powers[i]
-        while len(tab) <= e:
-            tab.append(tab[-1] * tab[1])
-        return tab[e]
+    def __init__(self, variables, args, degree):
+        variables = tuple(variables)
+        unknown = set(args) - set(variables)
+        if unknown:
+            raise SeriesError(f"compose: {sorted(unknown)} not among the variables {variables}")
+        union = []
+        for v in variables:
+            if v not in args:
+                if v not in union:
+                    union.append(v)
+                continue
+            a = args[v]
+            if not a.constant_term().is_zero():
+                raise SeriesError(f"compose argument for {v!r} has nonzero constant term")
+            degree = min(degree, a.degree)
+            union += [u for u in a.variables if u not in union]
+        self.variables = variables
+        self.degree = degree
+        self.union = union = tuple(union)
+        self._subbed = [i for i, v in enumerate(variables) if v in args]
+        self._kept = [(i, union.index(v)) for i, v in enumerate(variables) if v not in args]
+        self._powers = {i: [None, args[variables[i]].embed(union).truncate(degree)]
+                        for i in self._subbed}
+        self._images = {}
 
-    # group the rows of h by their substituted exponents; each group is a
-    # polynomial in the kept variables, a constant when every one is given
-    groups = {}
-    for k, v in h._num.items():
-        if sum(k[:-2]) > degree:
-            continue
-        rest = [0] * len(union)
-        for i, p in kept:
-            rest[p] = k[i]
-        groups.setdefault(tuple(k[i] for i in subbed), {})[tuple(rest) + k[-2:]] = v
-    terms = []
-    for key, num in groups.items():
+    def _image(self, key):
+        """The product, in variable order, of the powers that the substituted
+        exponents ``key`` name; None when every exponent is 0."""
+        images = self._images
+        if key in images:
+            return images[key]
         term = None
-        for i, e in zip(subbed, key):
+        for i, e in zip(self._subbed, key):
             if e:
-                term = power(i, e) if term is None else term * power(i, e)
-        part = _reduced(union, degree, h._d, num, h._npoly)
-        terms.append(part if term is None else part * term)
-    return _sum(union, terms or [TruncatedSeries.zero(union, degree)])
+                tab = self._powers[i]
+                while len(tab) <= e:
+                    tab.append(tab[-1] * tab[1])
+                term = tab[e] if term is None else term * tab[e]
+        images[key] = term
+        return term
+
+    def __call__(self, h: TruncatedSeries) -> TruncatedSeries:
+        """h at the arguments, certified to min(h.degree, ``degree``)."""
+        if h.variables != self.variables:
+            raise SeriesError(f"substitution over {self.variables} applied to a "
+                              f"series over {h.variables}")
+        union = self.union
+        degree = min(h.degree, self.degree)
+        subbed, kept = self._subbed, self._kept
+        # group the rows of h by their substituted exponents; each group is a
+        # polynomial in the kept variables, a constant when every one is given
+        groups = {}
+        for k, v in h._num.items():
+            if sum(k[:-2]) > degree:
+                continue
+            rest = [0] * len(union)
+            for i, p in kept:
+                rest[p] = k[i]
+            groups.setdefault(tuple(k[i] for i in subbed), {})[tuple(rest) + k[-2:]] = v
+        terms = []
+        for key, num in groups.items():
+            term = self._image(key)
+            part = _reduced(union, degree, h._d, num, h._npoly)
+            terms.append(part if term is None else part * term)
+        return _sum(union, terms or [_zero(union, degree)])
+
+
+def compose(h: TruncatedSeries, args) -> TruncatedSeries:
+    """Substitute series with zero constant term for some variables of h:
+    the one-shot use of a ``Substitution``, certified to the least of the
+    degrees of h and the arguments.  A caller that substitutes the same
+    arguments into many series builds one ``Substitution`` and shares its
+    powers."""
+    return Substitution(h.variables, args, h.degree)(h)
 
 
 def power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:

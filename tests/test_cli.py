@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -160,6 +161,15 @@ class TestFamilyOptions:
         assert rep["command"] == "invariants"
         assert "bad rational" in rep["error"]
         assert "result" not in rep
+
+    def test_huge_decimal_exponent_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["validate", "--family", "mc", "--c", "1e10000000"])
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_IO
+        rep = json.loads(capsys.readouterr().out)      # exactly one JSON document
+        assert rep["command"] == "validate" and "result" not in rep
+        assert "decimal exponent" in rep["error"]
 
 
 # a term whose coefficient is written as a polynomial in n

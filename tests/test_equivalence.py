@@ -16,13 +16,15 @@ from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    f0_from_jet, family_b0, family_mc, family_nb,
                    finite_determination_check, forced_mu_sq, reconstruct,
                    validate, verify_map)
-from crjet.io import parse_hypersurface, parse_jet_data
+from crjet.equivalence import shat_jet_table
+from crjet.io import parse_hypersurface, parse_jet_data, series_dict
 from crjet.linalg import InconsistentSystem, solve_rational
 from crjet.scalars import EC_I, factorial
 from crjet.series import TruncatedSeries, compose, divide, implicit_solve, kth_root_unit
 from conftest import (assert_same_series, inconsistent_pair, rand_complex,
                       random_series)
 from scan_oracle import jet_by_exponent_loop
+from shat_oracle import shat_table_by_entry
 
 EPS = ExactComplex(Fraction(3, 5), Fraction(4, 5))  # a rational point on |z| = 1
 
@@ -571,6 +573,61 @@ class TestOrderSystem:
         self.check_orders(monkeypatch, M, Mhat, FormalMap([f0], [g0]), [0], order=4)
 
 
+# curved f_0 = a z + b z^2 (+ c z^3), as the benchmark's pull-backs draw
+# them, onto targets with (L, K) = (1, 1), (1, 2) and (2, 2)
+CURVED_F0 = [{1: EPS, 2: ExactComplex(1, -2)},
+             {1: ExactComplex(-2, 1), 2: ExactComplex(Fraction(1, 2)),
+              3: ExactComplex(0, Fraction(-1, 3))}]
+SHAT_TARGETS = {"mc1": lambda: family_mc(1, 1, 14),
+                "nb2": lambda: family_nb(ExactComplex(1, 2), 2, 15),
+                "b0": lambda: family_b0(14),
+                "mc2": lambda: family_mc(1, 2, 19)}
+
+
+def curved_f0(coeffs, degree):
+    return TruncatedSeries(("z",), degree, {(k,): c for k, c in coeffs.items()})
+
+
+def series_key(s):
+    return json.dumps(series_dict(s), sort_keys=True)
+
+
+class TestShatTable:
+    @pytest.mark.parametrize("target", sorted(SHAT_TARGETS))
+    @pytest.mark.parametrize("coeffs", CURVED_F0)
+    def test_matches_the_entry_by_entry_oracle(self, target, coeffs):
+        # f_0 is certified below Shat, so entries with few derivatives stop
+        # at f_0's degree and the others at their own
+        Mhat = SHAT_TARGETS[target]()
+        f0 = curved_f0(coeffs, Mhat.S.degree - 3)
+        table = shat_jet_table(Mhat, f0, 5)
+        oracle = shat_table_by_entry(Mhat, f0, 5)
+        assert table.keys() == oracle.keys() and len(table) == 56
+        for key, entry in oracle.items():
+            assert series_dict(table[key]) == series_dict(entry), key
+        assert {s.degree for s in table.values()} != {f0.degree}
+
+    def test_each_power_and_image_is_built_once(self, monkeypatch):
+        # every product of two series without constant term inside the
+        # table is a power of f_0 or conj f_0, or the image of a substituted
+        # monomial (a product of powers): each is built once for the table
+        Mhat = family_mc(1, 1, 14)
+        f0 = curved_f0(CURVED_F0[1], 12)
+        Mhat.S                              # derived on first read
+        pairs = []
+        original = TruncatedSeries.__mul__
+
+        def counted(a, b):
+            if isinstance(b, TruncatedSeries) and a.order() and b.order():
+                pairs.append((series_key(a), series_key(b)))
+            return original(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        shat_jet_table(Mhat, f0, 4)
+        assert len(pairs) > 10
+        assert len(set(pairs)) == len(pairs)
+
+
 class TestOrderIndependentWork:
     def test_theta_L_unit_is_inverted_once_per_reconstruction(self, monkeypatch):
         # every order divides by (Shat_z)_chi^L = 2i theta_L' / (f_0' L!), which
@@ -595,23 +652,36 @@ class TestOrderIndependentWork:
     def test_shat_table_grows_with_the_orders_reached(self, monkeypatch):
         # the golden mc pair, at degree 14, stops at order 6 with unforced
         # scalars; reconstruct composes only the Shat layers j + k + l <= 6
-        # (84 entries) and f_0's postcondition, whatever order was asked for
-        calls = []
+        # (84 entries, all through one shared substitution) and f_0's
+        # postcondition, whatever order was asked for
+        built, entries, composed = [], [], []
+
+        class Counted(equivalence.Substitution):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+            def __call__(self, h):
+                entries.append(h)
+                return super().__call__(h)
+
         original = equivalence.compose
 
         def counted(h, args):
-            calls.append(h)
+            composed.append(h)
             return original(h, args)
 
+        monkeypatch.setattr(equivalence, "Substitution", Counted)
         monkeypatch.setattr(equivalence, "compose", counted)
         golden = Path(__file__).parent / "data" / "golden"
         M = parse_hypersurface(json.loads((golden / "mc.json").read_text()))
         jet = parse_jet_data(json.loads((golden / "mc_jet.json").read_text()))
         for order in (6, 40):
-            calls.clear()
+            for calls in (built, entries, composed):
+                calls.clear()
             with pytest.raises(EquivalenceError, match="order-6 scalars not forced"):
                 reconstruct(M, M, jet, order, D=[0])
-            assert len(calls) == 85
+            assert (len(built), len(entries), len(composed)) == (1, 84, 1)
 
 
 class TestFiniteDetermination:

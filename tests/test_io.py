@@ -23,6 +23,18 @@ class TestScalars:
             with pytest.raises(FormatError):
                 cio.parse_frac(bad)
 
+    def test_parse_frac_refuses_huge_decimal_exponents(self):
+        # Fraction("1e10000000") builds a ten-million-digit integer
+        for bad in ("1e10000000", "1E4301", "-2.5e-4301", "1e+0_4301", "1e" + "9" * 10 ** 5):
+            with pytest.raises(FormatError, match="decimal exponent"):
+                cio.parse_frac(bad)
+
+    def test_parse_frac_keeps_bounded_exponents(self):
+        assert cio.parse_frac("1e4300") == 10 ** 4300
+        assert cio.parse_frac("1e-4300") == Fraction(1, 10 ** 4300)
+        assert cio.parse_frac("1.5e-3") == Fraction(3, 2000)
+        assert cio.parse_frac(" 7e00002 ") == 700
+
     def test_complex_round_trip(self):
         c = ExactComplex(Fraction(-3, 4), Fraction(5, 7))
         assert cio.parse_complex(cio.complex_dict(c)) == c
@@ -54,6 +66,17 @@ class TestSeries:
                "terms": [{"exponents": [1], "re": "1", "im": "0"},
                          {"exponents": [1], "re": "2", "im": "0"}]}
         with pytest.raises(FormatError, match="duplicate"):
+            cio.parse_series(obj)
+
+    @pytest.mark.parametrize("first", [{"re": "0"}, {"re": "0", "im": "0"}, {"re": "1"}])
+    @pytest.mark.parametrize("exponents", [[1, 1, 1], [2, 2, 1]])
+    def test_rejects_duplicates_of_dropped_terms(self, first, exponents):
+        # a first copy that is zero, or above the truncation degree, is not
+        # stored, and the duplicate is refused all the same
+        obj = {"variables": ["z", "chi", "s"], "truncation_degree": 3,
+               "terms": [{"exponents": exponents, **first},
+                         {"exponents": exponents, "re": "5"}]}
+        with pytest.raises(FormatError, match="term #1: duplicate"):
             cio.parse_series(obj)
 
     def test_rejects_negative_exponents(self):

@@ -260,6 +260,42 @@ class TestRowOperations:
 
     @KINDS
     @given(data=st.data())
+    def test_zero_operands(self, kind, data):
+        # a zero series is zero only to its degree: every product, sum and
+        # difference with one is certified to the least degree, and a zero
+        # result carries no NPoly flag
+        a = data.draw(series_of(COEFFS[kind]))
+        zero = TruncatedSeries.zero(data.draw(st.sampled_from((XY, ("y", "t"), ("x",)))),
+                                    data.draw(st.integers(0, 5)))
+        for x, y in ((zero, a), (a, zero)):
+            variables = union_of(x, y)
+            degree = min(x.degree, y.degree)
+            xs = nonzero(x.embed(variables).coeffs, degree)
+            ys = nonzero(y.embed(variables).coeffs, degree)
+            assert_matches(x * y, *schoolbook(x, y))
+            assert_matches(x + y, variables, degree, naive_add(xs, ys))
+            assert_matches(x - y, variables, degree,
+                           naive_add(xs, {e: -c for e, c in ys.items()}))
+            assert not (x * y)._npoly
+        c0 = data.draw(scalars)
+        for p in (zero * c0, c0 * zero, a * 0, 0 * a, a * EC_ZERO, a * NPoly([0])):
+            assert p.is_zero() and not p._npoly
+        assert_matches(zero * c0, zero.variables, zero.degree, {})
+        assert_matches(a * NPoly([0]), a.variables, a.degree, {})
+
+    def test_a_zero_factor_sorts_no_rows(self, monkeypatch):
+        a = srs({(1, 0): ExactComplex(2), (0, 1): NPoly([0, 1])})
+        zero = TruncatedSeries.zero(("y", "t"), 3)
+
+        def unsorted(s):
+            raise AssertionError("a product with a zero factor sorted rows")
+
+        monkeypatch.setattr(series, "_rows", unsorted)
+        for x, y in ((a, zero), (zero, a), (zero, zero)):
+            assert_matches(x * y, union_of(x, y), 3, {})
+
+    @KINDS
+    @given(data=st.data())
     def test_shift(self, kind, data):
         a = data.draw(series_of(COEFFS[kind]))
         var = data.draw(st.sampled_from(a.variables))
@@ -555,6 +591,36 @@ class TestComposition:
         for v in kept:
             full[v] = TruncatedSeries.var(v, (v,), h.degree)
         assert_same_series(compose(h, args), compose(h, full))
+
+
+class TestSubstitution:
+    @pytest.mark.parametrize("kind", ["exact", "npoly", "mixed"])
+    @given(data=st.data())
+    def test_shared_substitution_is_compose(self, kind, data):
+        # one Substitution applied to several series of different degrees
+        # gives each what compose gives it
+        hvars = data.draw(st.sampled_from((("u",), ("u", "v"), ("v", "u", "w"))))
+        subbed = data.draw(st.lists(st.sampled_from(hvars), min_size=1, unique=True))
+        args = {}
+        for v in subbed:
+            arg = data.draw(series_of(COEFFS["mixed"]))
+            args[v] = arg - TruncatedSeries.const(arg.variables, arg.degree,
+                                                  arg.constant_term())
+        sub = series.Substitution(hvars, args, data.draw(st.integers(0, 6)))
+        for _ in range(3):
+            degree = data.draw(st.integers(0, 6))
+            exps = st.tuples(*[st.integers(0, degree)] * len(hvars))
+            h = TruncatedSeries(hvars, degree,
+                                data.draw(st.dictionaries(exps, COEFFS[kind], max_size=6)))
+            out = sub(h)
+            assert out.degree == min(h.degree, sub.degree)
+            assert_matches(out, *naive_compose(h.truncate(sub.degree), args))
+
+    def test_refuses_a_series_over_other_variables(self):
+        x = TruncatedSeries.var("x", ("x",), 4)
+        sub = series.Substitution(("u", "v"), {"u": x}, 4)
+        with pytest.raises(SeriesError, match="applied to a series over"):
+            sub(TruncatedSeries.var("v", ("v", "u"), 4))
 
 
 class TestUnits:
