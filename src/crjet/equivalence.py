@@ -96,7 +96,7 @@ def _from_components(parts, var: str, degree: int) -> TruncatedSeries:
 def _components(series: TruncatedSeries, var: str) -> list[TruncatedSeries]:
     """The parts n! * (var^n slice) of ``series``, up to its top var-exponent."""
     idx = series.variables.index(var)
-    top = max((e[idx] for e in series.coeffs), default=0)
+    top = max((key[idx] for key in series.numerators()[1]), default=0)
     return [series.slice(var, n) * factorial(n) for n in range(top + 1)]
 
 
@@ -173,8 +173,8 @@ def verify_map(M: Hypersurface, Mhat: Hypersurface, H: FormalMap,
     conj = {"z": "chi", "w": "tau"}
     fb_at = fzw.conjugate(rename=conj).embed(V3)
     gb_at = gzw.conjugate(rename=conj).embed(V3)
-    g_at = compose(gzw, {"w": Q})
-    f_at = compose(fzw, {"w": Q})
+    at_Q = Substitution(("z", "w"), {"w": Q}, degree)
+    g_at, f_at = at_Q(gzw), at_Q(fzw)
     tau = TruncatedSeries.var("tau", V3, degree)
     Qhat_at = compose(Mhat.Q.truncate(degree),
                       {"z": f_at, "chi": fb_at, "tau": tau * gb_at})
@@ -229,9 +229,7 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> TruncatedSeries:
     f0 = implicit_solve(zh * uhat.embed(V) - z * u.embed(V) * a01.conj(), "zh")
 
     # postcondition: theta(z,chi) = thetahat(f0(z), conj f0(chi))
-    f0zc = f0.embed(ZC)
-    f0bar = f0.conjugate(rename={"z": "chi"}).embed(ZC)
-    pushed = compose(Mhat.theta.truncate(f0.degree), {"z": f0zc, "chi": f0bar})
+    pushed = _at_f0(f0)(Mhat.theta)
     if not (pushed - M.theta.truncate(pushed.degree)).is_zero():
         raise JetRealizationError(
             "jet not realizable: theta does not match thetahat(f0, conj f0)")
@@ -245,25 +243,30 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> TruncatedSeries:
 def shat_jet_table(Mhat, f0, n_max):
     """(j,k,l) -> Shat_{z^j chi^k tau^l}(f0(z), conj f0(chi), 0) for j+k+l <= n_max."""
     at_f0 = _at_f0(f0)
-    table = {}
-    for n in range(n_max + 1):
-        _add_shat_layer(table, Mhat, at_f0, n)
+    table, s_jets = {}, []
+    for _ in range(n_max + 1):
+        _add_shat_layer(table, s_jets, Mhat, at_f0)
     return table
 
 
 def _at_f0(f0):
-    """The substitution (z, chi) -> (f0(z), conj f0(chi)) that composes every
-    entry of the Shat table, sharing the powers of f0 and conj f0."""
+    """The substitution (z, chi) -> (f0(z), conj f0(chi)), the one place
+    that builds f0 and conj f0 over (z, chi): it composes every entry of the
+    Shat table, sharing their powers, and f0's postcondition."""
     f0zc = f0.embed(ZC)
     f0bar = f0.conjugate(rename={"z": "chi"}).embed(ZC)
     return Substitution(ZC, {"z": f0zc, "chi": f0bar}, f0.degree)
 
 
-def _add_shat_layer(table, Mhat, at_f0, n):
-    """Add the entries of ``shat_jet_table`` with j + k + l = n, composed
-    through the shared substitution ``at_f0``."""
-    for l in range(n + 1):
-        s_l = Mhat.s_tau_jet(l)            # Shat_{tau^l}(z, chi, 0)
+def _add_shat_layer(table, s_jets, Mhat, at_f0):
+    """Add the entries of ``shat_jet_table`` with j + k + l = n, for n the
+    number of layers already added, composed through the shared
+    substitution ``at_f0``.  ``s_jets`` holds Shat_{tau^l}(z, chi, 0) for
+    l < n, kept by the caller across layers; this layer appends l = n, so
+    each tau-jet is sliced once per table."""
+    n = len(s_jets)
+    s_jets.append(Mhat.s_tau_jet(n))
+    for l, s_l in enumerate(s_jets):
         for j in range(n + 1 - l):
             k = n - l - j
             table[(j, k, l)] = at_f0(s_l.differentiate("z", j).differentiate("chi", k))
@@ -423,16 +426,16 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     # the Shat table, the tau-slices of S and the powers of S(z,chi,0) grow
     # with the orders reached, so a large ``order`` costs nothing up front
     at_f0 = _at_f0(f0)
-    shat = {}
-    for n in (0, 1):
-        _add_shat_layer(shat, Mhat, at_f0, n)
+    shat, shat_jets = {}, []
+    for _ in range(2):
+        _add_shat_layer(shat, shat_jets, Mhat, at_f0)
     frame = _Frame(M.invariants.L, M.invariants.K, jet.b00, shat)
     s_slices = [M.S.slice("tau", 0)]
     S0 = S0_n = s_slices[0]                # S0_n = S(z,chi,0)^n
     zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
         if n > 1:
-            _add_shat_layer(shat, Mhat, at_f0, n)
+            _add_shat_layer(shat, shat_jets, Mhat, at_f0)
         s_slices.append(M.S.slice("tau", n))
         S0_n1 = S0_n * S0
         Rn = universal_pn(n, f_parts, g_parts, s_slices, shat)
@@ -488,7 +491,7 @@ def compose_maps(H: FormalMap, A: FormalMap, degree: int) -> FormalMap:
     fH, gH = H.as_two_variable(degree)
     fA, gA = A.as_two_variable(degree)
     w = TruncatedSeries.var("w", ("z", "w"), degree)
-    inner_w = w * gA
-    first = compose(fH, {"z": fA, "w": inner_w})
-    second = gA * compose(gH, {"z": fA, "w": inner_w})
+    at_A = Substitution(("z", "w"), {"z": fA, "w": w * gA}, degree)
+    first = at_A(fH)
+    second = gA * at_A(gH)
     return FormalMap(_components(first, "w"), _components(second, "w"))

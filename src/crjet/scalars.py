@@ -15,10 +15,10 @@ Two coefficient rings are used throughout the package:
 A truncated series stores integer rows, not these objects: its terms as
 numerators over one shared denominator, keyed ``exps + (k, p)`` (power k of
 n, p = 1 for the terms of an ``NPoly``).  ``numerator_rows`` turns the
-coefficient dict given to the public series constructor, or a scalar
-factor, into such rows, and ``from_numerators`` turns stored rows back into
-canonical coefficients when a caller reads them, with one gcd per
-``ExactComplex``.
+coefficient dict given to the public series constructor into such rows (an
+``ExactComplex`` factor already is one: its ``(a, b, d)``), and
+``from_numerators`` turns stored rows back into canonical coefficients when
+a caller reads them, with one gcd per ``ExactComplex``.
 
 Everything is immutable value semantics; no rounding ever happens.
 """
@@ -26,6 +26,7 @@ Everything is immutable value semantics; no rounding ever happens.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -43,11 +44,20 @@ def _to_fraction(x):
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _int_str(n: int) -> str:
+    """``str(n)``, also for an integer longer than the interpreter's limit on
+    int-to-str digits (4,300 by default), which ``Decimal`` prints exactly."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def rational_str(q: Fraction) -> str:
     """Render ``p/q`` (or just ``p`` when the denominator is 1)."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 class ExactComplex:

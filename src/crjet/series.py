@@ -16,21 +16,23 @@ one of its operands had one at a contributing term, even when the value
 that results is a constant, and drops the term only when it is zero.
 
 Arithmetic runs on the rows alone.  A product sorts each operand's rows by
-total degree, convolves them and divides out one gcd at the end; sums add
-integers over the lcm of the denominators; negation, conjugation, scalar
-products, ``differentiate``, ``slice``, ``shift``, ``embed``, ``rename`` and
-``truncate`` are one pass each.  A zero operand does no work: a product or
-scalar product with one is the zero series, and a sum skips its zero parts,
-but each still certifies its result only to the least degree, since a zero
-series is zero only to its degree.
+total degree, convolves them and divides out one gcd at the end; a sum of
+any number of parts is one pass that adds integers over the lcm of the
+denominators and follows the rule above whatever the order of the parts;
+negation, conjugation, scalar products, ``differentiate``, ``slice``,
+``shift``, ``embed``, ``rename`` and ``truncate`` are one pass each.  A zero
+operand does no work: a product or scalar product with one is the zero
+series, and a sum skips its zero parts, but each still certifies its result
+only to the least degree, since a zero series is zero only to its degree.
 The rows are the only stored form: ``ExactComplex`` and ``NPoly`` objects
 are built from them on each read through ``coeffs``, ``coeff`` or
 ``jet_coeff``, and never kept.  ``Substitution`` is the one substitution
 routine: it keeps every power of its arguments, and every product of powers
-that a substituted monomial maps to, for all the series it is applied to;
-``compose`` is its one-shot use.  A power series sum_j c_j x^j of a series x
-with zero constant term is one ``compose`` of sum_j c_j t^j at x (Brent and
-Kung, 1978), built by ``power_series``: the geometric series of
+that a substituted monomial maps to, for all the series it is applied to,
+so each argument set gets one ``Substitution`` however many series it goes
+into; ``compose`` is its one-shot use.  A power series sum_j c_j x^j of a
+series x with zero constant term is one ``compose`` of sum_j c_j t^j at x
+(Brent and Kung, 1978), built by ``power_series``: the geometric series of
 ``inverse_unit``, the binomial series of ``kth_root_unit`` and the logarithm
 of ``upsilon.pn_series``.  ``n_graded`` assembles sum_m n^m * parts[m] from
 series without ``NPoly`` coefficients in one pass.
@@ -318,9 +320,7 @@ class TruncatedSeries:
             if not self._num or other.is_zero():
                 return _zero(self.variables, self.degree)
             if type(other) is ExactComplex:
-                # a scalar factor goes into rows as the constructor puts it
-                d0, num0 = numerator_rows({(): other})
-                return _scaled(self, *num0[(0, 0)], d0)
+                return _scaled(self, other._a, other._b, other._d)
             other = TruncatedSeries.const(self.variables, self.degree, other)
         a, b, degree = self._aligned(other)
         # a zero factor gives zero, certified to the least degree
@@ -514,14 +514,15 @@ def _scaled(s, a0, b0, d0) -> TruncatedSeries:
 
 
 def _sum(variables, parts) -> TruncatedSeries:
-    """The sum of series over ``variables``, added as integers over the lcm
-    of their denominators and certified to the least of their degrees.
+    """The sum of any number of series over ``variables``, added as integers
+    over the lcm of their denominators in one pass and certified to the
+    least of their degrees.
 
-    With an ``NPoly`` among the terms the parts are added one at a time, as
-    ``+`` adds them: a coefficient that cancels to zero is dropped before
-    the next part comes, and a later ``ExactComplex`` there stays one.
-    ``compose`` adds its groups here, so a power series with ``NPoly``
-    coefficients takes this branch.  Zero parts count only for the degree.
+    The coefficient at ``exps`` is an ``NPoly`` when an ``NPoly`` reached it
+    from any part, whatever the order of the parts: a p = 1 row that cancels
+    is kept as a zero row until ``_poly_reduced`` has folded the rows at its
+    ``exps``, while a cancelled p = 0 row is dropped at once.  Zero parts
+    count only for the degree.
     """
     degree = min(p.degree for p in parts)
     parts = [p for p in parts if p._num]
@@ -530,11 +531,6 @@ def _sum(variables, parts) -> TruncatedSeries:
             return parts[0].truncate(degree)
         return _zero(variables, degree)
     npoly = any(p._npoly for p in parts)
-    if npoly and len(parts) > 2:
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = _sum(variables, (acc, p))
-        return acc.truncate(degree)
     d = math.lcm(*(p._d for p in parts))
     out = None
     for p in parts:
@@ -555,7 +551,7 @@ def _sum(variables, parts) -> TruncatedSeries:
             else:
                 re += cur[0]
                 im += cur[1]
-                if re or im:
+                if re or im or k[-1]:
                     out[k] = (re, im)
                 else:
                     del out[k]
@@ -574,7 +570,9 @@ class Substitution:
     argument not already present (``union``).  Each power of an argument,
     and each product of powers (the image of one substituted monomial), is
     built once, at the least of ``degree`` and the arguments' degrees, and
-    kept for every later call.
+    kept for every later call, so a caller builds one ``Substitution`` per
+    argument set and applies it to every series that set goes into.  The
+    groups of a series' terms are added by ``_sum`` in one pass.
     """
 
     def __init__(self, variables, args, degree):
@@ -647,9 +645,9 @@ class Substitution:
 def compose(h: TruncatedSeries, args) -> TruncatedSeries:
     """Substitute series with zero constant term for some variables of h:
     the one-shot use of a ``Substitution``, certified to the least of the
-    degrees of h and the arguments.  A caller that substitutes the same
-    arguments into many series builds one ``Substitution`` and shares its
-    powers."""
+    degrees of h and the arguments.  Only for arguments that go into h
+    alone: a caller that substitutes the same arguments into several series
+    builds one ``Substitution`` and shares its powers."""
     return Substitution(h.variables, args, h.degree)(h)
 
 
@@ -738,8 +736,8 @@ def implicit_solve(rho: TruncatedSeries, wvar: str) -> TruncatedSeries:
     order >= p + 1, so 1/rho_w(w) is needed only through q - p - 1 <= p,
     where w is already exact.  The precisions are D, D // 2, ..., 1 taken
     upward, and a pass whose rho(w) vanishes to q keeps w.  Each pass
-    composes rho at w, so the solution is over the other variables of rho,
-    in order.
+    substitutes w into rho and rho_w through one ``Substitution``, so the
+    solution is over the other variables of rho, in order.
     """
     if not rho.constant_term().is_zero():
         raise SeriesError("implicit function theorem hypothesis fails: rho(0) != 0")
@@ -755,9 +753,10 @@ def implicit_solve(rho: TruncatedSeries, wvar: str) -> TruncatedSeries:
     for q in reversed(precisions):
         p = w.degree
         w = w.lift(q)
-        residual = compose(rho.truncate(q), {wvar: w})
+        at_w = Substitution(rho.variables, {wvar: w}, q)
+        residual = at_w(rho)
         if not residual.is_zero():
-            inv = inverse_unit(compose(slope.truncate(q - p - 1), {wvar: w}))
+            inv = inverse_unit(at_w(slope.truncate(q - p - 1)))
             w = w - residual * inv.lift(q)
     return w
 

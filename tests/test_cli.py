@@ -171,6 +171,19 @@ class TestFamilyOptions:
         assert rep["command"] == "validate" and "result" not in rep
         assert "decimal exponent" in rep["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["dset", "--family", "mc", "--c", "1e1000", "--degree", "12"],
+        ["validate", "--family", "mc", "--c", "1e4300"],
+        ["upsilon", "--family", "mc", "--c", "1e-2000", "--degree", "8"]])
+    def test_rationals_past_the_int_str_limit_are_reported(self, argv):
+        # integers above 4,300 digits reach the report writer, which prints
+        # them exactly
+        proc = run_fresh(*argv)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        rep = json.loads(proc.stdout)      # exactly one JSON document
+        assert rep["command"] == argv[0] and "result" in rep
+
 
 # a term whose coefficient is written as a polynomial in n
 N_COEFFS = [{"re": "1", "im": "0"}]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import crjet.equivalence as equivalence
+import crjet.series as series
 
 from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    JetRealizationError, compose_maps, compute_D, extract_jet,
@@ -178,6 +179,23 @@ class TestVerifyMap:
         report = verify_map(M, M, linear_map(1, 1, 14), order=5)
         assert report.is_zero
         assert report.certified_to_degree == 5
+
+    def test_f_and_g_share_one_substitution(self, monkeypatch):
+        # w -> Q goes into f and g through one Substitution; Qhat at
+        # (f, fbar, tau gbar) is the other
+        M = family_mc(1, 1, 14)
+        M.Q                                # derived on first read, not counted
+        built = []
+
+        class Counted(series.Substitution):
+            def __init__(self, variables, args, degree):
+                built.append(tuple(args))
+                super().__init__(variables, args, degree)
+
+        monkeypatch.setattr(series, "Substitution", Counted)
+        monkeypatch.setattr(equivalence, "Substitution", Counted)
+        assert verify_map(M, M, linear_map(ExactComplex(0, 1), 2, 14)).is_zero
+        assert sorted(built) == [("w",), ("z", "chi", "tau")]
 
 
 class TestJetData:
@@ -652,9 +670,10 @@ class TestOrderIndependentWork:
     def test_shat_table_grows_with_the_orders_reached(self, monkeypatch):
         # the golden mc pair, at degree 14, stops at order 6 with unforced
         # scalars; reconstruct composes only the Shat layers j + k + l <= 6
-        # (84 entries, all through one shared substitution) and f_0's
-        # postcondition, whatever order was asked for
-        built, entries, composed = [], [], []
+        # (84 entries, all through one shared substitution, slicing each
+        # tau-jet of Shat once) and f_0's postcondition (one more
+        # substitution and entry), whatever order was asked for
+        built, entries, composed, sliced = [], [], [], []
 
         class Counted(equivalence.Substitution):
             def __init__(self, *args):
@@ -676,12 +695,20 @@ class TestOrderIndependentWork:
         golden = Path(__file__).parent / "data" / "golden"
         M = parse_hypersurface(json.loads((golden / "mc.json").read_text()))
         jet = parse_jet_data(json.loads((golden / "mc_jet.json").read_text()))
+        s_tau_jet = M.s_tau_jet
+
+        def counted_jet(l):
+            sliced.append(l)
+            return s_tau_jet(l)
+
+        monkeypatch.setattr(M, "s_tau_jet", counted_jet)
         for order in (6, 40):
-            for calls in (built, entries, composed):
+            for calls in (built, entries, composed, sliced):
                 calls.clear()
             with pytest.raises(EquivalenceError, match="order-6 scalars not forced"):
                 reconstruct(M, M, jet, order, D=[0])
-            assert (len(built), len(entries), len(composed)) == (1, 84, 1)
+            assert (len(built), len(entries), len(composed)) == (2, 85, 0)
+            assert sliced == list(range(7))
 
 
 class TestFiniteDetermination:

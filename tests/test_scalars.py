@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crjet.scalars import (EC_I, ExactComplex, NPoly, ScalarError, factorial,
-                           integer_roots, rational_nth_root)
+                           integer_roots, rational_nth_root, rational_str)
 from crjet.series import TruncatedSeries
 
 from conftest import falling_binomial, rising_binomial
@@ -287,3 +287,10 @@ class TestRationalNthRoot:
 
 def test_factorial():
     assert [factorial(k) for k in range(6)] == [1, 1, 2, 6, 24, 120]
+
+
+def test_rational_str_prints_integers_past_the_int_str_limit():
+    # str refuses integers above 4,300 digits by default; these print exactly
+    assert rational_str(Fraction(10 ** 5000)) == "1" + "0" * 5000
+    assert rational_str(Fraction(-7, 10 ** 5000 + 3)) == "-7/1" + "0" * 4999 + "3"
+    assert rational_str(Fraction(-3, 4)) == "-3/4"
