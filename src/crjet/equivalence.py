@@ -21,6 +21,7 @@ must vanish.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import EquivalenceError
 from .faadibruno import universal_pn
@@ -39,7 +40,8 @@ class JetRealizationError(EquivalenceError):
 
 
 class FormalMap:
-    """H = (f(z,w), w*g(z,w)) stored through the components f_n, g_n."""
+    """H = (f(z,w), w*g(z,w)) stored through the components f_n, g_n.  Maps are
+    equal when all their f_n and g_n are, a component past a list's end being 0."""
 
     def __init__(self, f_components, g_components):
         if not f_components or not g_components:
@@ -79,9 +81,10 @@ class FormalMap:
     def __eq__(self, other):
         if not isinstance(other, FormalMap):
             return NotImplemented
-        n = min(self.order, other.order)
-        return (all(self.f_components[j] == other.f_components[j] for j in range(n + 1))
-                and all(self.g_components[j] == other.g_components[j] for j in range(n + 1)))
+        pairs = (*zip_longest(self.f_components, other.f_components),
+                 *zip_longest(self.g_components, other.g_components))
+        return all(b.is_zero() if a is None else a.is_zero() if b is None else a == b
+                   for a, b in pairs)
 
     def __repr__(self):
         return f"FormalMap(order={self.order})"
@@ -203,10 +206,10 @@ def forced_mu_sq(M: Hypersurface, Mhat: Hypersurface) -> Fraction:
     return mu_sq
 
 
-def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> TruncatedSeries:
-    """The order-0 component f_0(z), for |a_0^1|^2 the ``forced_mu_sq``:
-    zh = f_0(z) solves zh uhat(zh) = conj(a_0^1) z u(z), where theta's chi^L
-    slice is c z^K u(z)^K, c its z^K chi^L coefficient, and uhat likewise."""
+def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeries, Substitution]:
+    """(f_0(z), the ``_at_f0`` its postcondition ran through), |a_0^1|^2 the
+    ``forced_mu_sq``: zh = f_0(z) solves zh uhat(zh) = conj(a_0^1) z u(z), theta's
+    chi^L slice being c z^K u(z)^K, c its z^K chi^L coefficient; uhat likewise."""
     a01 = ExactComplex.coerce(a01)
     mu_sq = forced_mu_sq(M, Mhat)
     if a01.norm_sq() != mu_sq:
@@ -229,11 +232,12 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> TruncatedSeries:
     f0 = implicit_solve(zh * uhat.embed(V) - z * u.embed(V) * a01.conj(), "zh")
 
     # postcondition: theta(z,chi) = thetahat(f0(z), conj f0(chi))
-    pushed = _at_f0(f0)(Mhat.theta)
+    at_f0 = _at_f0(f0)
+    pushed = at_f0(Mhat.theta)
     if not (pushed - M.theta.truncate(pushed.degree)).is_zero():
         raise JetRealizationError(
             "jet not realizable: theta does not match thetahat(f0, conj f0)")
-    return f0
+    return f0, at_f0
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +254,9 @@ def shat_jet_table(Mhat, f0, n_max):
 
 
 def _at_f0(f0):
-    """The substitution (z, chi) -> (f0(z), conj f0(chi)), the one place
-    that builds f0 and conj f0 over (z, chi): it composes every entry of the
-    Shat table, sharing their powers, and f0's postcondition."""
+    """The substitution (z, chi) -> (f0(z), conj f0(chi)), the one place that
+    builds f0 and conj f0 over (z, chi): f0's postcondition runs through it, and
+    ``reconstruct`` composes every entry of its Shat table through that same one."""
     f0zc = f0.embed(ZC)
     f0bar = f0.conjugate(rename={"z": "chi"}).embed(ZC)
     return Substitution(ZC, {"z": f0zc, "chi": f0bar}, f0.degree)
@@ -418,14 +422,13 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     """
     if order < 0:
         raise EquivalenceError(f"reconstruction order must be nonnegative, got {order}")
-    f0 = f0_from_jet(M, Mhat, jet.a01)
+    f0, at_f0 = f0_from_jet(M, Mhat, jet.a01)
     f_parts = [f0]
     g_parts = [TruncatedSeries(("z",), f0.degree, {(0,): jet.b00})]
     if order == 0:
         return FormalMap(f_parts, g_parts)
     # the Shat table, the tau-slices of S and the powers of S(z,chi,0) grow
     # with the orders reached, so a large ``order`` costs nothing up front
-    at_f0 = _at_f0(f0)
     shat, shat_jets = {}, []
     for _ in range(2):
         _add_shat_layer(shat, shat_jets, Mhat, at_f0)

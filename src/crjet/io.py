@@ -91,6 +91,8 @@ def parse_series(obj, expect_variables=None) -> TruncatedSeries:
         raw_terms = obj["terms"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"series object malformed: {exc}") from None
+    if not isinstance(obj["variables"], list) or not all(isinstance(v, str) for v in variables):
+        raise FormatError(f"variables must be a list of strings, got {obj['variables']!r}")
     if expect_variables is not None and variables != tuple(expect_variables):
         raise FormatError(
             f"expected variables {list(expect_variables)}, got {list(variables)}")

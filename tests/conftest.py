@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from crjet.equivalence import FormalMap
 from crjet.hypersurface import THETA_VARS, Hypersurface, validate
 from crjet.scalars import EC_I, ExactComplex, NPoly, factorial
 from crjet.series import TruncatedSeries
@@ -75,6 +76,13 @@ def inconsistent_pair(degree=12):
     Mhat = validate(TruncatedSeries(THETA_VARS, degree, {
         (1, 1, 1): ExactComplex(1), (1, 2, 2): EC_I, (2, 1, 2): -EC_I}))
     return M, Mhat
+
+
+def linear_map(eps, r, degree):
+    """H = (eps*z, r*w) as a FormalMap."""
+    f0 = TruncatedSeries(("z",), degree, {(1,): ExactComplex.coerce(eps)})
+    g0 = TruncatedSeries(("z",), degree, {(0,): ExactComplex.coerce(r)})
+    return FormalMap([f0], [g0])
 
 
 def assert_same_series(a: TruncatedSeries, b: TruncatedSeries):

@@ -21,7 +21,7 @@ from crjet import (ExactComplex, FormalMap, JetData, TruncatedSeries,
                    extract_jet, family_b0, family_mc)
 from crjet import io as cio
 from crjet.cli import _EXIT_CODES, EXIT_INVALID, EXIT_IO, EXIT_MATH, EXIT_OK, main
-from conftest import inconsistent_pair
+from conftest import inconsistent_pair, linear_map
 
 
 def run(capsys, *argv):
@@ -50,9 +50,7 @@ def run_fresh(*argv):
 
 
 def linear_map_file(tmp_path, name, eps, r, degree):
-    f0 = TruncatedSeries(("z",), degree, {(1,): ExactComplex.coerce(eps)})
-    g0 = TruncatedSeries(("z",), degree, {(0,): ExactComplex.coerce(r)})
-    return write_json(tmp_path, name, cio.formal_map_dict(FormalMap([f0], [g0])))
+    return write_json(tmp_path, name, cio.formal_map_dict(linear_map(eps, r, degree)))
 
 
 def curved_map_file(tmp_path):

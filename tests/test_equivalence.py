@@ -22,19 +22,12 @@ from crjet.io import parse_hypersurface, parse_jet_data, series_dict
 from crjet.linalg import InconsistentSystem, solve_rational
 from crjet.scalars import EC_I, factorial
 from crjet.series import TruncatedSeries, compose, divide, implicit_solve, kth_root_unit
-from conftest import (assert_same_series, inconsistent_pair, rand_complex,
+from conftest import (assert_same_series, inconsistent_pair, linear_map, rand_complex,
                       random_series)
 from scan_oracle import jet_by_exponent_loop
 from shat_oracle import shat_table_by_entry
 
 EPS = ExactComplex(Fraction(3, 5), Fraction(4, 5))  # a rational point on |z| = 1
-
-
-def linear_map(eps, r, degree):
-    """H = (eps*z, r*w) as a FormalMap."""
-    f0 = TruncatedSeries(("z",), degree, {(1,): ExactComplex.coerce(eps)})
-    g0 = TruncatedSeries(("z",), degree, {(0,): ExactComplex.coerce(r)})
-    return FormalMap([f0], [g0])
 
 
 def pushed_forward(Mhat, f0_coeffs, degree):
@@ -84,15 +77,6 @@ def random_map(rng, n_f, n_g):
                      [g0] + [part() for _ in range(1, n_g)])
 
 
-def assert_rebuilt(H, A):
-    """H's f_n and g_n equal A's for every order 0 <= n <= H.order, and are
-    zero where A has none: ``H == A`` stops at the lower of the two orders."""
-    for parts, want in ((H.f_components, A.f_components),
-                        (H.g_components, A.g_components)):
-        for n in range(H.order + 1):
-            assert parts[n] == want[n] if n < len(want) else parts[n].is_zero(), n
-
-
 def top_degree(H):
     """The highest total degree in (z, w) at which f or G = w*g can carry a term."""
     return max([s.degree + n for n, s in enumerate(H.f_components)]
@@ -134,6 +118,25 @@ class TestFormalMap:
         assert time.perf_counter() - start < 1.0
         assert jet == H.jet(top_degree(H))
         assert jet
+
+    def test_equality_pads_the_shorter_lists_with_zero(self, rng):
+        A = linear_map(EPS, 2, 10)
+        zero = TruncatedSeries.zero(("z",), 10)
+        z = TruncatedSeries.var("z", ("z",), 10)
+        for longer in (FormalMap(A.f_components + [z], A.g_components + [zero]),
+                       FormalMap(A.f_components + [zero], A.g_components + [z])):
+            assert A != longer and longer != A
+        flat = FormalMap(A.f_components + [zero], A.g_components + [zero])
+        assert A == flat and flat == A
+        # f and g lists of different lengths, as random_map builds them
+        for _ in range(25):
+            H = random_map(rng, rng.randint(1, 4), rng.randint(1, 4))
+            n = rng.randint(1, 3)
+            same = FormalMap(H.f_components + [zero] * n, H.g_components)
+            assert H == same and same == H
+            for other in (FormalMap(H.f_components + [z], H.g_components),
+                          FormalMap(H.f_components, H.g_components + [zero] * n + [z])):
+                assert H != other and other != H
 
     def test_composition_of_linear_maps(self):
         # H(z,w) = (eps z, 3w) after A(z,w) = (conj(eps) z, 2w)
@@ -269,14 +272,14 @@ class TestF0FromJet:
             "b0-curved"])
     def test_matches_three_variable_construction(self, source, target, a01):
         M, Mhat = source(), target()
-        f0 = f0_from_jet(M, Mhat, a01)
+        f0, _ = f0_from_jet(M, Mhat, a01)
         assert_same_series(f0, f0_over_three_variables(M, Mhat, a01))
 
     def test_scaling_case(self):
         M1 = family_mc(1, 1, 14)
         M4 = family_mc(4, 1, 14)
         assert forced_mu_sq(M1, M4) == Fraction(1, 4)
-        f0 = f0_from_jet(M1, M4, Fraction(1, 2))
+        f0, _ = f0_from_jet(M1, M4, Fraction(1, 2))
         assert f0 == TruncatedSeries(("z",), f0.degree,
                                      {(1,): ExactComplex(Fraction(1, 2))})
 
@@ -302,7 +305,7 @@ class TestF0FromJet:
     def test_nonlinear_f0_is_recovered(self):
         Mhat = family_mc(1, 1, 16)
         M = pushed_forward(Mhat, {1: 1, 2: 1}, 16)
-        f0 = f0_from_jet(M, Mhat, 1)
+        f0, _ = f0_from_jet(M, Mhat, 1)
         assert forced_mu_sq(M, Mhat) == Fraction(1)
         assert f0.coeff((1,)) == ExactComplex(1)
         assert f0.coeff((2,)) == ExactComplex(1)
@@ -324,7 +327,7 @@ class TestReconstruct:
         D = compute_D(M).D
         assert D == [0]
         H = reconstruct(M, M, extract_jet(A, D), 6, D=D)
-        assert_rebuilt(H, A)
+        assert H == A
         assert verify_map(M, M, H).is_zero
 
     def test_b0_round_trip_with_exceptional_pins(self):
@@ -334,7 +337,7 @@ class TestReconstruct:
         A = linear_map(EPS, 3, 20)
         assert verify_map(B, B, A).is_zero
         H = reconstruct(B, B, extract_jet(A, analysis.D), 6, D=analysis.D)
-        assert_rebuilt(H, A)
+        assert H == A
 
     def test_nonlinear_f0_round_trip(self):
         Mhat = family_mc(1, 1, 18)
@@ -345,7 +348,7 @@ class TestReconstruct:
         assert verify_map(M, Mhat, A).is_zero
         D = compute_D(M).D
         H = reconstruct(M, Mhat, extract_jet(A, D), 5, D=D)
-        assert_rebuilt(H, A)
+        assert H == A
 
     def test_w_dependent_map_round_trip(self):
         # f_1 = a z != 0: the order-1 scalars are nonzero and forced
@@ -360,7 +363,7 @@ class TestReconstruct:
         assert D == [0]
         H = reconstruct(M, Mhat, extract_jet(A, D), 3, D=D)
         assert H.order == 3
-        assert_rebuilt(H, A)
+        assert H == A
 
     def test_w_curved_b0_automorphism_from_nonzero_pins(self):
         # the order-2 pins bend the map in w; extract_jet reads them back
@@ -407,7 +410,7 @@ class TestReconstruct:
         # at degree 6 the quotient by (Shat_z)_chi^L cannot be formed; order 0
         # reads nothing of it
         M = source()
-        f0 = f0_from_jet(M, M, a01)
+        f0, _ = f0_from_jet(M, M, a01)
         g0 = TruncatedSeries(("z",), f0.degree, {(0,): ExactComplex(2)})
         H = reconstruct(M, M, JetData(a01, 2), 0, D=[0])
         assert H.order == 0 and H == FormalMap([f0], [g0])
@@ -553,7 +556,7 @@ class TestOrderSystem:
         monkeypatch.setattr(equivalence, "universal_pn", source_term)
         monkeypatch.setattr(equivalence, "_order_system", checked)
         H = reconstruct(M, Mhat, extract_jet(A, D), order, D=D)
-        assert_rebuilt(H, A)
+        assert H == A
         # orders in D take the jet's scalars and build no system
         assert seen == [n for n in range(1, order + 1) if n not in D]
 
@@ -664,15 +667,16 @@ class TestOrderIndependentWork:
         D = compute_D(M).D
         for order in (2, 5):
             calls.clear()
-            assert_rebuilt(reconstruct(M, M, extract_jet(A, D), order, D=D), A)
+            H = reconstruct(M, M, extract_jet(A, D), order, D=D)
+            assert H == A
             assert len(calls) == 1
 
     def test_shat_table_grows_with_the_orders_reached(self, monkeypatch):
         # the golden mc pair, at degree 14, stops at order 6 with unforced
         # scalars; reconstruct composes only the Shat layers j + k + l <= 6
-        # (84 entries, all through one shared substitution, slicing each
-        # tau-jet of Shat once) and f_0's postcondition (one more
-        # substitution and entry), whatever order was asked for
+        # (84 entries, slicing each tau-jet of Shat once) and f_0's
+        # postcondition (one more entry), all through the one substitution
+        # f0_from_jet built, whatever order was asked for
         built, entries, composed, sliced = [], [], [], []
 
         class Counted(equivalence.Substitution):
@@ -707,7 +711,7 @@ class TestOrderIndependentWork:
                 calls.clear()
             with pytest.raises(EquivalenceError, match="order-6 scalars not forced"):
                 reconstruct(M, M, jet, order, D=[0])
-            assert (len(built), len(entries), len(composed)) == (2, 85, 0)
+            assert (len(built), len(entries), len(composed)) == (1, 85, 0)
             assert sliced == list(range(7))
 
 
@@ -765,4 +769,4 @@ class TestStructure:
         assert verify_map(N, N, A).is_zero
         D = compute_D(N).D
         H = reconstruct(N, N, extract_jet(A, D), 4, D=D)
-        assert_rebuilt(H, A)
+        assert H == A

@@ -86,9 +86,11 @@ class TestSeries:
             cio.parse_series(obj)
 
     def test_rejects_wrong_variable_names(self):
-        obj = {"variables": ["x"], "truncation_degree": 3, "terms": []}
-        with pytest.raises(FormatError, match="variables"):
-            cio.parse_series(obj, expect_variables=("z", "chi"))
+        for variables, expect in ((["x"], ("z", "chi")), ("z", ("z",)), ("z", None),
+                                  ([1], None)):
+            obj = {"variables": variables, "truncation_degree": 3, "terms": []}
+            with pytest.raises(FormatError, match="variables"):
+                cio.parse_series(obj, expect_variables=expect)
 
     def test_rejects_missing_fields(self):
         with pytest.raises(FormatError):

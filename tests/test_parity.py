@@ -20,6 +20,7 @@ from crjet.scalars import EC_I, NPoly
 from crjet.series import (compose, divide, implicit_solve, inverse_unit,
                           kth_root_unit)
 from crjet.upsilon import SYMBOLIC, pn_series
+from conftest import linear_map
 
 EPS_UNIT = ExactComplex(Fraction(3, 5), Fraction(4, 5))
 
@@ -104,12 +105,6 @@ def digest(series) -> str:
         terms = sorted((e, type(c).__name__, str(c)) for e, c in s.coeffs.items())
         h.update(repr((s.variables, s.degree, terms)).encode())
     return h.hexdigest()
-
-
-def linear_map(eps, r, degree):
-    f0 = TruncatedSeries(("z",), degree, {(1,): ExactComplex.coerce(eps)})
-    g0 = TruncatedSeries(("z",), degree, {(0,): ExactComplex.coerce(r)})
-    return FormalMap([f0], [g0])
 
 
 def units():
@@ -231,7 +226,7 @@ def test_rich_graph_function(degree):
 
 
 def test_curved_f0():
-    f0 = f0_from_jet(*curved_b0_pullback(16))
+    f0, _ = f0_from_jet(*curved_b0_pullback(16))
     assert digest([f0]) == CURVED_F0_DIGEST
 
 
