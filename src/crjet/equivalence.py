@@ -12,14 +12,18 @@ order-n equation is solved exactly over the rationals; for n in the
 exceptional set D the scalars are free and the jet data supplies them.
 
 An order outside D takes one run of the order-n step at zero scalars and
-four complex-linear directions, one per scalar; together they give the real
-system, which a fraction-free elimination solves.  A final run at the
-scalars, solved or supplied, is the proof: its residual and side conditions
-must vanish.
+four complex-linear directions, one per scalar; the directions of a_n^1 and
+b_n^L do not depend on n, so all but their linear residual part is built
+once per reconstruction.  Together they give the real system, its residual
+rows read as integers off the series' numerators, which a fraction-free
+elimination solves, stopping at full rank.  A final run at the scalars,
+solved or supplied, is the proof: its residual and side conditions must
+vanish.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -283,7 +287,9 @@ class _Frame:
     Shat_z have chi-order >= L and Shat_chi has chi-order >= L - 1 (Baouendi,
     Ebenfelt and Rothschild 1999, Ch. IV).  b00 (Shat_z)_chi^L, which is
     2i b00 theta_L' / (f_0' L!), is z^(K-1) times a unit; ``inv_unit`` is the
-    inverse of that unit."""
+    inverse of that unit.  ``kept`` maps the slots a_n^1 and b_n^L to their
+    direction's (f, g, low, Q), built at the first order that needs them
+    (see ``_OrderSolver.direction``)."""
 
     def __init__(self, L, K, b00, shat):
         self.L, self.K = L, K
@@ -295,6 +301,7 @@ class _Frame:
         self.shat_chi_L1 = shat_chi.slice("chi", L - 1)
         self.shat_L = shat[(0, 0, 0)].slice("chi", L)
         self.inv_unit = inverse_unit((shat[(1, 0, 0)].slice("chi", L) * b00).shift("z", K - 1))
+        self.kept = {}
 
 
 class _OrderSolver:
@@ -364,15 +371,28 @@ class _OrderSolver:
                        zip(self.jets(f_n, g_n), (a_n0, b_n0, a_n1, b_nL))]
         return f_n, g_n, resid, low, consistency
 
-    def direction(self, j):
+    def direction(self, j, f_degree, g_degree):
         """(f, g, low, P, Q) for x = e_j without Rn: the x-linear part of the
-        candidate and of ``low``, and the linear and antilinear residual parts."""
-        x = [EC_ZERO] * 4
-        x[j] = EC_ONE
-        zero_chi0 = TruncatedSeries.zero(("z",), self.Rn_chi0.degree)
-        zero_L = TruncatedSeries.zero(("z",), self.RnL.degree)
-        f, g, low = self._candidate(zero_chi0, zero_L, *x)
-        return f, g, low, self._linear(f, g), self._antilinear(f, g)
+        candidate, certified to the given degrees (those of the candidate at
+        x = 0), and of ``low``, and the linear and antilinear residual parts.
+
+        In the slots a_n^1 and b_n^L, g is zero and f, ``low`` and Q depend
+        on n only through their degrees, which never exceed those at x = 0:
+        the frame keeps them from the first order that builds them, and each
+        later order cuts f and g to its own degrees and rebuilds only P."""
+        kept = self.frame.kept.get(j)
+        if kept is None or kept[0].degree < f_degree or kept[1].degree < g_degree:
+            x = [EC_ZERO] * 4
+            x[j] = EC_ONE
+            zero_chi0 = TruncatedSeries.zero(("z",), self.Rn_chi0.degree)
+            zero_L = TruncatedSeries.zero(("z",), self.RnL.degree)
+            f, g, low = self._candidate(zero_chi0, zero_L, *x)
+            kept = (f, g, low, self._antilinear(f, g))
+            if j >= 2:
+                self.frame.kept[j] = kept
+        f, g, low, Q = kept
+        f, g = f.truncate(f_degree), g.truncate(g_degree)
+        return f, g, low, self._linear(f, g), Q
 
 
 def _order_system(solver, base):
@@ -382,25 +402,45 @@ def _order_system(solver, base):
     u = i^p in slot j, and holds the change u*P_j + conj(u)*Q_j of every
     residual coefficient, u times the ``low`` entries, and u times the jets
     minus conj(u) at the slot's own consistency entry.  Each complex
-    constraint gives a real and an imaginary row, cleared to integers by one
-    lcm.
+    constraint gives a real and an imaginary row.  The residual rows are
+    read off the integer numerators of P_j, Q_j and the residual at x = 0,
+    over one lcm for the whole system: the u = 1 entry is P + Q and the
+    u = i entry i(P - Q), written straight into integers.  The few ``low``
+    and consistency rows are cleared to integers one lcm per row.
     """
-    _, _, resid0, low0, cons0 = base
-    cols = []
+    f_n, g_n, resid0, low0, cons0 = base
+    parts, lows, conss = [], [], []
     for j in range(4):
-        f, g, low, P, Q = solver.direction(j)
+        f, g, low, P, Q = solver.direction(j, f_n.degree, g_n.degree)
+        parts.append((P.numerators(), Q.numerators()))
         jets = solver.jets(f, g)
-        for u, resid in ((EC_ONE, P + Q), (EC_I, (P - Q) * EC_I)):
+        for u in (EC_ONE, EC_I):
             cons = [u * c for c in jets]
             cons[j] -= u.conj()
-            # the residual also carries -Rn: it is certified no further
-            cols.append((resid.truncate(resid0.degree), [u * c for c in low], cons))
-    series = [col[0].coeffs for col in cols] + [resid0.coeffs]
-    keys = sorted(set().union(*series))
-    complex_rows = [[cs.get(k, EC_ZERO) for cs in series] for k in keys]
-    complex_rows += [[col[1][i] for col in cols] + [c] for i, c in enumerate(low0)]
-    complex_rows += [[col[2][i] for col in cols] + [c] for i, c in enumerate(cons0)]
+            lows.append([u * c for c in low])
+            conss.append(cons)
+    d0, r0 = resid0.numerators()
+    d = math.lcm(d0, *(dv for pq in parts for dv, _ in pq))
+    scaled = [(d // dp, P, d // dq, Q) for (dp, P), (dq, Q) in parts]
+    # keys are exps + (0,), no coefficient here being an NPoly; the residual
+    # also carries -Rn and is certified no further, so P and Q are cut there
+    keys = sorted(r0.keys() | {k for pq in parts for _, num in pq for k in num
+                               if sum(k[:-1]) <= resid0.degree})
     rows, rhs = [], []
+    m0 = d // d0
+    for k in keys:
+        re, im = [], []
+        for mp, P, mq, Q in scaled:
+            pa, pb = P.get(k, (0, 0))
+            qa, qb = Q.get(k, (0, 0))
+            pa, pb, qa, qb = pa * mp, pb * mp, qa * mq, qb * mq
+            re += (pa + qa, qb - pb)
+            im += (pb + qb, pa - qa)
+        a0, b0 = r0.get(k, (0, 0))
+        rows += (re, im)
+        rhs += (-a0 * m0, -b0 * m0)
+    complex_rows = [[col[i] for col in lows] + [c] for i, c in enumerate(low0)]
+    complex_rows += [[col[i] for col in conss] + [c] for i, c in enumerate(cons0)]
     for values in complex_rows:
         for part in split_parts(values)[1:]:
             rows.append(part[:-1])

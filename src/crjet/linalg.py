@@ -51,60 +51,68 @@ def solve_rational(rows, rhs):
     """Solve A x = b exactly over Q by fraction-free elimination.
 
     Entries are ints or Fractions.  Each row of [A | b] is cleared to
-    integers by the lcm of its denominators; Bareiss elimination
-    (Math. Comp. 22, 1968) with first-nonzero row pivoting then keeps every
-    entry an integer minor, with one exact division per update, and a single
-    back-substitution in Fraction gives the solution.
+    integers by the lcm of its denominators and reduced, one row at a time,
+    against the rows kept so far, as ``RankTracker`` does: v <- p*v - v[j]*row
+    for each kept row with pivot p at column j.  A row whose A-part reduces
+    to zero is dropped, or raises when its b-part does not; any other row is
+    kept, divided by the gcd of its integers, with its first nonzero column
+    as pivot.  Elimination stops once the rank equals the number of columns.
+    Back-substitution then gives x as one integer vector X over one
+    denominator, and each row not yet eliminated is checked by one integer
+    dot product against X.
 
     Returns (solution, free_columns) with free variables pinned to 0, or
-    raises InconsistentSystem when no solution exists.  The pivot columns are
-    those where the column rank grows, a property of A alone, so the result
-    is the one Gauss-Jordan elimination gives.
+    raises InconsistentSystem when no solution exists.  The pivot columns
+    are the leading columns of an echelon basis of the row space, which are
+    those where the column rank grows, so the result is the one Gauss-Jordan
+    elimination gives.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    A = []
-    for r, b in zip(rows, rhs):
-        row = list(r)
-        row.append(b)
-        if not any(row[:n]):
-            if b:
+    n = len(rows[0]) if rows else 0
+    pending = zip(rows, rhs)
+    kept = []                            # (pivot column, integer row [A | b])
+    for r, b in pending:
+        v = _integer_row(r, b)
+        for j, row in kept:
+            c = v[j]
+            if c:
+                p = row[j]
+                v = [p * a - c * t for a, t in zip(v, row)]
+        j = next((j for j in range(n) if v[j]), None)
+        if j is None:
+            if v[n]:
                 raise InconsistentSystem("linear system has no solution")
-            continue                     # a zero row constrains nothing
-        d = math.lcm(*(e.denominator for e in row))
-        A.append([e.numerator * (d // e.denominator) for e in row])
-    m = len(A)
-    pivots = []
-    prev = 1
-    rank = 0
-    for col in range(n):
-        sel = next((r for r in range(rank, m) if A[r][col]), None)
-        if sel is None:
             continue
-        A[rank], A[sel] = A[sel], A[rank]
-        top = A[rank]
-        p = top[col]
-        for r in range(rank + 1, m):
-            cur = A[r]
-            c = cur[col]
-            A[r] = [(p * a - c * t) // prev for a, t in zip(cur, top)]
-        prev = p
-        pivots.append(col)
-        rank += 1
-        if rank == m:
+        g = math.gcd(*v)
+        if g != 1:
+            v = [a // g for a in v]
+        kept.append((j, v))
+        if len(kept) == n:
             break
-    if any(A[r][n] for r in range(rank, m)):
-        raise InconsistentSystem("linear system has no solution")
-    x = [Fraction(0)] * n
-    for r in range(rank - 1, -1, -1):
-        cur = A[r]
-        acc = Fraction(cur[n])
-        for c in pivots[r + 1:]:
-            if cur[c]:
-                acc -= cur[c] * x[c]
-        x[pivots[r]] = acc / cur[pivots[r]]
+    # x = X / den; each kept row is zero left of its pivot, so the rows are
+    # solved from the rightmost pivot leftwards
+    X, den = [0] * n, 1
+    for j, row in sorted(kept, reverse=True):
+        t = row[n] * den - sum(row[c] * X[c] for c in range(j + 1, n))
+        p = row[j]
+        X = [x * p for x in X]
+        X[j], den = t, den * p
+        g = math.gcd(den, *X)
+        if g != 1:
+            X, den = [x // g for x in X], den // g
+    for r, b in pending:
+        v = _integer_row(r, b)
+        if sum(a * x for a, x in zip(v, X)) != v[n] * den:
+            raise InconsistentSystem("linear system has no solution")
+    pivots = {j for j, _ in kept}
     free = [c for c in range(n) if c not in pivots]
-    return x, free
+    return [Fraction(x, den) for x in X], free
+
+
+def _integer_row(row, b):
+    """[row | b] times the lcm of its denominators, as integers."""
+    v = [*row, b]
+    d = math.lcm(*(e.denominator for e in v))
+    return [e.numerator * (d // e.denominator) for e in v]
 
 
 class InconsistentSystem(ArithmeticError):

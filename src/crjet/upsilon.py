@@ -138,7 +138,7 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     ratio_chi = _mirror(ratio_z)
     ratio_theta_chi = ratio_chi * theta_chi
 
-    U1 = ratio_z * P * theta_z * K - ratio_theta_chi * L
+    U1 = ratio_z * theta_z * K * P - ratio_theta_chi * L
     U2 = one_plus_theta2 * (P - one) - ratio_theta_chi * two_i_n
 
     alpha = thL.jet_coeff((K,))              # theta_L^(K)(0) != 0

@@ -671,6 +671,25 @@ class TestOrderIndependentWork:
             assert H == A
             assert len(calls) == 1
 
+    def test_slot_directions_are_kept_across_orders(self, monkeypatch):
+        # each order outside D runs the candidate at x = 0, at its solution,
+        # and once per slot of x that depends on n (a_n^0, b_n^0); the a_n^1
+        # and b_n^L directions are built at the first order only:
+        # 6 + 4 + 4 candidates for mc1 to order 3 with D = {0}, not 6 per order
+        calls = []
+        original = equivalence._OrderSolver._candidate
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(equivalence._OrderSolver, "_candidate", counted)
+        M = family_mc(1, 1, 18)
+        A = linear_map(EPS, 2, 18)
+        assert compute_D(M).D == [0]
+        assert reconstruct(M, M, extract_jet(A, [0]), 3, D=[0]) == A
+        assert len(calls) == 14
+
     def test_shat_table_grows_with_the_orders_reached(self, monkeypatch):
         # the golden mc pair, at degree 14, stops at order 6 with unforced
         # scalars; reconstruct composes only the Shat layers j + k + l <= 6

@@ -125,6 +125,35 @@ class TestSolveRational:
             rhs = [Fraction(b) for b in rhs]
             assert outcome(solve_rational, rows, rhs) == outcome(gauss_jordan, rows, rhs)
 
+    @pytest.mark.parametrize("entry", [int, Fraction], ids=["int", "fraction"])
+    def test_contradiction_after_full_rank(self, entry):
+        # the first two rows reach full column rank and stop the
+        # elimination; each later row is checked against the solution
+        third = Fraction(1, 3) if entry is Fraction else 1
+        rows = [[entry(2), entry(1)], [entry(1), third], [entry(3), entry(1) + third],
+                [entry(0), entry(0)], [entry(4), 2 * third]]
+        x0 = [entry(2), entry(-3)]
+        consistent = [sum((a * b for a, b in zip(r, x0)), entry(0)) for r in rows]
+        x, free = solve_rational(rows, consistent)
+        assert (x, free) == (x0, [])
+        assert (x, free) == gauss_jordan(rows, consistent)
+        for bad in ([*consistent[:4], consistent[4] + 1],         # last row contradicts
+                    [*consistent[:3], entry(1), consistent[4]]):  # zero row, rhs 1
+            with pytest.raises(InconsistentSystem):
+                solve_rational(rows, bad)
+            with pytest.raises(InconsistentSystem):
+                gauss_jordan(rows, bad)
+
+    def test_free_columns_of_a_rank_deficient_system(self):
+        half = Fraction(1, 2)
+        rows = [[0, 1, 2, 0, 1], [0, 2, 4, 1, 0], [0, half, 1, 0, half],
+                [0, 0, 0, 3, -6]]
+        rhs = [1, 4, half, 6]
+        x, free = solve_rational(rows, rhs)
+        assert free == [0, 2, 4]
+        assert (x, free) == gauss_jordan(rows, rhs)
+        assert all(type(v) is Fraction for v in x)
+
 
 class ReducedRankTracker:
     """Incremental row reduction over ExactComplex, keeping the basis fully
