@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ValidationError
-from .scalars import EC_I, EC_ZERO, ExactComplex, factorial
+from .scalars import EC_I, ExactComplex, factorial
 from .series import TruncatedSeries, implicit_solve, kth_root_unit
 
 THETA_VARS = ("z", "chi", "s")
@@ -92,10 +92,11 @@ class Hypersurface:
 
 def validate(Theta: TruncatedSeries) -> Hypersurface:
     """Check flatness, normality, reality and type; compute theta and the
-    invariants.  Q and S are not solved for here: the returned
-    Hypersurface derives and cross-checks them on first read, so compute_D
-    and everything else that reads only theta and the invariants never
-    runs the solve."""
+    invariants.  Normality, then reality, is checked on Theta's integer
+    rows (``numerators``); a coefficient is built only for a message.  Q
+    and S are not solved for here: the returned Hypersurface derives and
+    cross-checks them on first read, so compute_D and everything else that
+    reads only theta and the invariants never runs the solve."""
     if tuple(Theta.variables) != THETA_VARS:
         Theta = Theta.embed(THETA_VARS)
 
@@ -103,21 +104,22 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
         raise ValidationError("flat: out of scope (Theta is identically zero)")
 
     # normality: no pure (z,s) or pure (chi,s) terms
-    coeffs = Theta.coeffs
-    for exps, c in coeffs.items():
-        a, b, _ = exps
+    _, num = Theta.numerators()
+    for a, b, c, _ in num:
         if a == 0 or b == 0:
             raise ValidationError(
-                f"normality violation: term {dict(zip(THETA_VARS, exps))} has "
-                f"coefficient {c}, but Theta(z,0,s) = Theta(0,chi,s) = 0 is required")
+                f"normality violation: term {dict(zip(THETA_VARS, (a, b, c)))} has coefficient "
+                f"{Theta.coeff((a, b, c))}, but Theta(z,0,s) = Theta(0,chi,s) = 0 is required")
 
-    # reality: coeff(z^a chi^b s^c) = conj(coeff(z^b chi^a s^c))
-    for (a, b, c), coeff in coeffs.items():
-        mirror = coeffs.get((b, a, c), EC_ZERO)
-        if not (coeff - mirror.conj()).is_zero():
+    # reality: coeff(z^a chi^b s^c) = conj(coeff(z^b chi^a s^c)), rows over one d;
+    # a term fails when a row of it or of its mirror has no conjugate row
+    bad = {(a, b, c) for (a, b, c, k), (re, im) in num.items()
+           if tuple(num.get((b, a, c, k), (0, 0))) != (re, -im)}
+    for a, b, c, _ in num:
+        if (a, b, c) in bad or (b, a, c) in bad:
             raise ValidationError(
                 f"reality violation at exponents (z^{a} chi^{b} s^{c}) vs (z^{b} chi^{a} s^{c}): "
-                f"{coeff} != conj({mirror})")
+                f"{Theta.coeff((a, b, c))} != conj({Theta.coeff((b, a, c))})")
 
     # type: m = least s-order with a nonzero slice
     m = Theta.var_order("s")

@@ -20,8 +20,9 @@ and chi swapped, coefficients conjugated), and only the z side is divided.
 Both integer readers take the components' rows from ``numerators``, keyed
 (s, t, k) for n^k, without building a coefficient object: the leading
 minors of the xi matrix come from one shared-minor expansion over Z[i][n],
-and the rank scan reduces over Z[i] (``RankTracker``).  Both are exact and
-give what the same steps over the Gaussian rationals give.
+each minor summing its signed terms in one pass, and the rank scan reduces
+over Z[i] (``RankTracker``).  Both are exact and give what the same steps
+over the Gaussian rationals give.
 """
 
 from __future__ import annotations
@@ -233,33 +234,35 @@ def xi_determinants(U: UpsilonFamily):
     integer determinant times prod_{r<j} s_r! t_r! / prod_{c<j} d_c.  One
     Laplace expansion along the rows shares every minor: the minor on rows
     0..r and a column set S of size r + 1 expands along row r, with sign
-    (-1)^(r+q) at the q-th column of S, into minors on rows 0..r-1.  The 15
-    minors over the column subsets of {0, 1, 2, 3} give det_2, det_3 and
-    det_4 together, and each becomes an ``NPoly`` once, at the end.
+    (-1)^(r+q) at the q-th column of S, into minors on rows 0..r-1; its
+    signed terms go in one pass into one pair of integer lists, zero entries
+    skipped.  The 15 minors over the column subsets of {0, 1, 2, 3} give
+    det_2, det_3 and det_4 together, each an ``NPoly`` once, at the end.
     """
     if U.n_mode != SYMBOLIC:
         raise UpsilonError("xi_determinants requires a symbolic family")
     keys = _xi_keys(U)
-    rows = [[] for _ in keys]
-    dens = []
-    for comp in U.components:
-        d, num = comp.numerators()
-        dens.append(d)
-        powers = {key: {} for key in keys}
-        for key, v in num.items():
-            if key[:-1] in powers:
-                powers[key[:-1]][key[-1]] = v
-        for row, key in zip(rows, keys):
-            entry = powers[key]
-            row.append([entry.get(k, (0, 0)) for k in range(max(entry, default=-1) + 1)])
+    dens, nums = zip(*(comp.numerators() for comp in U.components))
+    rows = []
+    for key in keys:
+        tops = [max((k[-1] for k in num if k[:-1] == key), default=-1) for num in nums]
+        rows.append([[num.get(key + (k,), (0, 0)) for k in range(top + 1)]
+                     for num, top in zip(nums, tops)])
     minor = {(c,): rows[0][c] for c in range(4)}
     for r in range(1, 4):
         for cols in combinations(range(4), r + 1):
-            terms = []
-            for q, c in enumerate(cols):
-                term = _gaussian_product(rows[r][c], minor[cols[:q] + cols[q + 1:]])
-                terms.append([(-a, -b) for a, b in term] if (r + q) % 2 else term)
-            minor[cols] = _gaussian_sum(terms)
+            terms = [((-1) ** (r + q), rows[r][c], minor[cols[:q] + cols[q + 1:]])
+                     for q, c in enumerate(cols)]
+            size = max((len(p) + len(m) - 1 for _, p, m in terms if p and m), default=0)
+            re, im = [0] * size, [0] * size
+            for sign, p, m in terms:
+                for j, (a, b) in enumerate(p):
+                    if a or b:
+                        a, b = sign * a, sign * b
+                        for k, (c, e) in enumerate(m, j):
+                            re[k] += a * c - b * e
+                            im[k] += a * e + b * c
+            minor[cols] = list(zip(re, im))
     dets = {}
     f = den = 1
     for j, (key, d) in enumerate(zip(keys, dens), 1):
@@ -270,31 +273,6 @@ def xi_determinants(U: UpsilonFamily):
             dets[j] = NPoly([ExactComplex(Fraction(a * f, den), Fraction(b * f, den))
                              if a or b else EC_ZERO for a, b in minor[tuple(range(j))]])
     return dets
-
-
-def _gaussian_product(p, q):
-    """The product of polynomials over Z[i], as lists of (re, im) pairs."""
-    if not p or not q:
-        return []
-    re = [0] * (len(p) + len(q) - 1)
-    im = list(re)
-    for j, (a, b) in enumerate(p):
-        if a or b:
-            for k, (c, e) in enumerate(q):
-                re[j + k] += a * c - b * e
-                im[j + k] += a * e + b * c
-    return list(zip(re, im))
-
-
-def _gaussian_sum(polys):
-    """The sum of polynomials over Z[i], as lists of (re, im) pairs."""
-    re = [0] * max(map(len, polys))
-    im = list(re)
-    for p in polys:
-        for k, (a, b) in enumerate(p):
-            re[k] += a
-            im[k] += b
-    return list(zip(re, im))
 
 
 class JetAnalysis:

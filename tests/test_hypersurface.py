@@ -1,16 +1,18 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crjet import hypersurface
 from crjet import io as cio
+from crjet import series
 from crjet.cli import EXIT_INVALID, EXIT_OK, main
 from crjet.hypersurface import (THETA_VARS, ValidationError, family_b0,
                                 family_mc, family_nb, validate)
-from crjet.scalars import EC_I, ExactComplex, factorial
+from crjet.scalars import EC_I, ExactComplex, NPoly, factorial
 from crjet.series import TruncatedSeries, compose, implicit_solve
 from crjet.upsilon import compute_D
 
@@ -19,6 +21,7 @@ from scan_oracle import invariants_by_support_scan
 from solver_oracle import staged_graph_function
 
 ZC = ("z", "chi")
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def theta_input(coeffs, degree=10):
@@ -48,6 +51,53 @@ class TestValidation:
     def test_diagonal_terms_must_be_real(self):
         with pytest.raises(ValidationError, match="reality"):
             validate(theta_input({(1, 1, 1): EC_I}))
+
+    def test_valid_theta_builds_no_coefficient(self, monkeypatch):
+        mixed = cio.parse_hypersurface(
+            json.loads((GOLDEN / "mixed.json").read_text(encoding="utf-8")))
+        # a product keeps its summed rows as lists, not tuples
+        z, chi, s = (TruncatedSeries.var(v, THETA_VARS, 10) for v in THETA_VARS)
+        product = z * chi * s * (z * chi + (z - chi) * EC_I + 3)
+        inputs = [family_b0(14).Theta, mixed.Theta, product]
+        calls = []
+        original = series.from_numerators
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(series, "from_numerators", counted)
+        for Theta in inputs:
+            assert validate(Theta).invariants.m == 1
+        assert calls == []
+
+    def test_normality_reported_before_an_earlier_reality_violation(self):
+        # the non-real pair comes first in row order; normality is checked
+        # over every row before reality
+        with pytest.raises(ValidationError) as exc:
+            validate(theta_input({(1, 2, 1): ExactComplex(1),
+                                  (2, 1, 1): ExactComplex(2),
+                                  (1, 0, 1): ExactComplex(Fraction(1, 2), -3)}))
+        assert str(exc.value) == (
+            "normality violation: term {'z': 1, 'chi': 0, 's': 1} has coefficient "
+            "(1/2 + -3*i), but Theta(z,0,s) = Theta(0,chi,s) = 0 is required")
+
+    def test_reality_violation_names_a_missing_mirror(self):
+        with pytest.raises(ValidationError) as exc:
+            validate(theta_input({(1, 1, 1): ExactComplex(Fraction(1, 2)),
+                                  (1, 2, 1): ExactComplex(Fraction(1, 3), 2)}))
+        assert str(exc.value) == (
+            "reality violation at exponents (z^1 chi^2 s^1) vs (z^2 chi^1 s^1): "
+            "(1/3 + 2*i) != conj(0)")
+
+    def test_reality_violation_in_a_power_of_n_names_the_first_term(self):
+        # (1, 2, 1) matches its mirror's n^0 row and has no n^1 row
+        with pytest.raises(ValidationError) as exc:
+            validate(theta_input({(1, 2, 1): NPoly([1]), (1, 1, 1): ExactComplex(1),
+                                  (2, 1, 1): NPoly([1, 1])}))
+        assert str(exc.value) == (
+            "reality violation at exponents (z^1 chi^2 s^1) vs (z^2 chi^1 s^1): "
+            "1 != conj(1 + 1*n)")
 
     def test_higher_m_reported_not_analyzed(self):
         M = validate(theta_input({(1, 1, 2): ExactComplex(1)}))
