@@ -111,8 +111,8 @@ class JetData:
     """The k-jet content driving reconstruction.
 
     a01, b00 pin the 1-jet; lambdas[n] = (a_n^0, b_n^0, a_n^1, b_n^L) for the
-    exceptional orders n in D.  ``extract_jet`` fills the last slot with
-    b_n^1, so its output is this data only when L = 1.
+    exceptional orders n in D, L the source's invariant, as ``extract_jet``
+    reads them off a map.
     """
 
     def __init__(self, a01, b00, lambdas=None):
@@ -136,18 +136,19 @@ class JetData:
         return self.a01.norm_sq()
 
 
-def extract_jet(H: FormalMap, D) -> JetData:
+def extract_jet(H: FormalMap, D, L: int = 1) -> JetData:
     """Read the reconstruction data of H for exceptional set D.
 
-    Assumes L = 1: the last slot of lambdas[n] is b_n^1, while JetData and
-    the order-n solver read it as b_n^L, the conjugate of g_n^(L)(0).
+    ``L`` is the source's invariant L: the last slot of lambdas[n] is b_n^L,
+    the conjugate of g_n^(L)(0), as JetData and the order-n solver read it.
+    An order of D beyond H's gets four zeros.
     """
     lambdas = {}
     for n in D:
         if n == 0:
             continue
         if n <= H.order:
-            lambdas[n] = (H.a(n, 0), H.b(n, 0), H.a(n, 1), H.b(n, 1))
+            lambdas[n] = (H.a(n, 0), H.b(n, 0), H.a(n, 1), H.b(n, L))
         else:
             lambdas[n] = (ExactComplex(0),) * 4
     return JetData(H.a(0, 1), H.b(0, 0), lambdas)
@@ -168,12 +169,29 @@ class ResidualReport:
                 f"{dict(zip(self.residual.variables, exps))} -> {c})")
 
 
+def _same_series(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+    """Whether a and b are one truncated series: the same variables and the
+    same truncation degree, checked first, then equal coefficients."""
+    return a.variables == b.variables and a.degree == b.degree and a == b
+
+
+def _one_surface(M: Hypersurface, Mhat: Hypersurface) -> Hypersurface:
+    """The target to read for a map M -> Mhat: M itself when Mhat's Theta is
+    M's (``_same_series``), else Mhat.  theta, the invariants, Q and S all
+    follow from Theta, so a self-map derives its graph once, through M."""
+    return M if Mhat is M or _same_series(M.Theta, Mhat.Theta) else Mhat
+
+
 def verify_map(M: Hypersurface, Mhat: Hypersurface, H: FormalMap,
                order: int | None = None) -> ResidualReport:
-    """Residual of Q g(z,Q) - Qhat(f(z,Q), fbar(chi,tau), tau gbar(chi,tau))."""
-    degree = min(M.Q.degree, Mhat.Q.degree)
-    if order is not None:
-        degree = min(degree, order)
+    """Residual of Q g(z,Q) - Qhat(f(z,Q), fbar(chi,tau), tau gbar(chi,tau)).
+
+    It reads H only through (f(z,w), g(z,w)) at the verification degree
+    (``_verification_degree``).  When Mhat's Theta is M's (same
+    variables, same truncation degree, equal coefficients) Qhat is read
+    through M, so Q comes from one solve."""
+    Mhat = _one_surface(M, Mhat)
+    degree = _verification_degree(M, Mhat, order)
     V3 = ("z", "chi", "tau")
     Q = M.Q.truncate(degree)
     fzw, gzw = H.as_two_variable(degree)
@@ -186,6 +204,12 @@ def verify_map(M: Hypersurface, Mhat: Hypersurface, H: FormalMap,
     Qhat_at = compose(Mhat.Q.truncate(degree),
                       {"z": f_at, "chi": fb_at, "tau": tau * gb_at})
     return ResidualReport(Q * g_at - Qhat_at)
+
+
+def _verification_degree(M, Mhat, order=None) -> int:
+    """The degree ``verify_map`` checks to: the least of Q's, Qhat's and ``order``."""
+    degree = min(M.Q.degree, Mhat.Q.degree)
+    return degree if order is None else min(degree, order)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +237,11 @@ def forced_mu_sq(M: Hypersurface, Mhat: Hypersurface) -> Fraction:
 def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeries, Substitution]:
     """(f_0(z), the ``_at_f0`` its postcondition ran through), |a_0^1|^2 the
     ``forced_mu_sq``: zh = f_0(z) solves zh uhat(zh) = conj(a_0^1) z u(z), theta's
-    chi^L slice being c z^K u(z)^K, c its z^K chi^L coefficient; uhat likewise."""
+    chi^L slice being c z^K u(z)^K, c its z^K chi^L coefficient; uhat likewise.
+    When Mhat's Theta is M's (same variables, same truncation degree, equal
+    coefficients) uhat is u: the unit root is built once."""
     a01 = ExactComplex.coerce(a01)
+    Mhat = _one_surface(M, Mhat)
     mu_sq = forced_mu_sq(M, Mhat)
     if a01.norm_sq() != mu_sq:
         raise JetRealizationError(
@@ -227,7 +254,7 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeri
                              * theta.coeff((K, L)).inverse(), K)
 
     u = unit_root(M.theta)
-    uhat = unit_root(Mhat.theta).rename({"z": "zh"})
+    uhat = (u if Mhat is M else unit_root(Mhat.theta)).rename({"z": "zh"})
 
     deg = min(u.degree, uhat.degree)
     V = ("zh", "z")
@@ -459,9 +486,14 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
     and a fraction-free solve gives x.  For n in the exceptional set D the
     jet supplies x.  Either way a final run at x proves it: its residual,
     low part and consistency entries must all vanish.
+
+    When Mhat's Theta is M's (same variables, same truncation degree, equal
+    coefficients) the target is read through M: Q and S come from one solve
+    and one cross-check, and f_0's unit root is built once.
     """
     if order < 0:
         raise EquivalenceError(f"reconstruction order must be nonnegative, got {order}")
+    Mhat = _one_surface(M, Mhat)
     f0, at_f0 = f0_from_jet(M, Mhat, jet.a01)
     f_parts = [f0]
     g_parts = [TruncatedSeries(("z",), f0.degree, {(0,): jet.b00})]
@@ -510,9 +542,17 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
 
 
 def finite_determination_check(M, Mhat, H1: FormalMap, H2: FormalMap, k: int):
-    """Two verified equivalences with equal k-jets must agree entirely."""
+    """Two verified equivalences with equal k-jets must agree entirely.
+
+    H2 is verified only when its (f(z,w), g(z,w)) at the verification degree
+    differ from H1's (``_same_series``), since ``verify_map`` reads nothing
+    else of a map; an identical pair shares one residual.  A self-map's
+    target is read through M, as in ``verify_map``."""
+    Mhat = _one_surface(M, Mhat)
     r1 = verify_map(M, Mhat, H1)
-    r2 = verify_map(M, Mhat, H2)
+    degree = _verification_degree(M, Mhat)
+    same = all(map(_same_series, H1.as_two_variable(degree), H2.as_two_variable(degree)))
+    r2 = r1 if same else verify_map(M, Mhat, H2)
     if not r1.is_zero or not r2.is_zero:
         return {"status": "precondition", "reason": "a map fails verification",
                 "residuals": (r1, r2)}

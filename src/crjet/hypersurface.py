@@ -114,7 +114,7 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
     # reality: coeff(z^a chi^b s^c) = conj(coeff(z^b chi^a s^c)), rows over one d;
     # a term fails when a row of it or of its mirror has no conjugate row
     bad = {(a, b, c) for (a, b, c, k), (re, im) in num.items()
-           if tuple(num.get((b, a, c, k), (0, 0))) != (re, -im)}
+           if num.get((b, a, c, k), (0, 0)) != (re, -im)}
     for a, b, c, _ in num:
         if (a, b, c) in bad or (b, a, c) in bad:
             raise ValidationError(

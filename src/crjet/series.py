@@ -483,7 +483,8 @@ def _poly_reduced(variables, degree, d, acc) -> TruncatedSeries:
 
 
 def _nonzero(acc):
-    return {k: v for k, v in acc.items() if v[0] or v[1]}
+    """The nonzero rows of ``acc``, each stored as a tuple."""
+    return {k: (re, im) for k, (re, im) in acc.items() if re or im}
 
 
 def _upto(num, degree):

@@ -18,7 +18,7 @@ from crjet import (EquivalenceError, ExactComplex, FormalMap, JetData,
                    finite_determination_check, forced_mu_sq, reconstruct,
                    validate, verify_map)
 from crjet.equivalence import shat_jet_table
-from crjet.io import parse_hypersurface, parse_jet_data, series_dict
+from crjet.io import formal_map_dict, parse_hypersurface, parse_jet_data, series_dict
 from crjet.linalg import InconsistentSystem, solve_rational
 from crjet.scalars import EC_I, factorial
 from crjet.series import TruncatedSeries, compose, divide, implicit_solve, kth_root_unit
@@ -28,6 +28,7 @@ from scan_oracle import jet_by_exponent_loop
 from shat_oracle import shat_table_by_entry
 
 EPS = ExactComplex(Fraction(3, 5), Fraction(4, 5))  # a rational point on |z| = 1
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def pushed_forward(Mhat, f0_coeffs, degree):
@@ -227,6 +228,21 @@ class TestJetData:
         assert jet.b00 == ExactComplex(3)
         assert set(jet.lambdas) == {1, 2}
         assert all(all(c.is_zero() for c in tup) for tup in jet.lambdas.values())
+
+    def test_extract_jet_reads_b_n_L(self):
+        # g_1 = (1+i) z + (2-i) z^2: g_1'(0) = 1+i and g_1''(0) = 4-2i, so the
+        # last slot is b_1^1 = 1-i for L = 1 and b_1^2 = 4+2i for L = 2
+        Z = ("z",)
+        f0 = TruncatedSeries(Z, 10, {(1,): ExactComplex(1)})
+        f1 = TruncatedSeries(Z, 10, {(0,): ExactComplex(3), (1,): ExactComplex(0, 5)})
+        g0 = TruncatedSeries(Z, 10, {(0,): ExactComplex(2)})
+        g1 = TruncatedSeries(Z, 10, {(0,): ExactComplex(7),
+                                     (1,): ExactComplex(1, 1), (2,): ExactComplex(2, -1)})
+        H = FormalMap([f0, f1], [g0, g1])
+        head = (ExactComplex(3), ExactComplex(7), ExactComplex(0, -5))
+        assert extract_jet(H, [0, 1]).lambdas[1] == head + (ExactComplex(1, -1),)
+        assert extract_jet(H, [0, 1], L=1).lambdas[1] == head + (ExactComplex(1, -1),)
+        assert extract_jet(H, [0, 1], L=2).lambdas[1] == head + (ExactComplex(4, 2),)
 
 
 def f0_over_three_variables(M, Mhat, a01):
@@ -769,6 +785,102 @@ class TestFiniteDetermination:
         bad = FormalMap([f0], [g0])
         result = finite_determination_check(M, M, bad, linear_map(1, 1, 14), 2)
         assert result["status"] == "precondition"
+
+    @staticmethod
+    def counted_verify_map(monkeypatch):
+        """Count the calls the check makes through the module-level name."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return verify_map(*args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "verify_map", counted)
+        return calls
+
+    def test_identical_pair_is_verified_once(self, monkeypatch):
+        M = family_mc(1, 1, 18)
+        analysis = compute_D(M)
+        A = linear_map(ExactComplex(0, 1), 2, 18)
+        H = reconstruct(M, M, extract_jet(A, analysis.D), 6, D=analysis.D)
+        assert H is not A
+        calls = self.counted_verify_map(monkeypatch)
+        result = finite_determination_check(M, M, H, A, analysis.k)
+        assert result == {"status": "equal", "order": 0}
+        assert calls == [H]
+
+    def test_different_pair_is_verified_twice(self, monkeypatch):
+        M = family_mc(1, 1, 14)
+        H1, H2 = linear_map(1, 1, 14), linear_map(ExactComplex(0, 1), 1, 14)
+        calls = self.counted_verify_map(monkeypatch)
+        result = finite_determination_check(M, M, H1, H2, 2)
+        assert result == {"status": "precondition", "reason": "2-jets differ"}
+        assert calls == [H1, H2]
+
+    def test_pair_equal_below_the_verification_degree_is_verified_twice(self, monkeypatch):
+        # f_0 = z certified to 11 and f_0 = z + z^12 at degree 14 are equal
+        # as maps, since components compare to the lower certified degree,
+        # but verify_map reads both to degree 14, where the z^12 term leaves
+        # -2i z chi^12 tau in the residual: only the first verifies
+        M = family_mc(1, 1, 14)
+        g0 = TruncatedSeries(("z",), 14, {(0,): ExactComplex(1)})
+        H1 = FormalMap([TruncatedSeries(("z",), 11, {(1,): ExactComplex(1)})], [g0])
+        H2 = FormalMap([TruncatedSeries(("z",), 14, {(1,): ExactComplex(1),
+                                                     (12,): ExactComplex(1)})], [g0])
+        assert H1 == H2
+        assert verify_map(M, M, H1).is_zero and not verify_map(M, M, H2).is_zero
+        calls = self.counted_verify_map(monkeypatch)
+        result = finite_determination_check(M, M, H1, H2, 1)
+        assert result["status"] == "precondition"
+        assert result["reason"] == "a map fails verification"
+        assert calls == [H1, H2]
+        r1, r2 = result["residuals"]
+        assert r1.is_zero and not r2.is_zero
+
+
+def parsed_twice(name):
+    """Two Hypersurface objects parsed from one golden JSON file."""
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    return parse_hypersurface(json.loads(text)), parse_hypersurface(json.loads(text))
+
+
+class TestSelfMap:
+    """A target whose Theta is the source's is read through the source."""
+
+    def test_copy_derives_no_graph(self, monkeypatch):
+        M, copy = parsed_twice("b0.json")
+        jet = parse_jet_data(json.loads((GOLDEN / "b0_jet.json").read_text(encoding="utf-8")))
+        analysis = compute_D(M)
+        roots = []
+
+        def counted_root(a, k):
+            roots.append(k)
+            return kth_root_unit(a, k)
+
+        monkeypatch.setattr(equivalence, "kth_root_unit", counted_root)
+        H = reconstruct(M, copy, jet, 2, D=analysis.D)
+        assert roots == [1]                  # f_0's unit root, built once
+        assert verify_map(M, copy, H).is_zero
+        assert finite_determination_check(M, copy, H, H, analysis.k)["status"] == "equal"
+        assert "_graph" not in copy.__dict__
+        expected = reconstruct(M, M, jet, 2, D=analysis.D)
+        assert formal_map_dict(H) == formal_map_dict(expected)
+
+    @pytest.mark.parametrize("change", ["degree", "term"])
+    def test_near_miss_derives_its_own_graph(self, change):
+        M = family_mc(1, 1, 14)
+        Theta = M.Theta
+        if change == "degree":
+            # the same Theta value, certified to another degree
+            target = validate(TruncatedSeries(Theta.variables, 15, Theta.coeffs))
+        else:
+            target = validate(Theta + TruncatedSeries(Theta.variables, 14,
+                                                      {(3, 3, 1): ExactComplex(1)}))
+        assert "_graph" not in target.__dict__
+        A = linear_map(ExactComplex(0, 1), 2, 14)
+        report = verify_map(M, target, A)
+        assert "_graph" in target.__dict__
+        assert report.is_zero == (change == "degree")
 
 
 class TestStructure:

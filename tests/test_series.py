@@ -155,6 +155,19 @@ class TestProductKernel:
         assert (1, 1) not in p.coeffs
         assert p.coeffs == {(2, 0): unit * unit, (0, 2): ExactComplex(-1)}
 
+    def test_product_rows_are_tuples(self):
+        # numerators() hands out the stored rows: a product must store them
+        # immutable, as every other path does, or a caller could rewrite it
+        V = ("z", "chi")
+        z, chi = (TruncatedSeries.var(v, V, DEG) for v in V)
+        p = z * chi * (z + 1)
+        before = p.coeffs
+        _, num = p.numerators()
+        assert num and all(type(row) is tuple for row in num.values())
+        with pytest.raises(TypeError):
+            num[(1, 1, 0)][0] = 7
+        assert p.coeffs == before == {(1, 1): ExactComplex(1), (2, 1): ExactComplex(1)}
+
 
 def nonzero(coeffs, degree):
     return {e: c for e, c in coeffs.items() if sum(e) <= degree and not c.is_zero()}
