@@ -15,27 +15,33 @@ reached it: a product, a sum or a scalar product gives an ``NPoly`` wherever
 one of its operands had one at a contributing term, even when the value
 that results is a constant, and drops the term only when it is zero.
 
-Arithmetic runs on the rows alone.  A product sorts each operand's rows by
-total degree, convolves them and divides out one gcd at the end; a sum of
-any number of parts is one pass that adds integers over the lcm of the
+Arithmetic runs on the rows alone, and each operation tests the exact type
+of its operand before any generic work.  An ``int``, ``Fraction`` or
+``ExactComplex`` scalar, or a one-row ``ExactComplex`` constant series,
+scales the rows of the other operand; operands over the same variables are
+not re-embedded.  Any other product sorts each operand's rows by total
+degree, convolves them and divides out one gcd at the end; a sum of any
+number of parts is one pass that adds integers over the lcm of the
 denominators and follows the rule above whatever the order of the parts;
-negation, conjugation, scalar products, ``differentiate``, ``slice``,
-``shift``, ``embed``, ``rename`` and ``truncate`` are one pass each.  A zero
-operand does no work: a product or scalar product with one is the zero
-series, and a sum skips its zero parts, but each still certifies its result
-only to the least degree, since a zero series is zero only to its degree.
+negation, conjugation, ``differentiate``, ``slice``, ``shift``, ``embed``,
+``rename`` and ``truncate`` are one pass each.  A zero operand does no work:
+a product or scalar product with one is the zero series, and a sum skips its
+zero parts, but each still certifies its result only to the least degree,
+since a zero series is zero only to its degree.
 The rows are the only stored form: ``ExactComplex`` and ``NPoly`` objects
 are built from them on each read through ``coeffs``, ``coeff`` or
 ``jet_coeff``, and never kept.  ``Substitution`` is the one substitution
 routine: it keeps every power of its arguments, and every product of powers
 that a substituted monomial maps to, for all the series it is applied to,
 so each argument set gets one ``Substitution`` however many series it goes
-into; ``compose`` is its one-shot use.  A power series sum_j c_j x^j of a
-series x with zero constant term is one ``compose`` of sum_j c_j t^j at x
-(Brent and Kung, 1978), built by ``power_series``: the geometric series of
-``inverse_unit``, the binomial series of ``kth_root_unit`` and the logarithm
-of ``upsilon.pn_series``.  ``n_graded`` assembles sum_m n^m * parts[m] from
-series without ``NPoly`` coefficients in one pass.
+into; a group of terms that is one ``ExactComplex`` constant scales its
+image's rows, with no product.  ``compose`` is its one-shot use.  A power
+series sum_j c_j x^j of a series x with zero constant term is one
+``compose`` of sum_j c_j t^j at x (Brent and Kung, 1978), built by
+``power_series``: the geometric series of ``inverse_unit``, the binomial
+series of ``kth_root_unit`` and the logarithm of ``upsilon.pn_series``.
+``n_graded`` assembles sum_m n^m * parts[m] from series without ``NPoly``
+coefficients in one pass.
 ``numerators`` is the one integer view of any series: its rows keyed
 ``exps + (k,)``, without building a coefficient object.
 ``implicit_solve`` finds the root of an implicit series equation by Newton
@@ -64,7 +70,21 @@ def _coerce_coeff(c):
 
 
 def _is_scalar(c):
-    return isinstance(c, (int, Fraction, ExactComplex, NPoly))
+    # Fraction last: testing anything else against it is an ABC check
+    return isinstance(c, (ExactComplex, NPoly, int, Fraction))
+
+
+def _exact_parts(c):
+    """The canonical (a, b, d) of c = (a + b*i)/d when c's type is exactly
+    ``int``, ``Fraction`` or ``ExactComplex``, else None."""
+    t = type(c)
+    if t is ExactComplex:
+        return c._a, c._b, c._d
+    if t is int:
+        return c, 0, 1
+    if t is Fraction:
+        return c.numerator, 0, c.denominator
+    return None
 
 
 class TruncatedSeries:
@@ -87,7 +107,11 @@ class TruncatedSeries:
                 clean[exps] = c
                 npoly = npoly or type(c) is NPoly
         d, num = numerator_rows(clean)
-        _init(self, variables, degree, d, num, npoly)
+        _set_variables(self, variables)
+        _set_degree(self, degree)
+        _set_d(self, d)
+        _set_num(self, num or _NO_ROWS)
+        _set_npoly(self, npoly)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -95,12 +119,20 @@ class TruncatedSeries:
     # -- constructors ----------------------------------------------------------
     @classmethod
     def zero(cls, variables, degree):
-        return cls(variables, degree, {})
+        return cls.const(variables, degree, 0)
 
     @classmethod
     def const(cls, variables, degree, c):
         variables = tuple(variables)
-        return cls(variables, degree, {(0,) * len(variables): _coerce_coeff(c)})
+        parts = _exact_parts(c)
+        if parts is None:
+            return cls(variables, degree, {(0,) * len(variables): _coerce_coeff(c)})
+        if degree < 0:
+            raise SeriesError("truncation degree must be nonnegative")
+        a, b, d = parts
+        if not a and not b:
+            return _zero(variables, degree)
+        return _new(variables, degree, d, {(0,) * len(variables) + (0, 0): (a, b)}, False)
 
     @classmethod
     def var(cls, name, variables, degree):
@@ -275,11 +307,11 @@ class TruncatedSeries:
     def conjugate(self, rename=None):
         """Coefficient-wise conjugation, optionally renaming variables
         (e.g. a series in z conjugates to a series in chi)."""
-        out = _new(self.variables, self.degree, self._d,
-                   {k: (re, -im) for k, (re, im) in self._num.items()}, self._npoly)
+        variables = self.variables
         if rename:
-            out = out.rename(rename)
-        return out
+            variables = tuple(rename.get(v, v) for v in variables)
+        return _new(variables, self.degree, self._d,
+                    {k: (re, -im) for k, (re, im) in self._num.items()}, self._npoly)
 
     # -- arithmetic --------------------------------------------------------------
     def _aligned(self, other):
@@ -297,8 +329,10 @@ class TruncatedSeries:
         return a, b, degree
 
     def __add__(self, other):
-        if _is_scalar(other):
+        if type(other) is not TruncatedSeries and _is_scalar(other):
             other = TruncatedSeries.const(self.variables, self.degree, other)
+        if type(other) is TruncatedSeries and other.variables == self.variables:
+            return _sum(self.variables, (self, other))
         a, b, _ = self._aligned(other)
         return _sum(a.variables, (a, b))
 
@@ -315,22 +349,29 @@ class TruncatedSeries:
         return -(self - other)
 
     def __mul__(self, other):
-        if _is_scalar(other):
-            other = _coerce_coeff(other)
-            if not self._num or other.is_zero():
-                return _zero(self.variables, self.degree)
-            if type(other) is ExactComplex:
-                return _scaled(self, other._a, other._b, other._d)
-            other = TruncatedSeries.const(self.variables, self.degree, other)
-        a, b, degree = self._aligned(other)
+        if type(other) is not TruncatedSeries:
+            # an int, Fraction or ExactComplex scales the rows; an NPoly
+            # becomes a constant series
+            parts = _exact_parts(other)
+            if parts is not None:
+                if not self._num or not parts[0] and not parts[1]:
+                    return _zero(self.variables, self.degree)
+                return _scaled(self, *parts)
+            if _is_scalar(other):
+                other = TruncatedSeries.const(self.variables, self.degree, other)
+        if type(other) is TruncatedSeries and other.variables == self.variables:
+            a, b, degree = self, other, min(self.degree, other.degree)
+        else:
+            a, b, degree = self._aligned(other)
         # a zero factor gives zero, certified to the least degree
         if not a._num or not b._num:
             return _zero(a.variables, degree)
-        # an ExactComplex constant scales the rows of the other factor
+        # a one-row ExactComplex constant scales the rows of the other factor
         for x, y in ((a, b), (b, a)):
-            c = _exact_constant(y)
-            if c is not None:
-                return _scaled(x.truncate(degree), *c, y._d)
+            if len(y._num) == 1:
+                (key, c), = y._num.items()
+                if not any(key):
+                    return _scaled(x.truncate(degree), *c, y._d)
         # otherwise one integer convolution of the operands' rows, each
         # sorted by total degree, so each inner loop stops at the truncation
         # instead of testing every pair
@@ -411,6 +452,7 @@ _set_degree = TruncatedSeries.degree.__set__
 _set_d = TruncatedSeries._d.__set__
 _set_num = TruncatedSeries._num.__set__
 _set_npoly = TruncatedSeries._npoly.__set__
+_object_new = object.__new__
 
 
 # every zero series shares this empty row dict, which no code writes to, so
@@ -418,20 +460,16 @@ _set_npoly = TruncatedSeries._npoly.__set__
 _NO_ROWS = {}
 
 
-def _init(s, variables, degree, d, num, npoly):
+def _new(variables, degree, d, num, npoly) -> TruncatedSeries:
+    """A series from rows the caller vouches for: canonical over ``d``,
+    keys matching ``variables`` and within ``degree``, and ``npoly`` true
+    exactly when some row has p = 1."""
+    s = _object_new(TruncatedSeries)
     _set_variables(s, variables)
     _set_degree(s, degree)
     _set_d(s, d)
     _set_num(s, num or _NO_ROWS)
     _set_npoly(s, npoly)
-
-
-def _new(variables, degree, d, num, npoly) -> TruncatedSeries:
-    """A series from rows the caller vouches for: canonical over ``d``,
-    keys matching ``variables`` and within ``degree``, and ``npoly`` true
-    exactly when some row has p = 1."""
-    s = object.__new__(TruncatedSeries)
-    _init(s, variables, degree, d, num, npoly)
     return s
 
 
@@ -490,16 +528,6 @@ def _nonzero(acc):
 def _upto(num, degree):
     """The rows of total degree at most ``degree``."""
     return {k: v for k, v in num.items() if sum(k[:-2]) <= degree}
-
-
-def _exact_constant(s):
-    """The numerators (re, im) of s when s is one nonzero ExactComplex
-    constant, else None."""
-    if len(s._num) == 1:
-        (key, v), = s._num.items()
-        if not any(key):
-            return v
-    return None
 
 
 def _scaled(s, a0, b0, d0) -> TruncatedSeries:
@@ -638,6 +666,14 @@ class Substitution:
         terms = []
         for key, num in groups.items():
             term = self._image(key)
+            if term is not None and len(num) == 1:
+                # a group that is one ExactComplex constant scales its
+                # image's rows; a zero image scales to zero at the least
+                # degree
+                (rest, (re, im)), = num.items()
+                if not any(rest):
+                    terms.append(_scaled(term.truncate(degree), re, im, h._d))
+                    continue
             part = _reduced(union, degree, h._d, num, h._npoly)
             terms.append(part if term is None else part * term)
         return _sum(union, terms or [_zero(union, degree)])

@@ -136,6 +136,32 @@ def assert_matches(s, variables, degree, coeffs):
         assert got == c and type(got) is type(c)
 
 
+class TestConstructors:
+    CONSTANTS = [3, -1, Fraction(-2, 3), ExactComplex(Fraction(1, 2), -3), EC_I,
+                 NPoly([1, Fraction(1, 4)]), NPoly([2]), 0, Fraction(0), EC_ZERO, NPoly([0])]
+
+    @pytest.mark.parametrize("variables", [["x", "y"], ("z", "chi", "s"), ()])
+    def test_const_and_zero_match_the_checked_constructor(self, variables):
+        key = (0,) * len(variables)
+        for c, degree in product(self.CONSTANTS, (0, 5)):
+            coeff = c if type(c) is NPoly else ExactComplex.coerce(c)
+            want = {} if coeff.is_zero() else {key: coeff}
+            for s, ref, coeffs in (
+                    (TruncatedSeries.const(variables, degree, c),
+                     TruncatedSeries(variables, degree, {key: c}), want),
+                    (TruncatedSeries.zero(variables, degree),
+                     TruncatedSeries(variables, degree, {}), {})):
+                assert_matches(s, tuple(variables), degree, coeffs)
+                assert (s._d, s._num, s._npoly) == (ref._d, ref._num, ref._npoly)
+
+    def test_a_negative_degree_raises(self):
+        for c in self.CONSTANTS:
+            with pytest.raises(SeriesError, match="nonnegative"):
+                TruncatedSeries.const(XY, -1, c)
+        with pytest.raises(SeriesError, match="nonnegative"):
+            TruncatedSeries.zero(XY, -1)
+
+
 class TestProductKernel:
     @pytest.mark.parametrize("left, right", [("exact", "exact"), ("exact", "npoly"),
                                              ("npoly", "exact"), ("npoly", "npoly"),
@@ -297,6 +323,29 @@ class TestRowOperations:
             assert p.is_zero() and not p._npoly
         assert_matches(zero * c0, zero.variables, zero.degree, {})
         assert_matches(a * NPoly([0]), a.variables, a.degree, {})
+
+    @KINDS
+    @given(data=st.data())
+    def test_int_and_fraction_products_build_no_exact_complex(self, kind, data):
+        # an int or Fraction scales the rows directly: the canonical form is
+        # unique, so the rows are those of the product by the ExactComplex
+        # and by the constant series
+        a = data.draw(series_of(COEFFS[kind]))
+        c = data.draw(st.one_of(st.integers(-3, 3),
+                                st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))))
+
+        def refuse(self, *args):
+            raise AssertionError("a scalar product built an ExactComplex")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExactComplex, "__init__", refuse)
+            products = (a * c, c * a)
+        for other in (ExactComplex.coerce(c), TruncatedSeries.const(a.variables, a.degree, c)):
+            want = a * other
+            for p in products:
+                assert_canonical(p)
+                assert (p.variables, p.degree) == (a.variables, a.degree)
+                assert (p._d, p._num, p._npoly) == (want._d, want._num, want._npoly)
 
     def test_a_zero_factor_sorts_no_rows(self, monkeypatch):
         a = srs({(1, 0): ExactComplex(2), (0, 1): NPoly([0, 1])})
@@ -631,6 +680,42 @@ class TestSubstitution:
             out = sub(h)
             assert out.degree == min(h.degree, sub.degree)
             assert_matches(out, *naive_compose(h.truncate(sub.degree), args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_constant_groups_make_no_product_once_images_are_built(self, seed):
+        # every variable of h is substituted, so each group of its terms is
+        # one constant row that scales its image; a second call finds every
+        # image built and makes no series product
+        rng = random.Random(seed)
+        hvars = ("u", "v")[:rng.randint(1, 2)]
+        h = random_series(rng, hvars, rng.randint(2, 6), 6)
+        args = {v: random_series(rng, rng.sample(("x", "y"), rng.randint(1, 2)),
+                                 rng.randint(2, 7), 3, min_order=1)
+                for v in hvars}
+        sub = series.Substitution(hvars, args, h.degree)
+        first = sub(h)
+
+        def refuse(self, other):
+            raise AssertionError("a constant group made a series product")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TruncatedSeries, "__mul__", refuse)
+            again = sub(h)
+        assert_same_series(again, first)
+        assert_matches(again, *naive_compose(h.truncate(sub.degree), args))
+
+    @pytest.mark.parametrize("h_degree, arg_degree", [(4, 4), (6, 4), (4, 7), (3, 5)])
+    def test_a_power_that_vanishes_below_the_degree(self, h_degree, arg_degree):
+        # u^3 with u -> x^2 is x^6, zero at these degrees: the group adds
+        # nothing, and the result keeps the least degree
+        x2 = TruncatedSeries(("x",), arg_degree, {(2,): ExactComplex(1)})
+        for terms in ({(3,): ExactComplex(Fraction(1, 3))},
+                      {(1,): ExactComplex(2, 1), (3,): ExactComplex(Fraction(1, 3))}):
+            h = TruncatedSeries(("u",), h_degree, terms)
+            out = compose(h, {"u": x2})
+            assert out.degree == min(h_degree, arg_degree)
+            assert_matches(out, *naive_compose(h, {"u": x2}))
 
     def test_refuses_a_series_over_other_variables(self):
         x = TruncatedSeries.var("x", ("x",), 4)
