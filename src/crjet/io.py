@@ -185,12 +185,15 @@ def parse_jet_data(obj) -> JetData:
         raw = {}
     if not isinstance(raw, dict):
         raise FormatError("lambdas must be an object from order to 4 complex values")
-    lambdas = {}
+    lambdas, keys = {}, {}
     for key, tup in raw.items():
         try:
             n = int(key)
         except ValueError:
             raise FormatError(f"lambda key {key!r} is not an integer") from None
+        if n in keys:
+            raise FormatError(f"lambda keys {keys[n]!r} and {key!r} both name order {n}")
+        keys[n] = key
         if not isinstance(tup, list) or len(tup) != 4:
             raise FormatError(f"lambdas[{key}] must be a list of 4 complex values")
         lambdas[n] = tuple(parse_complex(c) for c in tup)

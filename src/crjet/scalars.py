@@ -8,6 +8,8 @@ Two coefficient rings are used throughout the package:
   by a single gcd reduction (none when the denominator is 1), instead of
   normalising two ``Fraction`` components after every product and sum.
   Canonical form makes equality a comparison of the three integers.
+  ``exact_parts`` is the one reader of an operand's ``(a, b, d)``, for an
+  ``int`` or ``Fraction`` too, with nothing built; operators and series use it.
 * ``NPoly`` -- univariate polynomials in a real indeterminate ``n`` with
   ``ExactComplex`` coefficients (conjugation fixes n and conjugates the
   coefficients).
@@ -94,11 +96,12 @@ class ExactComplex:
     # -- construction helpers -------------------------------------------------
     @classmethod
     def coerce(cls, x) -> "ExactComplex":
-        if isinstance(x, ExactComplex):
+        if type(x) is ExactComplex:
             return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        raise TypeError(f"cannot coerce {x!r} to ExactComplex")
+        parts = exact_parts(x)
+        if parts is None:
+            raise TypeError(f"cannot coerce {x!r} to ExactComplex")
+        return _raw(*parts)
 
     # -- predicates ------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -109,24 +112,22 @@ class ExactComplex:
 
     # -- ring operations -------------------------------------------------------
     def __add__(self, other):
-        if type(other) is not ExactComplex:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ExactComplex(other)
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _canonical(self._a + other._a, self._b + other._b, d1)
-        return _canonical(self._a * d2 + other._a * d1,
-                          self._b * d2 + other._b * d1, d1 * d2)
+        parts = exact_parts(other)
+        if parts is None:
+            return NotImplemented
+        a, b, d = parts
+        d1 = self._d
+        if d1 == d:
+            return _canonical(self._a + a, self._b + b, d)
+        return _canonical(self._a * d + a * d1, self._b * d + b * d1, d1 * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not ExactComplex:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ExactComplex(other)
-        return self + _raw(-other._a, -other._b, other._d)
+        parts = exact_parts(other)
+        if parts is None:
+            return NotImplemented
+        return self + _raw(-parts[0], -parts[1], parts[2])
 
     def __rsub__(self, other):
         return ExactComplex.coerce(other) - self
@@ -135,13 +136,12 @@ class ExactComplex:
         return _raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if type(other) is not ExactComplex:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ExactComplex(other)
-        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        return _canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                          self._d * other._d)
+        parts = exact_parts(other)
+        if parts is None:
+            return NotImplemented
+        a2, b2, d2 = parts
+        a1, b1 = self._a, self._b
+        return _canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * d2)
 
     __rmul__ = __mul__
 
@@ -167,13 +167,12 @@ class ExactComplex:
 
     # -- comparisons / hashing -------------------------------------------------
     def __eq__(self, other):
-        if type(other) is not ExactComplex:
-            try:
-                other = ExactComplex.coerce(other)
-            except TypeError:
-                return NotImplemented
-        return (self._a == other._a and self._b == other._b
-                and self._d == other._d)
+        if type(other) is ExactComplex:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        parts = exact_parts(other)
+        if parts is None:
+            return NotImplemented
+        return (self._a, self._b, self._d) == parts
 
     def __hash__(self):
         # equal values hash alike: a real value equals its Fraction
@@ -216,6 +215,23 @@ def _canonical(a: int, b: int, d: int) -> ExactComplex:
             b //= g
             d //= g
     return _raw(a, b, d)
+
+
+def exact_parts(x):
+    """The canonical (a, b, d) of x = (a + b*i)/d for an ``ExactComplex``,
+    ``int`` or ``Fraction`` x, built from nothing; None for any other value.
+    The exact types go first; a ``bool`` or a subclass takes the isinstance."""
+    t = type(x)
+    if t is ExactComplex:
+        return x._a, x._b, x._d
+    if t is int:
+        return x, 0, 1
+    if t is Fraction:
+        return x.numerator, 0, x.denominator
+    if isinstance(x, (int, Fraction)):
+        q = Fraction(x)
+        return q.numerator, 0, q.denominator
+    return (x._a, x._b, x._d) if isinstance(x, ExactComplex) else None
 
 
 EC_ZERO = ExactComplex(0)

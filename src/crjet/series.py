@@ -17,12 +17,13 @@ that results is a constant, and drops the term only when it is zero.
 
 Arithmetic runs on the rows alone, and each operation tests the exact type
 of its operand before any generic work.  An ``int``, ``Fraction`` or
-``ExactComplex`` scalar, or a one-row ``ExactComplex`` constant series,
-scales the rows of the other operand; operands over the same variables are
-not re-embedded.  Any other product sorts each operand's rows by total
-degree, convolves them and divides out one gcd at the end; a sum of any
-number of parts is one pass that adds integers over the lcm of the
-denominators and follows the rule above whatever the order of the parts;
+``ExactComplex`` scalar, read by ``scalars.exact_parts``, or a one-row
+``ExactComplex`` constant series, scales the rows of the other operand;
+operands over the same variables are not re-embedded.  Any other product
+sorts each operand's rows by total degree, convolves them and divides out
+one gcd at the end; a sum of any number of parts is one pass that adds
+integers over the lcm of the denominators and follows the rule above
+whatever the order of the parts;
 negation, conjugation, ``differentiate``, ``slice``, ``shift``, ``embed``,
 ``rename`` and ``truncate`` are one pass each.  A zero operand does no work:
 a product or scalar product with one is the zero series, and a sum skips its
@@ -59,32 +60,8 @@ from itertools import accumulate, count, repeat
 from operator import add, itemgetter
 
 from .errors import SeriesError
-from .scalars import (EC_ZERO, ExactComplex, NPoly, factorial, from_numerators,
-                      numerator_rows)
-
-
-def _coerce_coeff(c):
-    if isinstance(c, (ExactComplex, NPoly)):
-        return c
-    return ExactComplex.coerce(c)
-
-
-def _is_scalar(c):
-    # Fraction last: testing anything else against it is an ABC check
-    return isinstance(c, (ExactComplex, NPoly, int, Fraction))
-
-
-def _exact_parts(c):
-    """The canonical (a, b, d) of c = (a + b*i)/d when c's type is exactly
-    ``int``, ``Fraction`` or ``ExactComplex``, else None."""
-    t = type(c)
-    if t is ExactComplex:
-        return c._a, c._b, c._d
-    if t is int:
-        return c, 0, 1
-    if t is Fraction:
-        return c.numerator, 0, c.denominator
-    return None
+from .scalars import (EC_ZERO, ExactComplex, NPoly, exact_parts, factorial,
+                      from_numerators, numerator_rows)
 
 
 class TruncatedSeries:
@@ -102,7 +79,8 @@ class TruncatedSeries:
                 raise SeriesError(f"exponent {exps} does not match variables {variables}")
             if sum(exps) > degree:
                 continue
-            c = _coerce_coeff(c)
+            if not isinstance(c, NPoly):
+                c = ExactComplex.coerce(c)
             if not c.is_zero():
                 clean[exps] = c
                 npoly = npoly or type(c) is NPoly
@@ -124,9 +102,9 @@ class TruncatedSeries:
     @classmethod
     def const(cls, variables, degree, c):
         variables = tuple(variables)
-        parts = _exact_parts(c)
+        parts = exact_parts(c)
         if parts is None:
-            return cls(variables, degree, {(0,) * len(variables): _coerce_coeff(c)})
+            return cls(variables, degree, {(0,) * len(variables): c})
         if degree < 0:
             raise SeriesError("truncation degree must be nonnegative")
         a, b, d = parts
@@ -329,8 +307,9 @@ class TruncatedSeries:
         return a, b, degree
 
     def __add__(self, other):
-        if type(other) is not TruncatedSeries and _is_scalar(other):
-            other = TruncatedSeries.const(self.variables, self.degree, other)
+        if type(other) is not TruncatedSeries:
+            if type(other) is NPoly or exact_parts(other) is not None:
+                other = TruncatedSeries.const(self.variables, self.degree, other)
         if type(other) is TruncatedSeries and other.variables == self.variables:
             return _sum(self.variables, (self, other))
         a, b, _ = self._aligned(other)
@@ -352,12 +331,12 @@ class TruncatedSeries:
         if type(other) is not TruncatedSeries:
             # an int, Fraction or ExactComplex scales the rows; an NPoly
             # becomes a constant series
-            parts = _exact_parts(other)
+            parts = exact_parts(other)
             if parts is not None:
                 if not self._num or not parts[0] and not parts[1]:
                     return _zero(self.variables, self.degree)
                 return _scaled(self, *parts)
-            if _is_scalar(other):
+            if type(other) is NPoly:
                 other = TruncatedSeries.const(self.variables, self.degree, other)
         if type(other) is TruncatedSeries and other.variables == self.variables:
             a, b, degree = self, other, min(self.degree, other.degree)
@@ -803,7 +782,7 @@ def kth_root_unit(a: TruncatedSeries, k: int) -> TruncatedSeries:
     series of exponent 1/k in a - 1."""
     if k <= 0:
         raise SeriesError("root order must be positive")
-    if not (a.constant_term() - _coerce_coeff(1)).is_zero():
+    if a.constant_term() != 1:
         raise SeriesError("kth_root_unit requires constant term exactly 1")
     alpha = Fraction(1, k)
     coeffs = accumulate(count(1), lambda c, j: c * (alpha - (j - 1)) / j, initial=Fraction(1))

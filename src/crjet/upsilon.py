@@ -33,7 +33,7 @@ from itertools import combinations, count
 
 from .errors import UpsilonError
 from .linalg import RankTracker
-from .scalars import EC_I, EC_ZERO, ExactComplex, NPoly, factorial, integer_roots
+from .scalars import EC_I, NPoly, factorial, from_numerators, integer_roots
 from .series import TruncatedSeries, inverse_unit, n_graded, power_series
 
 ZC = ("z", "chi")
@@ -269,9 +269,10 @@ def xi_determinants(U: UpsilonFamily):
         f *= math.prod(map(factorial, key))
         den *= d
         if j > 1:
-            # zero coefficients share EC_ZERO, so a kept det holds no copies
-            dets[j] = NPoly([ExactComplex(Fraction(a * f, den), Fraction(b * f, den))
-                             if a or b else EC_ZERO for a, b in minor[tuple(range(j))]])
+            # one gcd a coefficient; the zero ones share EC_ZERO, not copies
+            rows = {(k, 1): (a * f, b * f)
+                    for k, (a, b) in enumerate(minor[tuple(range(j))]) if a or b}
+            dets[j] = from_numerators(rows, den).get((), NPoly())
     return dets
 
 

@@ -407,6 +407,20 @@ class TestVerifyReconstruct:
             "jet not realizable: order-1 system inconsistent")
         assert captured.err == ""
 
+    @pytest.mark.parametrize("keys", [("1", "01"), ("01", "1")])
+    def test_repeated_jet_order_is_refused(self, capsys, tmp_path, keys):
+        # "01" names order 1 like "1" does: refused in either key order,
+        # instead of letting the last of the two keys win
+        jet = json.loads((GOLDEN / "b0_jet.json").read_text(encoding="utf-8"))
+        values = {"1": jet["lambdas"].pop("1"), "01": [{"re": "5", "im": "5"}] * 4}
+        jet["lambdas"] = {**{k: values[k] for k in keys}, **jet["lambdas"]}
+        jet_path = tmp_path / "jet.json"
+        jet_path.write_text(json.dumps(jet), encoding="utf-8")
+        b0 = str(GOLDEN / "b0.json")
+        code, rep = run(capsys, "reconstruct", b0, b0, str(jet_path), "--order", "2")
+        assert code == EXIT_IO
+        assert rep["error"] == f"lambda keys {keys[0]!r} and {keys[1]!r} both name order 1"
+
     def test_determination_equal(self, capsys, tmp_path, mc_file):
         mp = linear_map_file(tmp_path, "rot.json", ExactComplex(0, 1), 2, 14)
         code, rep = run(capsys, "determination", mc_file, mc_file, mp, mp,

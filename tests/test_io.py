@@ -1,5 +1,6 @@
 """JSON serialization round-trips and malformed-input rejection."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,17 @@ class TestFormalMapAndJet:
         assert back.a01 == jet.a01
         assert back.b00 == jet.b00
         assert back.lambdas == jet.lambdas
+
+    @pytest.mark.parametrize("keys", [("1", "01"), ("01", "1"), ("10", "1_0"),
+                                      (" 2", "2")])
+    def test_two_keys_of_one_order_are_refused(self, keys):
+        # whichever key comes last, two keys that name one order are an error
+        zero = [{"re": "0"}] * 4
+        obj = {"a01": {"re": "1"}, "b00": {"re": "1"},
+               "lambdas": {keys[0]: zero, keys[1]: [{"re": "5"}] * 4}}
+        with pytest.raises(FormatError, match=re.escape(
+                f"lambda keys {keys[0]!r} and {keys[1]!r} both name order {int(keys[0])}")):
+            cio.parse_jet_data(obj)
 
     def test_jet_dict_reports_derived_quantities(self):
         jet = JetData(ExactComplex(Fraction(3, 5), Fraction(4, 5)), 2)

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from crjet.scalars import (EC_I, ExactComplex, NPoly, ScalarError, factorial,
-                           integer_roots, rational_nth_root, rational_str)
+from crjet.scalars import (EC_I, ExactComplex, NPoly, ScalarError, exact_parts,
+                           factorial, integer_roots, rational_nth_root,
+                           rational_str)
 from crjet.series import TruncatedSeries
 
 from conftest import falling_binomial, rising_binomial
@@ -75,6 +76,68 @@ class TestExactComplex:
     def test_is_real(self):
         assert ExactComplex(3).is_real()
         assert not ExactComplex(0, 1).is_real()
+
+
+class SmallInt(int):
+    pass
+
+
+class SmallFraction(Fraction):
+    pass
+
+
+class TestExactParts:
+    def test_reads_the_canonical_integers(self):
+        assert exact_parts(ExactComplex(Fraction(1, 2), Fraction(-3, 4))) == (2, -3, 4)
+        assert exact_parts(-7) == (-7, 0, 1)
+        assert exact_parts(Fraction(6, -4)) == (-3, 0, 2)
+        for other in (1.5, "1", None, NPoly([1]), 1j):
+            assert exact_parts(other) is None
+
+    @given(complexes, rationals)
+    def test_int_and_fraction_operands_build_no_exact_complex(self, z, q):
+        # the values with the operand made an ExactComplex, computed first
+        w = ExactComplex(q)
+        ops = (operator.add, operator.sub, operator.mul, operator.eq, operator.ne)
+        want = [op(x, y) for op in ops for x, y in ((z, w), (w, z))]
+        s = TruncatedSeries(("z", "chi"), 4, {(0, 0): z, (1, 2): w, (2, 1): NPoly([z, w])})
+        want_jet = [s.coeff(e) * (factorial(e[0]) * factorial(e[1]))
+                    for e in ((0, 0), (1, 2), (2, 1), (3, 0))]
+
+        def refuse(self, *args):
+            raise AssertionError("an int or Fraction operand built an ExactComplex")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExactComplex, "__init__", refuse)
+            got = [op(x, y) for op in ops for x, y in ((z, q), (q, z))]
+            coerced = ExactComplex.coerce(q)
+            jet = [s.jet_coeff(e) for e in ((0, 0), (1, 2), (2, 1), (3, 0))]
+        assert got == want
+        assert jet == want_jet
+        assert coerced == w
+        assert_canonical(coerced)
+        for v in got:
+            if type(v) is not bool:
+                assert_canonical(v)
+
+    @pytest.mark.parametrize("x, value", [(True, 1), (False, 0), (SmallInt(3), 3),
+                                          (SmallInt(-2), -2),
+                                          (SmallFraction(3, 6), Fraction(1, 2))])
+    def test_bool_and_subclass_operands_read_as_their_value(self, x, value):
+        z = ExactComplex(Fraction(2, 3), -1)
+        assert exact_parts(x) == exact_parts(value)
+        assert all(type(v) is int for v in exact_parts(x))
+        for op in (operator.add, operator.sub, operator.mul):
+            for got, want in ((op(z, x), op(z, value)), (op(x, z), op(value, z))):
+                assert_canonical(got)
+                assert got == want
+        assert (z == x) is (z == value) is False
+        assert ExactComplex(value) == x
+        assert ExactComplex.coerce(x) == ExactComplex(value)
+        assert_canonical(ExactComplex.coerce(x))
+        s = TruncatedSeries(("z",), 3, {(0,): z, (2,): EC_I})
+        for got, want in ((s * x, s * value), (x * s, s * value), (s + x, s + value)):
+            assert (got._d, got._num) == (want._d, want._num)
 
 
 class TestCanonicalForm:
