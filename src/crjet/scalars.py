@@ -450,19 +450,18 @@ def integer_roots(p: NPoly) -> set[int]:
     its forward difference c(x+1) - c(x), found the same way one degree
     down, so one bisection per monotone stretch finds the zeros of c up to
     the bound: O(deg^2 log bound) exact evaluations in all, instead of a
-    scan of the whole range.  Every candidate is confirmed on p itself.
+    scan of the whole range.  Each candidate is confirmed on both part lists.
     """
     if p.is_zero():
         raise ScalarError("zero polynomial has all roots")
     if p.degree() == 0:
         return set()
-    _, c, im = split_parts(p.coefficients)
-    if not any(c):
-        c = im
+    _, re, im = split_parts(p.coefficients)
+    c = re if any(re) else im       # its trailing zeros change no value
     while not c[-1]:
         c.pop()
     bound = 1 + max(map(abs, c[:-1]), default=0) // abs(c[-1])
-    return {n0 for n0 in _int_zeros(c, 0, bound) if p(n0).is_zero()}
+    return {n0 for n0 in _int_zeros(c, 0, bound) if not (_ev(re, n0) or _ev(im, n0))}
 
 
 def _ev(c, x: int) -> int:

@@ -12,22 +12,25 @@ set D, which is finite; the jet order k is read off from D.
 The family is built from P^n = ((1 + i theta)/(1 - i theta))^n, written as
 exp(n a) with a = 2 artanh(i theta): the n^m part of P is a^m / m!, so only
 products of series with ``ExactComplex`` coefficients are taken.  The family
-at a fixed n, asked for directly or by the rank scan that settles each
-candidate n, is the symbolic family evaluated there (``eval_n``).  theta is
-real, so every chi-side factor of Upsilon is the mirror of a z-side one (z
-and chi swapped, coefficients conjugated), and only the z side is divided.
+at a fixed n, asked for directly, is the symbolic family evaluated there
+(``eval_n``).  theta is real, so every chi-side factor of Upsilon is the
+mirror of a z-side one (z and chi swapped, coefficients conjugated), and
+only the z side is divided.
 
-Both integer readers take the components' rows from ``numerators``, keyed
-(s, t, k) for n^k, without building a coefficient object: the leading
-minors of the xi matrix come from one shared-minor expansion over Z[i][n],
-each minor summing its signed terms in one pass, and the rank scan reduces
-over Z[i] (``RankTracker``).  Both are exact and give what the same steps
-over the Gaussian rationals give.
+Both integer readers read one jet view per family (``UpsilonFamily.jets``):
+the components' ``numerators`` grouped by (s, t) into Z[i] lists by power
+of n, built without a coefficient object.  The leading minors of the xi
+matrix come from one shared-minor expansion over Z[i][n], each minor
+summing its signed terms in one pass.  The rank scan that settles each
+candidate n0 evaluates the view's jets at n0 by Horner's rule, so no
+fixed-n family is built, and reduces over Z[i] (``RankTracker``).  Both are
+exact and give what the same steps over the Gaussian rationals give.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, count
 
@@ -46,7 +49,7 @@ def _delta1(x) -> int:
 
 
 class UpsilonFamily:
-    __slots__ = ("n_mode", "components", "L", "K", "T")
+    __slots__ = ("n_mode", "components", "L", "K", "T", "_jets")
 
     def __init__(self, n_mode, components, L, K, T):
         self.n_mode = n_mode
@@ -54,6 +57,24 @@ class UpsilonFamily:
         self.L = L
         self.K = K
         self.T = T
+        self._jets = None
+
+    def jets(self):
+        """``(dens, {(s, t): rows})``, the components' integer jets, read off
+        ``numerators`` once per family: rows[c] lists the Z[i] numerators of
+        component c at z^s chi^t by power of n, up to its top power (empty
+        where c has no term), over c's denominator dens[c].  The keys are
+        the (s, t) some component holds, in (s + t, s) order."""
+        if self._jets is None:
+            dens, nums = zip(*(c.numerators() for c in self.components))
+            jets = defaultdict(lambda: [[] for _ in nums])
+            for c, num in enumerate(nums):
+                for (s, t, k), v in num.items():
+                    row = jets[s, t][c]
+                    row.extend([(0, 0)] * (k + 1 - len(row)))
+                    row[k] = v
+            self._jets = dens, dict(sorted(jets.items(), key=lambda j: (sum(j[0]), j[0])))
+        return self._jets
 
     @property
     def degree(self) -> int:
@@ -187,29 +208,41 @@ def gamma_threshold(L: int, K: int, T: int) -> int:
     return 2 + _delta1(K) + _delta1(L) * _delta1(T)
 
 
-def dim_Vn(U: UpsilonFamily, scan_bound: int):
-    """(rank, pivot (s,t) list) of the jet vectors with s, t <= scan_bound,
-    for a family at a fixed n.
+def _at(row, n0: int):
+    """The Z[i] numerator at n = n0 of one list by power of n (Horner)."""
+    a = b = 0
+    for x, y in reversed(row):
+        a, b = a * n0 + x, b * n0 + y
+    return a, b
 
-    Row (s, t) holds the integer numerators of the components at (s, t),
-    read by ``numerators`` at the power n^0: entry c is d_c times the
-    coefficient of component c, where d_c is that component's denominator,
-    and the s! t! of the jet convention is left out.  Scaling a row by a
-    nonzero constant, or column c by d_c, changes neither the rank of any
-    set of rows nor which rows add rank, so the rank and the pivot labels
-    are those of the jet vectors.
+
+def dim_Vn(U: UpsilonFamily, scan_bound: int, n0: int | None = None):
+    """(rank, pivot (s,t) list) of the jet vectors with s, t <= scan_bound,
+    for a fixed-n family, or for a symbolic family at the integer n0.
+
+    Row (s, t) is ``U.jets()`` there at n0: entry c is d_c times component
+    c's coefficient, d_c its denominator, the s! t! of the jet convention
+    left out.  Scaling a row by a nonzero constant, or column c by d_c,
+    changes neither the rank of any set of rows nor which rows add rank.
+    Only the (s, t) some component holds are visited, in the dense scan's
+    (s + t, s) order; a row zero at n0, which adds no rank and no pivot, is
+    skipped, and the scan stops at rank 4.
     """
-    if U.n_mode == SYMBOLIC:
-        raise UpsilonError("dim_Vn scans a fixed-n family; evaluate it with eval_n")
-    columns = [c.numerators()[1] for c in U.components]
-    tracker = RankTracker()
+    if (n0 is None) == (U.n_mode == SYMBOLIC):
+        raise UpsilonError("dim_Vn scans a fixed-n family, or a symbolic one at n0")
+    x = 0 if n0 is None else n0          # a fixed-n family holds n^0 only
+    _, jets = U.jets()
     deg = U.degree
-    for total in range(0, min(2 * scan_bound, deg) + 1):
-        for s in range(max(0, total - scan_bound), min(total, scan_bound) + 1):
-            key = (s, total - s)
-            tracker.add_row([col.get(key + (0,), (0, 0)) for col in columns], label=key)
-        if tracker.rank == 4:
+    tracker = RankTracker()
+    for (s, t), rows in jets.items():
+        if s + t > deg:
             break
+        if s <= scan_bound and t <= scan_bound:
+            vec = [_at(row, x) for row in rows]
+            if any(a or b for a, b in vec):
+                tracker.add_row(vec, label=(s, t))
+                if tracker.rank == 4:
+                    break
     return tracker.rank, list(tracker.labels)
 
 
@@ -228,8 +261,8 @@ def xi_determinants(U: UpsilonFamily):
     """det of the upper-left j x j submatrix of xi(n), j = 2, 3, 4, as NPoly.
 
     Row r of xi is s_r! t_r! times the coefficients at its (s_r, t_r).
-    ``numerators`` reads each component once: entry (r, c) is d_c times
-    component c's polynomial in n at (s_r, t_r), over Z[i] and listed to
+    Entry (r, c) is ``U.jets()``'s list at (s_r, t_r) for component c:
+    d_c times component c's polynomial in n there, over Z[i] and listed to
     its own top power, d_c the component's denominator.  So det_j is the
     integer determinant times prod_{r<j} s_r! t_r! / prod_{c<j} d_c.  One
     Laplace expansion along the rows shares every minor: the minor on rows
@@ -242,12 +275,8 @@ def xi_determinants(U: UpsilonFamily):
     if U.n_mode != SYMBOLIC:
         raise UpsilonError("xi_determinants requires a symbolic family")
     keys = _xi_keys(U)
-    dens, nums = zip(*(comp.numerators() for comp in U.components))
-    rows = []
-    for key in keys:
-        tops = [max((k[-1] for k in num if k[:-1] == key), default=-1) for num in nums]
-        rows.append([[num.get(key + (k,), (0, 0)) for k in range(top + 1)]
-                     for num, top in zip(nums, tops)])
+    dens, jets = U.jets()
+    rows = [jets.get(key, [[]] * 4) for key in keys]
     minor = {(c,): rows[0][c] for c in range(4)}
     for r in range(1, 4):
         for cols in combinations(range(4), r + 1):
@@ -309,7 +338,8 @@ def compute_D(M, scan_bound: int | None = None) -> JetAnalysis:
 
     The symbolic determinant of the gamma x gamma corner of xi(n) restricts
     the candidates to its integer roots (plus 0, which always belongs); each
-    candidate is then settled by an exact rank scan at that fixed n.
+    candidate n0 is then settled by an exact rank scan of the symbolic
+    family's jets at n0 (``dim_Vn(U, scan_bound, n0)``).
     """
     inv = M.invariants
     if inv.m != 1:
@@ -330,7 +360,7 @@ def compute_D(M, scan_bound: int | None = None) -> JetAnalysis:
 
     D, vn_dims, certificates = [], {}, {}
     for n0 in sorted(candidates):
-        rank, pivots = dim_Vn(U.eval_n(n0), scan_bound)
+        rank, pivots = dim_Vn(U, scan_bound, n0)
         vn_dims[n0] = rank
         if rank < gamma:
             D.append(n0)

@@ -303,7 +303,13 @@ class TestIntegerRoots:
             p = p * NPoly([-r, 1])
         assert integer_roots(p) == set(roots)
 
-    def test_matches_sympy(self):
+    def test_real_root_missing_from_the_imaginary_part(self):
+        # (n - 3) + i (n - 4): 3 is a root of the real parts only
+        assert integer_roots(NPoly([ExactComplex(-3, -4), ExactComplex(1, 1)])) == set()
+
+    @staticmethod
+    def sympy_cases():
+        """(q, the nonnegative integer roots of q by sympy) on seeded q."""
         sympy = pytest.importorskip("sympy")
         n = sympy.Symbol("n")
 
@@ -312,6 +318,7 @@ class TestIntegerRoots:
                                   for k, x in enumerate(values)), n, domain="QQ")
 
         rng = random.Random(4)
+        cases = []
         for _ in range(60):
             p = NPoly([ExactComplex(rng.randint(1, 5), rng.randint(-5, 5))])
             for _ in range(rng.randint(0, 3)):
@@ -326,8 +333,24 @@ class TestIntegerRoots:
                     continue
                 re = over_qq([c.re for c in q.coefficients])
                 im = over_qq([c.im for c in q.coefficients])
-                want = {int(r) for r in re.gcd(im).ground_roots() if r.is_integer and r >= 0}
-                assert integer_roots(q) == want
+                cases.append((q, {int(r) for r in re.gcd(im).ground_roots()
+                                  if r.is_integer and r >= 0}))
+        return cases
+
+    def test_matches_sympy(self):
+        for q, want in self.sympy_cases():
+            assert integer_roots(q) == want
+
+    def test_confirms_roots_on_integer_parts(self, monkeypatch):
+        # every candidate is confirmed on the integer lists, never by p(n0)
+        cases = self.sympy_cases()
+
+        def refused(self, n0):
+            raise AssertionError("integer_roots evaluated an NPoly")
+
+        monkeypatch.setattr(NPoly, "__call__", refused)
+        for q, want in cases:
+            assert integer_roots(q) == want
 
 
 class TestRationalNthRoot:

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from crjet import io as cio, upsilon
 from crjet.hypersurface import (THETA_VARS, Hypersurface, InvariantTuple, family_b0,
                                 family_mc, family_nb, validate)
+from crjet.linalg import RankTracker
 from crjet.scalars import EC_I, ExactComplex, NPoly, factorial, integer_roots
 from crjet.series import TruncatedSeries
 from crjet.upsilon import (SYMBOLIC, UpsilonError, _mirror, build_upsilon,
@@ -161,6 +162,14 @@ class TestRankScan:
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
+
+def excluded_at(degree):
+    """The input of ``excluded.json``, Theta = s (z chi - i z^2 chi^3 +
+    i z^3 chi^2), truncated at ``degree``."""
+    return validate(TruncatedSeries(THETA_VARS, degree, {
+        (1, 1, 1): ExactComplex(1), (2, 3, 1): -EC_I, (3, 2, 1): EC_I}))
+
+
 ORACLE_INPUTS = {
     "mc1": lambda: family_mc(1, 1, 14),
     "mc2": lambda: family_mc(1, 2, 19),
@@ -169,31 +178,64 @@ ORACLE_INPUTS = {
     "b0": lambda: family_b0(14),
     "excluded": lambda: cio.parse_hypersurface(
         json.loads((GOLDEN / "excluded.json").read_text(encoding="utf-8"))),
+    # the last pivot of n = 1, (2, 5), lies at the family's degree, 7
+    "excluded_deg10": lambda: excluded_at(10),
 }
 
 
 class TestAgainstExactOracle:
-    """The determinants and the rank scan over the Gaussian integers give
-    what the oracle's NPoly expansion and ExactComplex scan give."""
+    """The determinants and the rank scans over the Gaussian integers give
+    what the oracle's NPoly expansion and dense ExactComplex scan give, and
+    compute_D reports them at every candidate."""
 
-    def check(self, U):
+    def check(self, M):
+        U = build_upsilon(M, SYMBOLIC)
         dets = xi_determinants(U)
         want = upsilon_oracle.xi_determinants(U)
         for j in (2, 3, 4):
             assert dets[j].coefficients == want[j].coefficients, j
-        # every candidate of compute_D, and values that scan until rank 4
-        det_gamma = dets[gamma_threshold(U.L, U.K, U.T)]
-        n0s = {0, 1, 3, 5}
-        if not det_gamma.is_zero():
-            n0s |= integer_roots(det_gamma)
+        gamma = gamma_threshold(U.L, U.K, U.T)
         bound = 3 * U.K + 3 * U.L + 2
-        for n0 in sorted(n0s):
+        if want[gamma].is_zero():
+            with pytest.raises(UpsilonError, match="vanishes identically"):
+                compute_D(M)
+            candidates = set()
+        else:
+            candidates = integer_roots(want[gamma]) | {0}
+            self.check_analysis(compute_D(M), U, want, candidates)
+        # every scan, symbolic at n0 or fixed-n, pivots included, at the
+        # candidates and at values that scan until rank 4; the small bounds
+        # cut the scan at s or t = bound
+        for n0 in sorted(candidates | {0, 1, 3, 5}):
             fixed = U.eval_n(n0)
-            assert dim_Vn(fixed, bound) == upsilon_oracle.dim_Vn(fixed, bound), n0
+            for b in (2, 3, bound):
+                scan = upsilon_oracle.dim_Vn(fixed, b)
+                assert dim_Vn(U, b, n0) == scan, (n0, b)
+                assert dim_Vn(fixed, b) == scan, (n0, b)
+
+    @staticmethod
+    def check_analysis(analysis, U, want, candidates):
+        gamma, bound = analysis.gamma, analysis.scan_bound
+        assert bound == 3 * U.K + 3 * U.L + 2
+        assert {j: p.coefficients for j, p in analysis.xi_dets.items()} \
+            == {j: p.coefficients for j, p in want.items()}
+        assert set(analysis.vn_dims) == set(analysis.certificates) == candidates
+        for n0 in sorted(candidates):
+            rank, pivots = upsilon_oracle.dim_Vn(U.eval_n(n0), bound)
+            assert analysis.vn_dims[n0] == rank, n0
+            if rank < gamma:
+                cert = {"status": "in D, certified to scan bound", "rank": rank,
+                        "scan_bound": bound}
+            else:
+                cert = {"status": "excluded, rank certificate", "rank": rank,
+                        "pivots": [list(p) for p in pivots[:gamma]]}
+            assert analysis.certificates[n0] == cert, n0
+        assert analysis.D == sorted(n0 for n0 in candidates
+                                    if analysis.vn_dims[n0] < gamma)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
     def test_named_inputs(self, name):
-        self.check(build_upsilon(ORACLE_INPUTS[name](), SYMBOLIC))
+        self.check(ORACLE_INPUTS[name]())
 
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False).map(
@@ -201,20 +243,20 @@ class TestAgainstExactOracle:
     def test_random_inputs(self, M):
         U = build_upsilon(M, SYMBOLIC)
         assume(3 * (U.K + U.L) <= U.degree)       # the xi rows are certified
-        self.check(U)
+        self.check(M)
 
 
 def counter(monkeypatch, cls, names, counts=lambda *args: True):
     """Wrap the methods ``names`` of ``cls``; returns the list of the
-    argument tuples of the calls that ``counts`` accepts."""
+    positional argument tuples of the calls that ``counts`` accepts."""
     calls = []
     for name in names:
         original = getattr(cls, name)
 
-        def wrapped(*args, original=original):
+        def wrapped(*args, original=original, **kwargs):
             if counts(*args):
                 calls.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, wrapped)
     return calls
@@ -237,6 +279,20 @@ class TestWorkOnIntegerRows:
         calls = counter(monkeypatch, TruncatedSeries, ("coeff",))
         assert [dim_Vn(F, 8)[0] for F in fixed] == [2, 2, 3, 4]
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["b0", "excluded"])
+    def test_compute_d_reads_the_symbolic_jets(self, monkeypatch, name):
+        # no fixed-n family is built, and no zero row reaches the tracker
+        M = ORACLE_INPUTS[name]()
+        family_evals = counter(monkeypatch, upsilon.UpsilonFamily, ("eval_n",))
+        series_evals = counter(monkeypatch, TruncatedSeries, ("eval_n",))
+        zero_rows = counter(monkeypatch, RankTracker, ("add_row",),
+                            lambda tracker, vec: not any(a or b for a, b in vec))
+        analysis = compute_D(M)
+        assert family_evals == series_evals == zero_rows == []
+        if name == "b0":
+            assert (analysis.D, analysis.k) == ([0, 1, 2], 4)
+            assert analysis.vn_dims == {0: 2, 1: 2, 2: 3}
 
     def test_xi_determinants_read_no_coefficient(self, monkeypatch):
         for M in (family_b0(14), family_nb(ExactComplex(1, 2), 2, 15)):
@@ -350,14 +406,12 @@ class TestExceptionalSet:
         assert analysis.scan_bound >= 8
         assert analysis.vn_dims == {0: 2, 1: 2, 2: 3}
 
-    @pytest.mark.parametrize("degree", [11, 14, 20])
+    @pytest.mark.parametrize("degree", [10, 11, 14, 20])
     def test_root_excluded_by_rank_certificate(self, degree):
         # Theta = s (z chi - i z^2 chi^3 + i z^3 chi^2): det_4 vanishes at
-        # n = 1, but the jets at n = 1 span C^4, so 1 is not in D
-        Theta = TruncatedSeries(THETA_VARS, degree, {(1, 1, 1): ExactComplex(1),
-                                                     (2, 3, 1): -EC_I,
-                                                     (3, 2, 1): EC_I})
-        analysis = compute_D(validate(Theta))
+        # n = 1, but the jets at n = 1 span C^4, so 1 is not in D; at
+        # degree 10 the last pivot, (2, 5), lies at the family's degree
+        analysis = compute_D(excluded_at(degree))
         assert analysis.xi_dets[4](1).is_zero()
         assert analysis.D == [0]
         assert analysis.k == 1

@@ -13,9 +13,14 @@ reference of acceptance criterion 10 and of the rank-scan tests.
 
 ``xi_determinants`` and ``dim_Vn`` here are the determinants and the rank
 scan over ``ExactComplex`` and ``NPoly`` coefficients, as they were first
-written, the xi matrix read by ``xi_rows`` through ``jet_coeff``; ``crjet``
-runs both over the Gaussian integers, and ``test_upsilon.py`` checks that
-the answers agree.
+written, the xi matrix read by ``xi_rows`` through ``jet_coeff``.  This
+``dim_Vn`` scans a fixed-n family densely: every (s, t) with s, t within
+the bound, zero rows included, in (s + t, s) order, by ``coeff``.
+``crjet`` runs both over the Gaussian integers, from one jet view of the
+symbolic family: its scan evaluates the jets at n0, visits only the (s, t)
+some component holds and skips the rows that are zero there.
+``test_upsilon.py`` checks that the ranks, the pivots and the determinants
+agree, and that ``compute_D`` reports them at every candidate.
 """
 
 from __future__ import annotations
