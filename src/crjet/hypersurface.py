@@ -172,7 +172,7 @@ def family_mc(c, j: int, degree: int) -> Hypersurface:
     c = Fraction(c)
     if c == 0 or j < 1:
         raise ValidationError("family mc needs rational c != 0 and j >= 1")
-    Theta = TruncatedSeries(THETA_VARS, degree, {(j, j, 1): ExactComplex(c)})
+    Theta = TruncatedSeries(THETA_VARS, degree, {(j, j, 1): c})
     return validate(Theta)
 
 

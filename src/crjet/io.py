@@ -191,6 +191,8 @@ def parse_jet_data(obj) -> JetData:
             n = int(key)
         except ValueError:
             raise FormatError(f"lambda key {key!r} is not an integer") from None
+        if n < 0:
+            raise FormatError(f"lambda key {key!r} names the negative order {n}")
         if n in keys:
             raise FormatError(f"lambda keys {keys[n]!r} and {key!r} both name order {n}")
         keys[n] = key

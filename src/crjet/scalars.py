@@ -16,11 +16,10 @@ Two coefficient rings are used throughout the package:
 
 A truncated series stores integer rows, not these objects: its terms as
 numerators over one shared denominator, keyed ``exps + (k, p)`` (power k of
-n, p = 1 for the terms of an ``NPoly``).  ``numerator_rows`` turns the
-coefficient dict given to the public series constructor into such rows (an
-``ExactComplex`` factor already is one: its ``(a, b, d)``), and
-``from_numerators`` turns stored rows back into canonical coefficients when
-a caller reads them, with one gcd per ``ExactComplex``.
+n, p = 1 for the terms of an ``NPoly``).  Only ``series`` writes such rows;
+no function here does.  ``from_numerators`` reads stored rows back into
+canonical coefficients when a caller asks for them, with one gcd per
+``ExactComplex``.
 
 Everything is immutable value semantics; no rounding ever happens.
 """
@@ -368,38 +367,8 @@ class NPoly:
         return " + ".join(parts)
 
 
-def numerator_rows(coeffs):
-    """A coefficient dict over one shared denominator, as integer rows.
-
-    Returns ``(d, rows)``, with ``d`` the lcm of the denominators of the
-    coefficients.  ``rows`` maps ``exps + (k, p)`` to ``(a, b)``, the term
-    (a + b*i)/d * n^k at the exponent tuple ``exps``: an ``ExactComplex``
-    gives one row with k = p = 0, an ``NPoly`` one row per nonzero
-    coefficient with p = 1.  The rows are canonical: each coefficient is,
-    so ``gcd(d, every numerator) = 1``.
-    """
-    dens = set()
-    for c in coeffs.values():
-        if type(c) is ExactComplex:
-            dens.add(c._d)
-        else:
-            dens.update(x._d for x in c.coefficients)
-    d = math.lcm(*dens)
-    rows = {}
-    for exps, c in coeffs.items():
-        if type(c) is ExactComplex:
-            m = d // c._d
-            rows[exps + (0, 0)] = (c._a * m, c._b * m)
-            continue
-        for k, x in enumerate(c.coefficients):
-            if x._a or x._b:
-                m = d // x._d
-                rows[exps + (k, 1)] = (x._a * m, x._b * m)
-    return d, rows
-
-
 def from_numerators(rows, d: int) -> dict:
-    """The coefficients of canonical ``numerator_rows`` over the denominator d.
+    """The coefficients of canonical stored series rows over the denominator d.
 
     The rows with p = 1 at one ``exps`` make an ``NPoly``, a row with p = 0
     an ``ExactComplex``; each ``ExactComplex`` costs one gcd.

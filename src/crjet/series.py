@@ -8,7 +8,11 @@ coefficient and 0 for an ``ExactComplex`` one, so an ``ExactComplex`` takes
 one row with k = p = 0 and an ``NPoly`` one row per nonzero coefficient.
 The stored form is canonical: no row is zero, ``gcd(d, every numerator)``
 is 1, and the rows at one ``exps`` are either a single p = 0 row or p = 1
-rows only.
+rows only.  The checked constructor writes these rows in one pass: each
+``int``, ``Fraction`` or ``ExactComplex`` coefficient, and each coefficient
+of an ``NPoly``, is read by ``scalars.exact_parts``, so it builds no
+``ExactComplex``; an exponent must be a tuple of nonnegative ``int`` (not
+``bool``) entries.
 
 The coefficient at ``exps`` is an ``NPoly`` exactly when an ``NPoly``
 reached it: a product, a sum or a scalar product gives an ``NPoly`` wherever
@@ -60,8 +64,7 @@ from itertools import accumulate, count, repeat
 from operator import add, itemgetter
 
 from .errors import SeriesError
-from .scalars import (EC_ZERO, ExactComplex, NPoly, exact_parts, factorial,
-                      from_numerators, numerator_rows)
+from .scalars import EC_ZERO, NPoly, exact_parts, factorial, from_numerators
 
 
 class TruncatedSeries:
@@ -71,24 +74,37 @@ class TruncatedSeries:
         variables = tuple(variables)
         if degree < 0:
             raise SeriesError("truncation degree must be nonnegative")
-        clean = {}
+        # the (a, b, d) rows of the nonzero terms, in the order given (the
+        # order in which validate meets them), then over one lcm
+        rows = {}
         npoly = False
         for exps, c in (coeffs or {}).items():
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise SeriesError(f"exponent {exps} does not match variables {variables}")
+            for e in exps:
+                if type(e) is bool or not isinstance(e, int) or e < 0:
+                    raise SeriesError(f"exponent {exps} is not a tuple of nonnegative integers")
             if sum(exps) > degree:
                 continue
-            if not isinstance(c, NPoly):
-                c = ExactComplex.coerce(c)
-            if not c.is_zero():
-                clean[exps] = c
-                npoly = npoly or type(c) is NPoly
-        d, num = numerator_rows(clean)
+            parts = exact_parts(c)
+            if parts is not None:
+                if parts[0] or parts[1]:
+                    rows[exps + (0, 0)] = parts
+            elif isinstance(c, NPoly):
+                for k, x in enumerate(c.coefficients):
+                    parts = exact_parts(x)
+                    if parts[0] or parts[1]:
+                        rows[exps + (k, 1)] = parts
+                        npoly = True
+            else:
+                raise TypeError(f"cannot coerce {c!r} to ExactComplex")
+        d = math.lcm(*{e for _, _, e in rows.values()})
         _set_variables(self, variables)
         _set_degree(self, degree)
         _set_d(self, d)
-        _set_num(self, num or _NO_ROWS)
+        _set_num(self, {key: (a, b) if e == d else (a * (d // e), b * (d // e))
+                        for key, (a, b, e) in rows.items()} or _NO_ROWS)
         _set_npoly(self, npoly)
 
     def __setattr__(self, name, value):
@@ -118,7 +134,7 @@ class TruncatedSeries:
         exps = tuple(1 if v == name else 0 for v in variables)
         if sum(exps) != 1:
             raise SeriesError(f"variable {name!r} not in {variables}")
-        return cls(variables, degree, {exps: ExactComplex(1)})
+        return cls(variables, degree, {exps: 1})
 
     # -- inspection ------------------------------------------------------------
     @property

@@ -421,6 +421,17 @@ class TestVerifyReconstruct:
         assert code == EXIT_IO
         assert rep["error"] == f"lambda keys {keys[0]!r} and {keys[1]!r} both name order 1"
 
+    def test_negative_jet_order_is_refused(self, capsys, tmp_path):
+        # the entry would never be read: refused with exit 1, not ignored
+        jet = {"a01": {"re": "1"}, "b00": {"re": "1"},
+               "lambdas": {"-1": [{"re": "1"}, {"im": "1"}, {"re": "2"}, {"re": "0"}]}}
+        jet_path = tmp_path / "jet.json"
+        jet_path.write_text(json.dumps(jet), encoding="utf-8")
+        mc = str(GOLDEN / "mc.json")
+        code, rep = run(capsys, "reconstruct", mc, mc, str(jet_path), "--order", "2")
+        assert code == EXIT_IO
+        assert rep["error"] == "lambda key '-1' names the negative order -1"
+
     def test_determination_equal(self, capsys, tmp_path, mc_file):
         mp = linear_map_file(tmp_path, "rot.json", ExactComplex(0, 1), 2, 14)
         code, rep = run(capsys, "determination", mc_file, mc_file, mp, mp,

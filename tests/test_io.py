@@ -146,6 +146,16 @@ class TestFormalMapAndJet:
                 f"lambda keys {keys[0]!r} and {keys[1]!r} both name order {int(keys[0])}")):
             cio.parse_jet_data(obj)
 
+    @pytest.mark.parametrize("key", ["-1", "-01", " -3"])
+    def test_negative_order_is_refused(self, key):
+        # a negative order is never read by a reconstruction: refused
+        # rather than ignored
+        obj = {"a01": {"re": "1"}, "b00": {"re": "1"},
+               "lambdas": {key: [{"re": "1", "im": "2"}] * 4}}
+        with pytest.raises(FormatError, match=re.escape(
+                f"lambda key {key!r} names the negative order {int(key)}")):
+            cio.parse_jet_data(obj)
+
     def test_jet_dict_reports_derived_quantities(self):
         jet = JetData(ExactComplex(Fraction(3, 5), Fraction(4, 5)), 2)
         obj = cio.jet_data_dict(jet)

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from crjet import io as cio
 from crjet import series
-from crjet.scalars import EC_I, EC_ZERO, ExactComplex, NPoly
+from crjet.hypersurface import family_b0, family_mc, family_nb
+from crjet.scalars import EC_I, EC_ONE, EC_ZERO, ExactComplex, NPoly
 from crjet.series import (SeriesError, TruncatedSeries, compose, divide,
                           implicit_solve, inverse_unit, kth_root_unit)
 
@@ -160,6 +163,73 @@ class TestConstructors:
                 TruncatedSeries.const(XY, -1, c)
         with pytest.raises(SeriesError, match="nonnegative"):
             TruncatedSeries.zero(XY, -1)
+
+    @pytest.mark.parametrize("variables, exps", [
+        (("z",), (-1,)), (("z", "w"), (-2, 4)), (("z",), (1.5,)), (("z",), (True,)),
+        (("z", "w"), (1, False)), (("z",), ("1",)), (("z", "w"), (-1, 9))])
+    def test_an_exponent_that_is_not_a_nonnegative_int_raises(self, variables, exps):
+        # refused with any coefficient, zero or above the degree too; a bool
+        # is not an int here, as in the JSON format
+        for c in (1, 0, NPoly([1, 2])):
+            with pytest.raises(SeriesError, match=re.escape(str(exps))):
+                TruncatedSeries(variables, 3, {(0,) * len(variables): 1, exps: c})
+
+    def test_the_checked_constructor_builds_no_exact_complex(self, monkeypatch):
+        # every coefficient is read through exact_parts: with ExactComplex
+        # unbuildable, nothing in series coerces, and the rows keep the order
+        # and the values given; an int subclass is an int, as an exponent too
+        class Int(int):
+            pass
+        half, w = Fraction(1, 2), ExactComplex(Fraction(-2, 3), 5)
+        p = NPoly([Fraction(1, 3), 0, w])
+        given = [
+            ({(0, 0): 3, (1, 0): half, (0, 1): True, (Int(2), 1): Int(-4), (1, 1): w,
+              (0, 2): p, (3, 0): 0, (2, 0): Fraction(0), (1, 2): EC_ZERO,
+              (3, 1): NPoly([0]), (4, 0): 7, (2, 3): p}, 3),
+            ({(2, 2): Fraction(5, 6), (1, 0): Fraction(-7, 4), (0, 0): 1}, 6),
+            ({(1, 1): p, (0, 1): NPoly([2]), (0, 0): w}, 2),
+            ({}, 4)]
+        a = family_mc(half, 2, 10).Theta.slice("s", 1) + 1
+        makers = [lambda: family_mc(half, 2, 10).Theta, lambda: family_nb(w, 2, 8).Theta,
+                  lambda: family_nb(Fraction(3, 2), 1, 8).Theta, lambda: family_b0(8).Theta,
+                  lambda: inverse_unit(a), lambda: kth_root_unit(a, 3),
+                  lambda: series.power_series(a - 1, [1, half, w, -2, 0, Int(3)])]
+        built = [make() for make in makers]
+        calls = []
+        coerce = ExactComplex.coerce.__func__
+
+        def recording(cls, x):
+            calls.append(sys._getframe(1).f_code.co_filename)
+            return coerce(cls, x)
+
+        def unbuildable(self, *args):
+            raise AssertionError("an ExactComplex was built")
+
+        with monkeypatch.context() as m:
+            m.setattr(ExactComplex, "coerce", classmethod(recording))
+            m.setattr(ExactComplex, "__init__", unbuildable)
+            got = [TruncatedSeries(XY, degree, coeffs) for coeffs, degree in given]
+            assert [f for f in calls if f == series.__file__] == []
+            var = TruncatedSeries.var("y", XY, 4)
+            rebuilt = [make() for make in makers]
+            with pytest.raises(TypeError, match=re.escape(
+                    "cannot coerce '1/2' to ExactComplex")):
+                TruncatedSeries(XY, 3, {(0, 0): 1, (1, 0): "1/2"})
+            with pytest.raises(TypeError, match=re.escape(
+                    "cannot coerce 0.5 to ExactComplex")):
+                TruncatedSeries(XY, 3, {(1, 0): 0.5})
+        assert [f for f in calls if f == series.__file__] == []
+        for s, (coeffs, degree) in zip(got, given):
+            want = {e: c if type(c) is NPoly else ExactComplex.coerce(c)
+                    for e, c in coeffs.items() if sum(e) <= degree}
+            want = {e: c for e, c in want.items() if not c.is_zero()}
+            assert_matches(s, XY, degree, want)
+            assert list(dict.fromkeys(k[:-2] for k in s._num)) == list(want)
+        assert_matches(var, XY, 4, {(0, 1): EC_ONE})
+        assert built[0].coeffs == {(2, 2, 1): half}
+        for s, ref in zip(rebuilt, built):
+            assert (s.variables, s.degree, s._d, s._num, s._npoly) == \
+                (ref.variables, ref.degree, ref._d, ref._num, ref._npoly)
 
 
 class TestProductKernel:
