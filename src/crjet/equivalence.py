@@ -122,8 +122,11 @@ class JetData:
             raise EquivalenceError("jet data requires a_0^1 != 0 and b_0^0 != 0")
         if not self.b00.is_real():
             raise EquivalenceError("b_0^0 must be real for an equivalence")
-        self.lambdas = {int(n): tuple(ExactComplex.coerce(c) for c in tup)
-                        for n, tup in (lambdas or {}).items()}
+        self.lambdas = {}
+        for n, tup in (lambdas or {}).items():
+            if type(n) is bool or not isinstance(n, int) or n < 0:
+                raise EquivalenceError(f"lambda order {n!r} is not a nonnegative integer")
+            self.lambdas[n] = tuple(ExactComplex.coerce(c) for c in tup)
         if any(len(tup) != 4 for tup in self.lambdas.values()):
             raise EquivalenceError("each lambda_n needs four values")
 
@@ -278,9 +281,9 @@ def f0_from_jet(M: Hypersurface, Mhat: Hypersurface, a01) -> tuple[TruncatedSeri
 def shat_jet_table(Mhat, f0, n_max):
     """(j,k,l) -> Shat_{z^j chi^k tau^l}(f0(z), conj f0(chi), 0) for j+k+l <= n_max."""
     at_f0 = _at_f0(f0)
-    table, s_jets = {}, []
+    table, shat_slices = {}, []
     for _ in range(n_max + 1):
-        _add_shat_layer(table, s_jets, Mhat, at_f0)
+        _add_shat_layer(table, shat_slices, Mhat, at_f0)
     return table
 
 
@@ -293,15 +296,15 @@ def _at_f0(f0):
     return Substitution(ZC, {"z": f0zc, "chi": f0bar}, f0.degree)
 
 
-def _add_shat_layer(table, s_jets, Mhat, at_f0):
+def _add_shat_layer(table, shat_slices, Mhat, at_f0):
     """Add the entries of ``shat_jet_table`` with j + k + l = n, for n the
     number of layers already added, composed through the shared
-    substitution ``at_f0``.  ``s_jets`` holds Shat_{tau^l}(z, chi, 0) for
-    l < n, kept by the caller across layers; this layer appends l = n, so
-    each tau-jet is sliced once per table."""
-    n = len(s_jets)
-    s_jets.append(Mhat.s_tau_jet(n))
-    for l, s_l in enumerate(s_jets):
+    substitution ``at_f0``.  ``shat_slices`` holds Shat_{tau^l}(z, chi, 0)
+    for l < n, kept by the caller across layers; this layer appends l = n,
+    so each tau-jet is sliced once per table."""
+    n = len(shat_slices)
+    shat_slices.append(Mhat.s_tau_jet(n))
+    for l, s_l in enumerate(shat_slices):
         for j in range(n + 1 - l):
             k = n - l - j
             table[(j, k, l)] = at_f0(s_l.differentiate("z", j).differentiate("chi", k))
@@ -501,16 +504,16 @@ def reconstruct(M: Hypersurface, Mhat: Hypersurface, jet: JetData,
         return FormalMap(f_parts, g_parts)
     # the Shat table, the tau-slices of S and the powers of S(z,chi,0) grow
     # with the orders reached, so a large ``order`` costs nothing up front
-    shat, shat_jets = {}, []
+    shat, shat_slices = {}, []
     for _ in range(2):
-        _add_shat_layer(shat, shat_jets, Mhat, at_f0)
+        _add_shat_layer(shat, shat_slices, Mhat, at_f0)
     frame = _Frame(M.invariants.L, M.invariants.K, jet.b00, shat)
     s_slices = [M.S.slice("tau", 0)]
     S0 = S0_n = s_slices[0]                # S0_n = S(z,chi,0)^n
     zero4 = (EC_ZERO,) * 4
     for n in range(1, order + 1):
         if n > 1:
-            _add_shat_layer(shat, shat_jets, Mhat, at_f0)
+            _add_shat_layer(shat, shat_slices, Mhat, at_f0)
         s_slices.append(M.S.slice("tau", n))
         S0_n1 = S0_n * S0
         Rn = universal_pn(n, f_parts, g_parts, s_slices, shat)

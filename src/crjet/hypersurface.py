@@ -15,6 +15,7 @@ Newton iteration.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,37 +27,19 @@ THETA_VARS = ("z", "chi", "s")
 ZC = ("z", "chi")
 
 
-class InvariantTuple:
-    __slots__ = ("m", "r", "L", "K", "T", "certified_to_degree")
-
-    def __init__(self, m, r, L, K, T, certified_to_degree):
-        self.m = m
-        self.r = r
-        self.L = L
-        self.K = K
-        self.T = T
-        self.certified_to_degree = certified_to_degree
+class InvariantTuple(namedtuple("InvariantTuple", "m r L K T certified_to_degree")):
+    __slots__ = ()
 
     def as_dict(self):
-        return {"m": self.m, "r": self.r, "L": self.L, "K": self.K, "T": self.T,
-                "certified_to_degree": self.certified_to_degree}
-
-    def __repr__(self):
-        return (f"InvariantTuple(m={self.m}, r={self.r}, L={self.L}, K={self.K}, "
-                f"T={self.T}, certified_to_degree={self.certified_to_degree})")
+        return self._asdict()
 
 
-class Hypersurface:
+class Hypersurface(namedtuple("Hypersurface", "Theta theta invariants")):
     """Validated normal-form data plus everything derived from it.
 
     Q and S are derived on first read: one ``implicit_solve`` whose result
     ``_cross_check`` proves before either is returned, then kept.
     """
-
-    def __init__(self, Theta, theta, invariants):
-        self.Theta = Theta
-        self.theta = theta
-        self.invariants = invariants
 
     @cached_property
     def _graph(self):
@@ -97,8 +80,7 @@ def validate(Theta: TruncatedSeries) -> Hypersurface:
     and S are not solved for here: the returned Hypersurface derives and
     cross-checks them on first read, so compute_D and everything else that
     reads only theta and the invariants never runs the solve."""
-    if tuple(Theta.variables) != THETA_VARS:
-        Theta = Theta.embed(THETA_VARS)
+    Theta = Theta.embed(THETA_VARS)
 
     if Theta.is_zero():
         raise ValidationError("flat: out of scope (Theta is identically zero)")

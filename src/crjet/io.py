@@ -120,8 +120,7 @@ def parse_series(obj, expect_variables=None) -> TruncatedSeries:
         if exps in seen:
             raise FormatError(f"term #{i}: duplicate exponents {list(exps)}")
         seen.add(exps)
-        if sum(exps) <= degree and not c.is_zero():
-            coeffs[exps] = c
+        coeffs[exps] = c
     return TruncatedSeries(variables, degree, coeffs)
 
 

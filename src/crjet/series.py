@@ -311,16 +311,11 @@ class TruncatedSeries:
     def _aligned(self, other):
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"expected TruncatedSeries, got {other!r}")
-        degree = min(self.degree, other.degree)
-        if self.variables == other.variables:
-            a, b = self, other
-        else:
-            union = list(self.variables)
-            for v in other.variables:
-                if v not in union:
-                    union.append(v)
-            a, b = self.embed(tuple(union)), other.embed(tuple(union))
-        return a, b, degree
+        union = list(self.variables)
+        for v in other.variables:
+            if v not in union:
+                union.append(v)
+        return self.embed(union), other.embed(union), min(self.degree, other.degree)
 
     def __add__(self, other):
         if type(other) is not TruncatedSeries:

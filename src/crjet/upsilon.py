@@ -30,8 +30,9 @@ exact and give what the same steps over the Gaussian rationals give.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, count
 
 from .errors import UpsilonError
@@ -48,33 +49,22 @@ def _delta1(x) -> int:
     return 1 if x == 1 else 0
 
 
-class UpsilonFamily:
-    __slots__ = ("n_mode", "components", "L", "K", "T", "_jets")
-
-    def __init__(self, n_mode, components, L, K, T):
-        self.n_mode = n_mode
-        self.components = components
-        self.L = L
-        self.K = K
-        self.T = T
-        self._jets = None
-
+class UpsilonFamily(namedtuple("UpsilonFamily", "n_mode components L K T")):
+    @cached_property
     def jets(self):
         """``(dens, {(s, t): rows})``, the components' integer jets, read off
         ``numerators`` once per family: rows[c] lists the Z[i] numerators of
         component c at z^s chi^t by power of n, up to its top power (empty
         where c has no term), over c's denominator dens[c].  The keys are
         the (s, t) some component holds, in (s + t, s) order."""
-        if self._jets is None:
-            dens, nums = zip(*(c.numerators() for c in self.components))
-            jets = defaultdict(lambda: [[] for _ in nums])
-            for c, num in enumerate(nums):
-                for (s, t, k), v in num.items():
-                    row = jets[s, t][c]
-                    row.extend([(0, 0)] * (k + 1 - len(row)))
-                    row[k] = v
-            self._jets = dens, dict(sorted(jets.items(), key=lambda j: (sum(j[0]), j[0])))
-        return self._jets
+        dens, nums = zip(*(c.numerators() for c in self.components))
+        jets = defaultdict(lambda: [[] for _ in nums])
+        for c, num in enumerate(nums):
+            for (s, t, k), v in num.items():
+                row = jets[s, t][c]
+                row.extend([(0, 0)] * (k + 1 - len(row)))
+                row[k] = v
+        return dens, dict(sorted(jets.items(), key=lambda j: (sum(j[0]), j[0])))
 
     @property
     def degree(self) -> int:
@@ -220,7 +210,7 @@ def dim_Vn(U: UpsilonFamily, scan_bound: int, n0: int | None = None):
     """(rank, pivot (s,t) list) of the jet vectors with s, t <= scan_bound,
     for a fixed-n family, or for a symbolic family at the integer n0.
 
-    Row (s, t) is ``U.jets()`` there at n0: entry c is d_c times component
+    Row (s, t) is ``U.jets`` there at n0: entry c is d_c times component
     c's coefficient, d_c its denominator, the s! t! of the jet convention
     left out.  Scaling a row by a nonzero constant, or column c by d_c,
     changes neither the rank of any set of rows nor which rows add rank.
@@ -231,7 +221,7 @@ def dim_Vn(U: UpsilonFamily, scan_bound: int, n0: int | None = None):
     if (n0 is None) == (U.n_mode == SYMBOLIC):
         raise UpsilonError("dim_Vn scans a fixed-n family, or a symbolic one at n0")
     x = 0 if n0 is None else n0          # a fixed-n family holds n^0 only
-    _, jets = U.jets()
+    _, jets = U.jets
     deg = U.degree
     tracker = RankTracker()
     for (s, t), rows in jets.items():
@@ -261,7 +251,7 @@ def xi_determinants(U: UpsilonFamily):
     """det of the upper-left j x j submatrix of xi(n), j = 2, 3, 4, as NPoly.
 
     Row r of xi is s_r! t_r! times the coefficients at its (s_r, t_r).
-    Entry (r, c) is ``U.jets()``'s list at (s_r, t_r) for component c:
+    Entry (r, c) is ``U.jets``'s list at (s_r, t_r) for component c:
     d_c times component c's polynomial in n there, over Z[i] and listed to
     its own top power, d_c the component's denominator.  So det_j is the
     integer determinant times prod_{r<j} s_r! t_r! / prod_{c<j} d_c.  One
@@ -275,7 +265,7 @@ def xi_determinants(U: UpsilonFamily):
     if U.n_mode != SYMBOLIC:
         raise UpsilonError("xi_determinants requires a symbolic family")
     keys = _xi_keys(U)
-    dens, jets = U.jets()
+    dens, jets = U.jets
     rows = [jets.get(key, [[]] * 4) for key in keys]
     minor = {(c,): rows[0][c] for c in range(4)}
     for r in range(1, 4):
@@ -305,18 +295,9 @@ def xi_determinants(U: UpsilonFamily):
     return dets
 
 
-class JetAnalysis:
-    __slots__ = ("gamma", "D", "k", "vn_dims", "certificates", "xi_dets",
-                 "scan_bound")
-
-    def __init__(self, gamma, D, k, vn_dims, certificates, xi_dets, scan_bound):
-        self.gamma = gamma
-        self.D = D
-        self.k = k
-        self.vn_dims = vn_dims
-        self.certificates = certificates
-        self.xi_dets = xi_dets
-        self.scan_bound = scan_bound
+class JetAnalysis(namedtuple("JetAnalysis",
+                              "gamma D k vn_dims certificates xi_dets scan_bound")):
+    __slots__ = ()
 
     def as_dict(self):
         return {

@@ -216,6 +216,11 @@ class TestJetData:
         with pytest.raises(EquivalenceError, match="four values"):
             JetData(1, 1, {1: tup})
 
+    @pytest.mark.parametrize("key", [1.5, True, "2", 2.0, -1])
+    def test_rejects_an_order_that_is_not_a_nonnegative_int(self, key):
+        with pytest.raises(EquivalenceError, match=f"lambda order {key!r} "):
+            JetData(1, 1, {key: (0, 0, 0, 0)})
+
     def test_delta_and_mu(self):
         jet = JetData(EPS, 2)
         assert jet.mu_sq == Fraction(1)

@@ -12,8 +12,8 @@ from crjet.hypersurface import (THETA_VARS, Hypersurface, InvariantTuple, family
 from crjet.linalg import RankTracker
 from crjet.scalars import EC_I, ExactComplex, NPoly, factorial, integer_roots
 from crjet.series import TruncatedSeries
-from crjet.upsilon import (SYMBOLIC, UpsilonError, _mirror, build_upsilon,
-                           compute_D, dim_Vn, gamma_threshold, pn_series,
+from crjet.upsilon import (SYMBOLIC, JetAnalysis, UpsilonError, UpsilonFamily, _mirror,
+                           build_upsilon, compute_D, dim_Vn, gamma_threshold, pn_series,
                            xi_determinants)
 
 import upsilon_oracle
@@ -473,3 +473,50 @@ class TestGammaThreshold:
     ])
     def test_values(self, L, K, T, expected):
         assert gamma_threshold(L, K, T) == expected
+
+
+class TestRecords:
+    """Hypersurface, InvariantTuple, UpsilonFamily and JetAnalysis are
+    namedtuples: built positionally in their field order, printed as
+    before, closed to field assignment; a family's jets are read once."""
+
+    def test_positional_construction_in_field_order(self):
+        inv = InvariantTuple(1, 2, 3, 4, 0, 10)
+        assert (inv.m, inv.r, inv.L, inv.K, inv.T, inv.certified_to_degree) == (1, 2, 3, 4, 0, 10)
+        assert list(inv.as_dict().items()) == [
+            ("m", 1), ("r", 2), ("L", 3), ("K", 4), ("T", 0), ("certified_to_degree", 10)]
+        M = Hypersurface("Theta", "theta", inv)
+        assert (M.Theta, M.theta, M.invariants) == ("Theta", "theta", inv)
+        U = UpsilonFamily(SYMBOLIC, ["U1", "U2", "U3", "U4"], 3, 4, 0)
+        assert (U.n_mode, U.components, U.L, U.K, U.T) == (
+            SYMBOLIC, ["U1", "U2", "U3", "U4"], 3, 4, 0)
+        a = JetAnalysis(2, [0], 1, {0: 2}, {0: {}}, {2: NPoly()}, 8)
+        assert (a.gamma, a.D, a.k, a.vn_dims, a.certificates, a.xi_dets, a.scan_bound) == (
+            2, [0], 1, {0: 2}, {0: {}}, {2: NPoly()}, 8)
+
+    def test_repr_texts(self):
+        assert repr(InvariantTuple(1, 2, 1, 3, 1, 10)) == (
+            "InvariantTuple(m=1, r=2, L=1, K=3, T=1, certified_to_degree=10)")
+        assert repr(InvariantTuple(2, None, None, None, None, 12)) == (
+            "InvariantTuple(m=2, r=None, L=None, K=None, T=None, certified_to_degree=12)")
+        assert repr(JetAnalysis(3, [2, 0, 1], 4, {}, {}, {}, 8)) == (
+            "JetAnalysis(gamma=3, D=[0, 1, 2], k=4)")
+        assert repr(compute_D(family_b0(14))) == "JetAnalysis(gamma=4, D=[0, 1, 2], k=4)"
+
+    def test_fields_refuse_assignment(self):
+        M = family_b0(14)
+        for record in (M, M.invariants, build_upsilon(M, SYMBOLIC), compute_D(M)):
+            for name in record._fields:
+                value = getattr(record, name)
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+                assert getattr(record, name) is value
+
+    def test_jets_read_each_component_once(self, monkeypatch):
+        U = build_upsilon(family_b0(14), SYMBOLIC)
+        calls = counter(monkeypatch, TruncatedSeries, ("numerators",))
+        xi_determinants(U)
+        for n0 in (0, 1, 2):                 # the candidates of b0
+            dim_Vn(U, 8, n0)
+        assert U.jets is U.jets
+        assert [id(c) for c, in calls] == [id(c) for c in U.components]
