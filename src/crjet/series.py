@@ -43,10 +43,9 @@ into; a group of terms that is one ``ExactComplex`` constant scales its
 image's rows, with no product.  ``compose`` is its one-shot use.  A power
 series sum_j c_j x^j of a series x with zero constant term is one
 ``compose`` of sum_j c_j t^j at x (Brent and Kung, 1978), built by
-``power_series``: the geometric series of ``inverse_unit``, the binomial
-series of ``kth_root_unit`` and the logarithm of ``upsilon.pn_series``.
-``n_graded`` assembles sum_m n^m * parts[m] from series without ``NPoly``
-coefficients in one pass.
+``power_series``: the geometric series of ``inverse_unit`` and the binomial
+series of ``kth_root_unit``.  ``combine`` is the one weighted sum: a sum of
+series, each scaled by an exact scalar or an ``NPoly``, in one pass.
 ``numerators`` is the one integer view of any series: its rows keyed
 ``exps + (k,)``, without building a coefficient object.
 ``implicit_solve`` finds the root of an implicit series equation by Newton
@@ -689,28 +688,44 @@ def power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
     return compose(h, {"t": x})
 
 
-def n_graded(parts) -> TruncatedSeries:
-    """sum_m n^m * parts[m] for series over one variable tuple without
-    ``NPoly`` coefficients, certified to the least of their degrees.
-
-    Every coefficient of the result is an ``NPoly``, its n^m coefficient
-    that of parts[m]: one pass puts each row of parts[m] at power m, over
-    the lcm of the denominators.
-    """
-    variables = parts[0].variables
-    degree = min(part.degree for part in parts)
-    d = math.lcm(*(part._d for part in parts))
-    num = {}
-    for m, part in enumerate(parts):
-        if part.variables != variables:
-            raise SeriesError(f"part {m} is over {part.variables}, not {variables}")
-        if part._npoly:
-            raise SeriesError(f"part {m} has NPoly coefficients")
-        f = d // part._d
-        for k, (re, im) in part._num.items():
-            if sum(k[:-2]) <= degree:
-                num[k[:-2] + (m, 1)] = (re * f, im * f)
-    return _reduced(variables, degree, d, num, True)
+def combine(terms) -> TruncatedSeries:
+    """sum_i w_i * s_i for a list of pairs (w_i, s_i) of a weight, ``int``,
+    ``Fraction``, ``ExactComplex`` or ``NPoly``, and a series over one
+    variable tuple, certified to the least degree: one pass over the rows,
+    a weight's n^j coefficient moving a row to power k + j as an ``NPoly``
+    row, folded by ``_poly_reduced`` as sums are.  A zero weight or part
+    counts only for the degree."""
+    variables = terms[0][1].variables
+    degree = min(s.degree for _, s in terms)
+    scaled = []                 # (power of n or None, a, b, d, series)
+    for w, s in terms:
+        if s.variables != variables:
+            raise SeriesError(f"part over {s.variables}, not {variables}")
+        for j, c in enumerate(w.coefficients) if type(w) is NPoly else [(None, w)]:
+            parts = exact_parts(c)
+            if parts is None:
+                raise TypeError(f"cannot weight a series by {w!r}")
+            if (parts[0] or parts[1]) and s._num:
+                scaled.append((j, *parts, s))
+    d = math.lcm(*(e * s._d for _, _, _, e, s in scaled))
+    acc = {}
+    get = acc.get
+    for j, a0, b0, e, s in scaled:
+        m = d // (e * s._d)
+        a0, b0 = a0 * m, b0 * m
+        for k, (re, im) in (s._num if s.degree <= degree else _upto(s._num, degree)).items():
+            if j is not None:
+                k = k[:-2] + (k[-2] + j, 1)
+            re, im = re * a0 - im * b0, re * b0 + im * a0
+            cur = get(k)
+            if cur is None:
+                acc[k] = [re, im]
+            else:
+                cur[0] += re
+                cur[1] += im
+    if any(j is not None or s._npoly for j, _, _, _, s in scaled):
+        return _poly_reduced(variables, degree, d, acc)
+    return _reduced(variables, degree, d, _nonzero(acc), False)
 
 
 def inverse_unit(a: TruncatedSeries) -> TruncatedSeries:

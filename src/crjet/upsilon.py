@@ -9,13 +9,15 @@ coefficient is a polynomial in n (NPoly).  The span V^n of the jet vectors
 has dimension < gamma := 2 + d1K + d1L*d1T exactly for n in the exceptional
 set D, which is finite; the jet order k is read off from D.
 
-The family is built from P^n = ((1 + i theta)/(1 - i theta))^n, written as
-exp(n a) with a = 2 artanh(i theta): the n^m part of P is a^m / m!, so only
-products of series with ``ExactComplex`` coefficients are taken.  The family
-at a fixed n, asked for directly, is the symbolic family evaluated there
-(``eval_n``).  theta is real, so every chi-side factor of Upsilon is the
-mirror of a z-side one (z and chi swapped, coefficients conjugated), and
-only the z side is divided.
+The family is built from P^n = ((1 + i theta)/(1 - i theta))^n, which
+solves (1 - x^2) P' = 2n P in x = i theta: its x^j coefficients follow a
+three-term recurrence over Z[n] (``pn_series``).  So every series product
+has ``ExactComplex`` coefficients except those with P, at most four, and
+each component is one weighted sum (``combine``), n entering through
+weights such as -2in.  The family at a fixed n, a nonnegative ``int``, is the
+symbolic family evaluated there (``eval_n``).  theta is real, so every
+chi-side factor of Upsilon is the mirror of a z-side one (z and chi
+swapped, coefficients conjugated), and only the z side is divided.
 
 Both integer readers read one jet view per family (``UpsilonFamily.jets``):
 the components' ``numerators`` grouped by (s, t) into Z[i] lists by power
@@ -33,12 +35,12 @@ import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count
+from itertools import combinations, zip_longest
 
 from .errors import UpsilonError
 from .linalg import RankTracker
 from .scalars import EC_I, NPoly, factorial, from_numerators, integer_roots
-from .series import TruncatedSeries, inverse_unit, n_graded, power_series
+from .series import TruncatedSeries, combine, inverse_unit
 
 ZC = ("z", "chi")
 
@@ -47,6 +49,13 @@ SYMBOLIC = "symbolic"
 
 def _delta1(x) -> int:
     return 1 if x == 1 else 0
+
+
+def _order_n(n) -> int:
+    """n, refused unless a nonnegative ``int`` (``bool`` is not one)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise UpsilonError(f"n must be a nonnegative integer, got {n!r}")
+    return n
 
 
 class UpsilonFamily(namedtuple("UpsilonFamily", "n_mode components L K T")):
@@ -71,31 +80,34 @@ class UpsilonFamily(namedtuple("UpsilonFamily", "n_mode components L K T")):
         return min(c.degree for c in self.components)
 
     def eval_n(self, n0: int) -> "UpsilonFamily":
-        """Specialize a symbolic family at an integer value of n."""
+        """Specialize a symbolic family at a nonnegative integer n0."""
         if self.n_mode != SYMBOLIC:
             raise UpsilonError("eval_n requires a symbolic family")
-        return UpsilonFamily(n0, [c.eval_n(n0) for c in self.components],
+        return UpsilonFamily(_order_n(n0), [c.eval_n(n0) for c in self.components],
                              self.L, self.K, self.T)
 
 
 def pn_series(theta: TruncatedSeries) -> TruncatedSeries:
     """((1 + i theta)/(1 - i theta))^n as a series in (z, chi), symbolic in n.
 
-    Write x = i theta.  Then P = exp(n a) with a = log((1 + x)/(1 - x)) =
-    sum over odd k of 2 x^k / k, the ``power_series`` of these coefficients
-    at x.  a^m has order m * ord(x), so P = sum_m n^m a^m / m! over
-    m <= D // ord(x), where D is theta's degree.  ``n_graded`` assembles
-    the sum in one pass.  Every coefficient of P is an ``NPoly``, and every
-    product on the way has ``ExactComplex`` coefficients.
+    With x = i theta, P = sum_j p_j(n) x^j solves (1 - x^2) P' = 2n P, whose
+    x^j coefficient reads (j + 1) p_(j+1) = 2n p_j + (j - 1) p_(j-1).  So
+    q_j = j! p_j lies in Z[n]: q_0 = 1, q_1 = 2n and q_(j+1) = 2n q_j +
+    j (j - 1) q_(j-1).  x^j has order j * ord(x), so P is one ``combine`` of
+    the x^j, j <= D // ord(x) for theta's degree D, weighted q_j / j!: each
+    product is n-free, and every coefficient of P is an ``NPoly``.
     """
     if theta.is_zero():
         raise UpsilonError("theta vanishes identically")
     x = theta * EC_I
-    a = power_series(x, (Fraction(2, k) if k % 2 else 0 for k in count()))
-    parts = [TruncatedSeries.const(x.variables, x.degree, 1)]
-    for m in range(1, x.degree // x.order() + 1):
-        parts.append(parts[-1] * a * Fraction(1, m))      # a^m / m!
-    return n_graded(parts)
+    powers = [TruncatedSeries.const(x.variables, x.degree, 1), x]
+    q = [[1], [0, 2]]
+    for j in range(1, x.degree // x.order()):
+        powers.append(powers[-1] * x)
+        q.append([j * (j - 1) * a + 2 * b
+                  for a, b in zip_longest(q[-2], [0] + q[-1], fillvalue=0)])
+    return combine([(NPoly([Fraction(c, factorial(j)) for c in qj]), xj)
+                    for j, (qj, xj) in enumerate(zip(q, powers))])
 
 
 def _mirror(s: TruncatedSeries) -> TruncatedSeries:
@@ -118,23 +130,20 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     unit's inverse, built once per build.
     """
     if n_mode != SYMBOLIC:
-        n = int(n_mode)
-        if n < 0:
-            raise UpsilonError("n must be a nonnegative integer")
-        return build_upsilon(M, SYMBOLIC).eval_n(n)
+        _order_n(n_mode)
+        return build_upsilon(M, SYMBOLIC).eval_n(n_mode)
     inv = M.invariants
     if inv.m != 1:
         raise UpsilonError("Upsilon family requires a 1-infinite-type hypersurface")
     L, K, T = inv.L, inv.K, inv.T
     theta = M.theta
     D = theta.degree
-    two_i_n = NPoly.n() * (EC_I * 2)
+    two_i_n = NPoly([0, EC_I * 2])
 
-    one = TruncatedSeries.const(ZC, D, 1)
     P = pn_series(theta)
     theta_z = theta.differentiate("z")
     theta_chi = theta.differentiate("chi")
-    one_plus_theta2 = one + theta * theta
+    one_plus_theta2 = theta * theta + 1
 
     thL = M.theta_j(L)                       # series in z, order exactly K
     d1K, d1L, d1T = _delta1(K), _delta1(L), _delta1(T)
@@ -150,46 +159,36 @@ def build_upsilon(M, n_mode) -> UpsilonFamily:
     ratio_chi = _mirror(ratio_z)
     ratio_theta_chi = ratio_chi * theta_chi
 
-    U1 = ratio_z * theta_z * K * P - ratio_theta_chi * L
-    U2 = one_plus_theta2 * (P - one) - ratio_theta_chi * two_i_n
+    U1 = combine([(K, ratio_z * theta_z * P), (-L, ratio_theta_chi)])
+    U2 = combine([(1, one_plus_theta2 * P), (-1, one_plus_theta2),
+                  (-two_i_n, ratio_theta_chi)])
 
     alpha = thL.jet_coeff((K,))              # theta_L^(K)(0) != 0
 
-    zero = TruncatedSeries.zero(ZC, D)
+    U3 = U4 = TruncatedSeries.zero(ZC, D)
     if d1T:
         th1 = M.theta_j(1)
         thL1 = M.theta_j(L + 1)
         beta = thL1.jet_coeff((K - 1,))      # theta_{L+1}^(K-1)(0)
         c2 = (alpha * thL1.jet_coeff((K,))
               - thL.jet_coeff((K + 1,)) * beta) * L * (alpha * alpha * K).inverse()
-        t1 = zero
-        if d1K:
-            q_theta_z = over_thL_prime(theta_z)     # theta_z / theta_1'
-            t1 = _mirror(q_theta_z) * th1.jet_coeff((L,))
-        t2 = ratio_theta_chi * c2
         q_L1 = over_thL_prime(thL1)
         q_11 = over_thL_prime(th1 * th1)
         th1_sum = th1.embed(ZC) * one_plus_theta2
-        bracket = th1_sum + (q_L1 - q_11 * two_i_n) * theta_z
-        t3 = -(P * bracket)
-        t4 = _mirror(bracket) * (beta * alpha.inverse())
-        tilde3 = t1 + t2 + t3 + t4
-    else:
-        tilde3 = zero
-    U3 = tilde3 * d1L
+        bracket = combine([(1, th1_sum), (1, q_L1 * theta_z), (-two_i_n, q_11 * theta_z)])
+        terms = [(c2, ratio_theta_chi), (-1, P * bracket),
+                 (beta * alpha.inverse(), _mirror(bracket))]
+        if d1K:
+            q_theta_z = over_thL_prime(theta_z)     # theta_z / theta_1'
+            terms.append((th1.jet_coeff((L,)), _mirror(q_theta_z)))
+        U3 = combine([(w * d1L, s) for w, s in terms])
 
     if d1K:
-        # K = 1 forces L = T = 1: th1, q_theta_z, q_L1 and q_11 are in hand
+        # K = 1 forces L = T = 1: theta_1 = theta_L and alpha = theta_1'(0)
         a2 = th1.jet_coeff((2,))             # theta_1''(0)
-        inv_a1 = alpha.inverse()             # theta_1'(0) = alpha
-        U4 = (_mirror(th1_sum) * inv_a1
-              - q_theta_z * P
-              + theta_chi * inv_a1
-              * (_mirror(q_11) * two_i_n
-                 + _mirror(q_L1)
-                 - ratio_chi * (a2 * inv_a1)))
-    else:
-        U4 = zero
+        inv_a1 = alpha.inverse()
+        U4 = combine([(inv_a1, _mirror(bracket)), (-1, q_theta_z * P),
+                      (-a2 * inv_a1 * inv_a1, ratio_theta_chi)])
 
     return UpsilonFamily(SYMBOLIC, [U1, U2, U3, U4], L, K, T)
 
@@ -220,7 +219,7 @@ def dim_Vn(U: UpsilonFamily, scan_bound: int, n0: int | None = None):
     """
     if (n0 is None) == (U.n_mode == SYMBOLIC):
         raise UpsilonError("dim_Vn scans a fixed-n family, or a symbolic one at n0")
-    x = 0 if n0 is None else n0          # a fixed-n family holds n^0 only
+    x = 0 if n0 is None else _order_n(n0)      # a fixed-n family holds n^0 only
     _, jets = U.jets
     deg = U.degree
     tracker = RankTracker()

@@ -97,8 +97,9 @@ COEFFS = {"exact": exact, "npoly": npolys, "mixed": st.one_of(exact, npolys)}
 
 
 @st.composite
-def series_of(draw, coeffs):
-    variables = draw(st.sampled_from((("x", "y"), ("y", "x"), ("x",), ("y", "t"))))
+def series_of(draw, coeffs, variables=None):
+    if variables is None:
+        variables = draw(st.sampled_from((("x", "y"), ("y", "x"), ("x",), ("y", "t"))))
     degree = draw(st.integers(0, 5))
     exps = st.tuples(*[st.integers(0, degree)] * len(variables))
     return TruncatedSeries(variables, degree, draw(st.dictionaries(exps, coeffs, max_size=8)))
@@ -565,24 +566,51 @@ class TestRowOperations:
                                                cio.complex_dict(ExactComplex(1))]},
             {"exponents": [1, 0], **cio.complex_dict(ExactComplex(2))}]
 
-    @given(st.lists(series_of(exact), min_size=1, max_size=4))
-    def test_n_graded(self, parts):
-        variables = ()
-        for part in parts:
-            variables += tuple(v for v in part.variables if v not in variables)
-        parts = [part.embed(variables) for part in parts]
-        degree = min(part.degree for part in parts)
+    @given(data=st.data())
+    def test_combine(self, data):
+        # every kind of weight on every kind of part, against the sum of the
+        # coefficient-wise products: a term is an NPoly when an NPoly part
+        # or weight reached it, and is dropped only when the whole sum is
+        # zero; a zero weight or part reaches nothing but counts for the degree
+        variables = data.draw(st.sampled_from((XY, ("x",))))
+        weights = st.one_of(scalars, st.just(0), st.just(NPoly()),
+                            exact.map(lambda c: NPoly([c])))
+        parts = st.one_of(series_of(COEFFS["mixed"], variables), st.integers(0, 5).map(
+            lambda degree: TruncatedSeries.zero(variables, degree)))
+        terms = [(data.draw(weights), data.draw(parts))
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        degree = min(s.degree for _, s in terms)
         want = {}
-        for part in parts:
-            for e in part.coeffs:
-                want[e] = NPoly([p.coeff(e) for p in parts])
-        assert_matches(series.n_graded(parts), variables, degree, nonzero(want, degree))
+        for w, s in terms:
+            if w != 0:
+                for e, c in nonzero(s.coeffs, degree).items():
+                    want[e] = w * c if e not in want else want[e] + w * c
+        assert_matches(series.combine(terms), variables, degree,
+                       {e: c for e, c in want.items() if not c.is_zero()})
 
-    def test_n_graded_refuses_npoly_and_mismatched_parts(self):
-        with pytest.raises(SeriesError, match="NPoly"):
-            series.n_graded([srs({(0, 0): 1}), srs({(1, 0): NPoly([0, 1])})])
+    def test_combine_folds_by_the_npoly_rule(self):
+        # at x: n + (2 - n) is the constant NPoly 2; at y: n + (2 - n) - 2
+        # cancels and drops the term; at x^2: an NPoly weight reaches an
+        # ExactComplex part
+        a = srs({(1, 0): NPoly([0, 1]), (0, 1): NPoly([0, 1])})
+        b = srs({(1, 0): 1, (0, 1): 1, (2, 0): EC_I}, degree=5)
+        zero = TruncatedSeries.zero(XY, 3)
+        out = series.combine([(1, a), (NPoly([2, -1]), b), (-2, srs({(0, 1): 1})),
+                              (7, zero), (NPoly(), a)])
+        assert_matches(out, XY, 3, {(1, 0): NPoly([2]), (2, 0): NPoly([2 * EC_I, -EC_I])})
+        # ExactComplex weights on ExactComplex parts keep ExactComplex terms,
+        # and a sum that cancels everywhere is the zero series at the least degree
+        assert_matches(series.combine([(Fraction(1, 2), b), (EC_I, b)]), XY, 5,
+                       {e: c * ExactComplex(Fraction(1, 2), 1) for e, c in b.coeffs.items()})
+        assert_matches(series.combine([(2, b), (-2, b), (1, zero)]), XY, 3, {})
+
+    def test_combine_refuses_mismatched_parts_and_weights(self):
         with pytest.raises(SeriesError, match="over"):
-            series.n_graded([srs({(1, 0): 1}), srs({(1,): 1}, variables=("x",))])
+            series.combine([(1, srs({(1, 0): 1})), (1, srs({(1,): 1}, variables=("x",)))])
+        with pytest.raises(SeriesError, match="over"):
+            series.combine([(1, srs({(1, 0): 1})), (1, srs({(1, 0): 1}, variables=("y", "x")))])
+        with pytest.raises(TypeError, match="weight"):
+            series.combine([(1.5, srs({(1, 0): 1}))])
 
     @given(data=st.data())
     def test_numerators(self, data):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -314,6 +315,81 @@ class TestWorkOnIntegerRows:
         for M in (family_b0(14), family_mc(1, 2, 19)):
             assert any(type(c) is NPoly for c in pn_series(M.theta).coeffs.values())
         assert calls == []
+
+
+BUILD_INPUTS = pytest.mark.parametrize("make", [
+    lambda: family_b0(14),                          # K = 1: four products with P
+    lambda: family_mc(1, 1, 14),
+    lambda: family_nb(ExactComplex(1, 2), 2, 15),   # K = 2
+])
+
+
+class TestNFreeBuild:
+    """P^n is one combine of the powers of x = i theta, and build_upsilon
+    takes n into its products only through P: every other product is
+    n-free, and the NPoly terms are summed by combine alone."""
+
+    @BUILD_INPUTS
+    def test_pn_series_multiplies_only_the_powers_of_x(self, monkeypatch, make):
+        theta = make().theta
+        products = counter(monkeypatch, TruncatedSeries, ("__mul__", "__rmul__"),
+                           lambda a, b: isinstance(b, TruncatedSeries))
+        pn_series(theta)
+        assert len(products) == theta.degree // theta.order() - 1
+
+    @BUILD_INPUTS
+    def test_build_upsilon_takes_n_into_products_only_through_p(self, monkeypatch, make):
+        M = make()
+        built = []
+
+        def recorded(theta, original=upsilon.pn_series):
+            built.append(original(theta))
+            return built[-1]
+
+        monkeypatch.setattr(upsilon, "pn_series", recorded)
+        products = counter(monkeypatch, TruncatedSeries, ("__mul__", "__rmul__"),
+                           lambda a, b: isinstance(b, TruncatedSeries)
+                           and (has_npoly(a) or has_npoly(b)))
+        sums = counter(monkeypatch, TruncatedSeries,
+                       ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__"),
+                       lambda *args: any(map(has_npoly, args)))
+        U = build_upsilon(M, SYMBOLIC)
+        P, = built
+        assert all(a is P or b is P for a, b in products)
+        # Upsilon_1, Upsilon_2, and Upsilon_3 for T = 1, Upsilon_4 for K = 1
+        assert len(products) == 2 + (U.T == 1) + (U.K == 1)
+        assert sums == []
+
+
+class TestOrderParameter:
+    """n is a nonnegative int, not a bool, wherever a caller gives it."""
+
+    BAD = pytest.mark.parametrize("n", [2.7, -0.5, 2.0, Fraction(2), True, False, "3",
+                                        None, -1], ids=repr)
+
+    @BAD
+    def test_build_upsilon_refuses(self, n):
+        with pytest.raises(UpsilonError, match=f"got {re.escape(repr(n))}"):
+            build_upsilon(family_b0(12), n)
+
+    @BAD
+    def test_eval_n_and_dim_vn_refuse(self, n):
+        U = build_upsilon(family_b0(12), SYMBOLIC)
+        with pytest.raises(UpsilonError, match=f"got {re.escape(repr(n))}"):
+            U.eval_n(n)
+        if n is not None:                   # dim_Vn's n0 = None asks for a fixed-n scan
+            with pytest.raises(UpsilonError, match=f"got {re.escape(repr(n))}"):
+                dim_Vn(U, 8, n)
+
+    def test_accepts_every_nonnegative_int(self):
+        M = family_b0(12)
+        U = build_upsilon(M, SYMBOLIC)
+        for n in (0, 1, 2, 10 ** 30):
+            fixed = build_upsilon(M, n)
+            assert fixed.n_mode == n
+            for a, b in zip(fixed.components, U.eval_n(n).components, strict=True):
+                assert_same_series(a, b)
+            assert dim_Vn(U, 8, n) == dim_Vn(fixed, 8)
 
 
 class TestXiDeterminants:

@@ -9,7 +9,10 @@ components, coefficient types included.
 At a fixed integer n this oracle builds the family directly over
 ``ExactComplex``, with P^n the n-th power of (1 + i theta)/(1 - i theta),
 while ``crjet`` evaluates its symbolic family at n: the independent fixed-n
-reference of acceptance criterion 10 and of the rank-scan tests.
+reference of acceptance criterion 10 and of the rank-scan tests.  For
+symbolic n it builds P as exp(n a), a the logarithm of the quotient, while
+``crjet`` sums the powers of i theta with the weights of P's integer
+recurrence.
 
 ``xi_determinants`` and ``dim_Vn`` here are the determinants and the rank
 scan over ``ExactComplex`` and ``NPoly`` coefficients, as they were first
@@ -25,11 +28,11 @@ agree, and that ``compute_D`` reports them at every candidate.
 
 from __future__ import annotations
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, count
 
-from crjet import upsilon
 from crjet.scalars import EC_I, ExactComplex, NPoly
-from crjet.series import SeriesError, TruncatedSeries, divide, inverse_unit
+from crjet.series import SeriesError, TruncatedSeries, divide, inverse_unit, power_series
 from crjet.upsilon import SYMBOLIC, UpsilonError, UpsilonFamily, _xi_keys
 
 ZC = ("z", "chi")
@@ -40,12 +43,25 @@ def _delta1(x) -> int:
 
 
 def pn_series(theta, n_mode):
-    """((1 + i theta)/(1 - i theta))^n: ``crjet``'s series for symbolic n,
-    the n-th power of the quotient for an integer n."""
-    if n_mode == SYMBOLIC:
-        return upsilon.pn_series(theta)
+    """((1 + i theta)/(1 - i theta))^n, the n-th power of the quotient for an
+    integer n.
+
+    For symbolic n, exp(n a) with a = log((1 + x)/(1 - x)) = sum over odd k
+    of 2 x^k / k at x = i theta, one ``power_series``: a^m has order
+    m * ord(x), so the n^m coefficient of P is a^m / m! for m <= D // ord(x).
+    ``crjet`` reads P off the integer recurrence of its coefficients in x
+    instead.
+    """
     x = theta * EC_I
     one = TruncatedSeries.const(theta.variables, theta.degree, 1)
+    if n_mode == SYMBOLIC:
+        a = power_series(x, (Fraction(2, k) if k % 2 else 0 for k in count()))
+        parts = [one]
+        for m in range(1, x.degree // x.order() + 1):
+            parts.append(parts[-1] * a * Fraction(1, m))      # a^m / m!
+        keys = set().union(*(part.coeffs for part in parts))
+        return TruncatedSeries(theta.variables, theta.degree,
+                               {e: NPoly([part.coeff(e) for part in parts]) for e in keys})
     n = int(n_mode)
     if n < 0:
         raise UpsilonError("n must be a nonnegative integer")
